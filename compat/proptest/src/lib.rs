@@ -3,7 +3,7 @@
 //! Supports the API subset the workspace's property tests use: the
 //! [`proptest!`] macro (with `#![proptest_config(..)]`, `pat in strategy`
 //! bindings, and `name: Type` arbitrary bindings), range and tuple
-//! strategies, [`Strategy::prop_map`], `prop::bool::ANY`, and the
+//! strategies, [`strategy::Strategy::prop_map`], `prop::bool::ANY`, and the
 //! `prop_assert!`/`prop_assert_eq!` macros.
 //!
 //! Differences from the real crate: inputs are sampled from a fixed

@@ -3,7 +3,7 @@
 //!
 //! The workload matrix (α sweep × weight models) is **defined in the
 //! scenario registry** (`thm11-forest-a{1,2,4,8}` in
-//! [`arbodom_scenarios::registry`]) and executed by the matrix runner —
+//! [`arbodom_scenarios::registry`](mod@arbodom_scenarios::registry)) and executed by the matrix runner —
 //! this module only formats the quality-tracked cells into the
 //! EXPERIMENTS.md table. The fidelity table (message passing ≡
 //! centralized) stays bespoke: it compares two execution modes of the

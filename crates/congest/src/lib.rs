@@ -41,7 +41,11 @@
 //! * **CSR fan-out.** [`Recipients::Broadcast`] and port sends expand
 //!   through the graph's flat CSR arrays ([`arbodom_graph::Graph::csr`])
 //!   and a flat reverse-port table sharing the same offsets, so fan-out
-//!   walks contiguous memory.
+//!   walks contiguous memory. Both runners build that table before
+//!   round 0 in one `O(n + m)` pass: CSR adjacency lists are sorted and
+//!   symmetric, so walking the flat neighbor array (senders in
+//!   ascending id) with one cursor per receiver yields each reverse port
+//!   in order, with no per-edge search.
 //! * **Sharded round loop.** [`run_parallel`] partitions the node ids
 //!   into contiguous cache-sized shards (tunable via
 //!   [`RunOptions::shard_size`]), each owning its node programs, its

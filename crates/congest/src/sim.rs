@@ -131,17 +131,20 @@ pub struct RunResult<O> {
 /// `neighbors(u)` — i.e. the port a message from `v` *arrives on* at `u`.
 /// Flat and offset-shared with [`Graph::csr`], unlike a per-node
 /// `Vec<Vec<u32>>`, so fan-out walks contiguous memory.
+///
+/// One `O(n + m)` pass over the flat neighbor array with a per-receiver
+/// cursor. It relies on the CSR invariant that every adjacency list is
+/// sorted and the lists are symmetric: the flat array walks senders `v`
+/// in ascending id, which is the order `neighbors(u)` lists them, so
+/// `u`'s next unclaimed port is exactly `v`'s position there.
 fn reverse_ports(g: &Graph) -> Vec<u32> {
     let (_, nbrs_flat) = g.csr();
-    let mut rev = vec![0u32; nbrs_flat.len()];
-    for v in g.nodes() {
-        let range = g.neighbor_range(v);
-        for (p, &u) in g.neighbors(v).iter().enumerate() {
-            rev[range.start + p] = g
-                .neighbors(u)
-                .binary_search(&v)
-                .expect("edges are symmetric") as u32;
-        }
+    let mut next = vec![0u32; g.n()];
+    let mut rev = Vec::with_capacity(nbrs_flat.len());
+    for &u in nbrs_flat {
+        let port = &mut next[u.index()];
+        rev.push(*port);
+        *port += 1;
     }
     rev
 }
@@ -467,8 +470,8 @@ where
 /// worker folds the shard's halt count into one shared atomic counter —
 /// there is no serial post-round merge walking halted lists. Send
 /// statistics accumulate per worker and merge once per round; every
-/// [`crate::telemetry::SendStats`] field is a sum or a maximum, so the
-/// merge order cannot change the result. The previous-round outputs are
+/// `SendStats` field is a sum or a maximum, so the merge order cannot
+/// change the result. The previous-round outputs are
 /// immutable while a round runs (shard outputs are double-buffered and
 /// their contents swapped by the coordinator between epochs), which is
 /// what lets the two phases fuse into a single pass per shard — no global
@@ -1285,6 +1288,51 @@ mod tests {
                     seq.telemetry, par.telemetry,
                     "shard={shard} threads={threads}"
                 );
+            }
+        }
+    }
+
+    /// The `O(m log Δ)` per-edge binary search that [`reverse_ports`]
+    /// replaced: the reference its cursor pass must match.
+    fn reverse_ports_by_search(g: &Graph) -> Vec<u32> {
+        let (_, nbrs_flat) = g.csr();
+        let mut rev = vec![0u32; nbrs_flat.len()];
+        for v in g.nodes() {
+            let range = g.neighbor_range(v);
+            for (p, &u) in g.neighbors(v).iter().enumerate() {
+                rev[range.start + p] = g
+                    .neighbors(u)
+                    .binary_search(&v)
+                    .expect("edges are symmetric") as u32;
+            }
+        }
+        rev
+    }
+
+    #[test]
+    fn reverse_ports_match_binary_search_reference() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let mut with_isolated = arbodom_graph::GraphBuilder::new(9);
+        for (u, v) in [(1, 4), (4, 7), (2, 4), (7, 8)] {
+            with_isolated.add_edge_u32(u, v).unwrap();
+        }
+        let mut graphs = vec![
+            generators::path(6),
+            generators::star(7),
+            generators::complete(6),
+            with_isolated.build(),
+        ];
+        let mut rng = StdRng::seed_from_u64(17);
+        graphs.extend((1..=3).map(|alpha| generators::forest_union(300, alpha, &mut rng)));
+        for g in &graphs {
+            let rev = reverse_ports(g);
+            assert_eq!(rev, reverse_ports_by_search(g), "m = {}", g.m());
+            for v in g.nodes() {
+                for (e, &u) in g.neighbor_range(v).zip(g.neighbors(v)) {
+                    assert_eq!(g.neighbors(u)[rev[e] as usize], v, "edge {v:?} -> {u:?}");
+                }
             }
         }
     }

@@ -1,12 +1,11 @@
 //! Unified run configuration for the distributed entry points.
 //!
-//! The `run_*_on` family grew one positional parameter at a time —
-//! `(graph, cfg, seed, options, threads)` — until call sites became
-//! hard to read and harder to extend. [`RunConfig`] folds the execution
-//! knobs (worker threads, meter mode, round limit, shard size, loss
-//! injection, round tracking) into one builder; the canonical entry
-//! points are now the `run_*_with` functions, and the old positional
-//! signatures remain as thin deprecated wrappers.
+//! [`RunConfig`] folds the execution knobs (worker threads, meter mode,
+//! round limit, shard size, loss injection, round tracking) into one
+//! builder instead of a growing list of positional parameters. The
+//! `run_*_with` functions are the canonical entry points; each `run_*`
+//! function is a shorthand for `run_*_with` on
+//! [`RunConfig::from_options`].
 //!
 //! Every knob is execution-only: outputs and telemetry are bit-identical
 //! for any `threads`/`shard_size` choice, so a `RunConfig` never changes

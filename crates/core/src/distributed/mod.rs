@@ -42,19 +42,11 @@ pub use randomized::{
     run_general, run_general_with, run_randomized, run_randomized_with,
     NodeOutput as RandomizedNodeOutput, RandomizedProgram,
 };
-#[allow(deprecated)]
-pub use randomized::{run_general_on, run_randomized_on};
-#[allow(deprecated)]
-pub use trees::run_trees_on;
 pub use trees::{run_trees, run_trees_with, TreeProgram};
-#[allow(deprecated)]
-pub use unknown_delta::run_unknown_delta_on;
 pub use unknown_delta::{
     run_unknown_delta, run_unknown_delta_with, NodeOutput as UnknownDeltaNodeOutput,
     UnknownDeltaProgram,
 };
-#[allow(deprecated)]
-pub use weighted::run_weighted_on;
 pub use weighted::{
     run_weighted, run_weighted_with, NodeOutput as WeightedNodeOutput, WeightedProgram,
 };

@@ -362,29 +362,11 @@ pub fn run_randomized(g: &Graph, cfg: &Config, opts: &RunOptions) -> Result<(DsR
     run_randomized_with(g, cfg, &RunConfig::from_options(opts))
 }
 
-/// Positional-parameter variant of [`run_randomized_with`].
-///
-/// # Errors
-///
-/// Propagates configuration validation and simulation errors.
-#[deprecated(
-    since = "0.1.0",
-    note = "use run_randomized_with and the RunConfig builder"
-)]
-pub fn run_randomized_on(
-    g: &Graph,
-    cfg: &Config,
-    opts: &RunOptions,
-    threads: usize,
-) -> Result<(DsResult, Telemetry)> {
-    run_randomized_with(g, cfg, &RunConfig::from_options(opts).threads(threads))
-}
-
 /// Like [`run_randomized`], driven by a [`RunConfig`]: executed on
 /// [`RunConfig::thread_count`] worker threads through [`run_parallel`]
-/// (one thread falls back to the sequential [`run`]). Randomness is drawn
-/// through [`det_rand`], so outputs and telemetry are bit-identical at
-/// any thread count.
+/// (one thread falls back to the sequential [`arbodom_congest::run`]).
+/// Randomness is drawn through [`det_rand`], so outputs and telemetry
+/// are bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -427,28 +409,10 @@ pub fn run_general(
     run_general_with(g, cfg, &RunConfig::from_options(opts))
 }
 
-/// Positional-parameter variant of [`run_general_with`].
-///
-/// # Errors
-///
-/// Propagates configuration validation and simulation errors.
-#[deprecated(
-    since = "0.1.0",
-    note = "use run_general_with and the RunConfig builder"
-)]
-pub fn run_general_on(
-    g: &Graph,
-    cfg: &crate::general::Config,
-    opts: &RunOptions,
-    threads: usize,
-) -> Result<(DsResult, Telemetry)> {
-    run_general_with(g, cfg, &RunConfig::from_options(opts).threads(threads))
-}
-
 /// Like [`run_general`], driven by a [`RunConfig`]: executed on
 /// [`RunConfig::thread_count`] worker threads through [`run_parallel`]
-/// (one thread falls back to the sequential [`run`]). Outputs and
-/// telemetry are bit-identical at any thread count.
+/// (one thread falls back to the sequential [`arbodom_congest::run`]).
+/// Outputs and telemetry are bit-identical at any thread count.
 ///
 /// # Errors
 ///

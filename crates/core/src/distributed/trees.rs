@@ -70,20 +70,10 @@ pub fn run_trees(g: &Graph, opts: &RunOptions) -> Result<(DsResult, Telemetry)> 
     run_trees_with(g, &RunConfig::from_options(opts))
 }
 
-/// Positional-parameter variant of [`run_trees_with`].
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-#[deprecated(since = "0.1.0", note = "use run_trees_with and the RunConfig builder")]
-pub fn run_trees_on(g: &Graph, opts: &RunOptions, threads: usize) -> Result<(DsResult, Telemetry)> {
-    run_trees_with(g, &RunConfig::from_options(opts).threads(threads))
-}
-
 /// Like [`run_trees`], driven by a [`RunConfig`]: executed on
 /// [`RunConfig::thread_count`] worker threads through [`run_parallel`]
-/// (one thread falls back to the sequential [`run`]). Outputs and
-/// telemetry are bit-identical at any thread count.
+/// (one thread falls back to the sequential [`arbodom_congest::run`]).
+/// Outputs and telemetry are bit-identical at any thread count.
 ///
 /// # Errors
 ///

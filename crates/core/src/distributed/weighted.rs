@@ -269,34 +269,10 @@ pub fn run_weighted(
     run_weighted_with(g, cfg, seed, &RunConfig::from_options(opts))
 }
 
-/// Positional-parameter variant of [`run_weighted_with`].
-///
-/// # Errors
-///
-/// Propagates configuration validation and simulation errors.
-#[deprecated(
-    since = "0.1.0",
-    note = "use run_weighted_with and the RunConfig builder"
-)]
-pub fn run_weighted_on(
-    g: &Graph,
-    cfg: &Config,
-    seed: u64,
-    opts: &RunOptions,
-    threads: usize,
-) -> Result<(DsResult, Telemetry)> {
-    run_weighted_with(
-        g,
-        cfg,
-        seed,
-        &RunConfig::from_options(opts).threads(threads),
-    )
-}
-
 /// Like [`run_weighted`], driven by a [`RunConfig`]: executed on
 /// [`RunConfig::thread_count`] worker threads through [`run_parallel`]
-/// (one thread falls back to the sequential [`run`]). Outputs and
-/// telemetry are bit-identical at any thread count.
+/// (one thread falls back to the sequential [`arbodom_congest::run`]).
+/// Outputs and telemetry are bit-identical at any thread count.
 ///
 /// # Errors
 ///

@@ -5,7 +5,7 @@
 //! the paper's proof: `ε = 1/(4t)`, `λ = ε/(α+1)`, `γ = max(2, α^{1/(2t)})`.
 //! The partial set then costs `w_S ≤ (α + α/t)·OPT` and the extension
 //! `E[w_{S′}] = O(α/t)·OPT`, for `t ≤ α/log α` — the paper's
-//! first-order-optimal regime (NP-hard to beat `α − 1 − ε` [BU17]).
+//! first-order-optimal regime (NP-hard to beat `α − 1 − ε` \[BU17\]).
 //!
 //! Setting `t = α/log α` gives `(α + O(log α))`-approximation in
 //! `O(α·log Δ)` rounds.

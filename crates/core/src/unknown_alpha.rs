@@ -16,7 +16,7 @@
 //!    and initializer `x_v = τ_v/(n+1)`, giving a `(2α+1)(2+O(ε))`
 //!    approximation.
 //!
-//! **Fidelity note.** The Remark cites [BE10] for an `O(log n/ε)`-round
+//! **Fidelity note.** The Remark cites \[BE10\] for an `O(log n/ε)`-round
 //! orientation with unknown α; our doubling search spends `O(log n/ε)`
 //! rounds per estimate, i.e. `O(log α · log n/ε)` in total. Round counts
 //! reported by experiments use our variant; the approximation guarantee is

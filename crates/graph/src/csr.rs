@@ -348,7 +348,7 @@ impl Graph {
     /// steady-state cost of *holding* the graph: `4(n + 1)` offset bytes,
     /// `8m` neighbor bytes (each undirected edge appears in both
     /// endpoints' lists), and either **0** weight bytes (unit-weight
-    /// graphs — the compact [`Weights::Unit`] tier) or `8n` (explicit
+    /// graphs — the compact `Weights::Unit` tier) or `8n` (explicit
     /// weights). So `4n + 8m` bytes for the unweighted tier and
     /// `12n + 8m` for the weighted one. Memory-tiered planning math lives
     /// on top of this accessor; see the workspace README's memory-tiered

@@ -141,6 +141,13 @@ pub fn random_tree(n: usize, rng: &mut impl Rng) -> Graph {
 /// [`random_tree`], so for the same `rng` state both produce the same
 /// edge *set*.
 ///
+/// Runs in `O(n)` time with 12 bytes of state per node (the `usize`
+/// sequence and the `u32` degrees). The decode removes the smallest leaf
+/// at every step: a forward pointer finds the smallest original leaf,
+/// and a node that becomes a leaf below the pointer is taken at once. So
+/// it emits the same edge sequence as an `O(n log n)` min-heap decoder,
+/// which the tests keep as the reference.
+///
 /// # Errors
 ///
 /// Propagates sink rejections (a [`GraphBuilder`] sink of at least `n`
@@ -157,22 +164,28 @@ pub fn try_random_tree_into(n: usize, rng: &mut impl Rng, sink: &mut impl EdgeSi
     for &s in &seq {
         degree[s] += 1;
     }
-    // Min-heap of current leaves.
-    let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<usize>> = (0..n)
-        .filter(|&v| degree[v] == 1)
-        .map(std::cmp::Reverse)
-        .collect();
+    // Every leaf below `ptr` is already removed, except `leaf` itself.
+    // Node n − 1 is never the smallest of a tree's ≥ 2 leaves, so it is
+    // one end of the last edge and bounds every scan.
+    let mut ptr = degree
+        .iter()
+        .position(|&d| d == 1)
+        .expect("a leaf always exists");
+    let mut leaf = ptr;
     for &s in &seq {
-        let std::cmp::Reverse(leaf) = heap.pop().expect("a leaf always exists");
         sink.accept_edge(leaf as u32, s as u32)?;
         degree[s] -= 1;
-        if degree[s] == 1 {
-            heap.push(std::cmp::Reverse(s));
+        if degree[s] == 1 && s < ptr {
+            leaf = s;
+        } else {
+            ptr += 1;
+            while degree[ptr] != 1 {
+                ptr += 1;
+            }
+            leaf = ptr;
         }
     }
-    let std::cmp::Reverse(u) = heap.pop().expect("two nodes remain");
-    let std::cmp::Reverse(v) = heap.pop().expect("two nodes remain");
-    sink.accept_edge(u as u32, v as u32)
+    sink.accept_edge(leaf as u32, (n - 1) as u32)
 }
 
 /// A random `d`-regular multigraph flattened to a simple graph, via the
@@ -340,6 +353,71 @@ mod tests {
                 traversal::is_connected(&g),
                 "tree on {n} nodes must be connected"
             );
+        }
+    }
+
+    /// The `O(n log n)` min-heap Prüfer decoder that
+    /// [`try_random_tree_into`] replaced: the reference its linear decode
+    /// must match edge for edge.
+    fn heap_random_tree_into(n: usize, rng: &mut impl Rng, sink: &mut impl EdgeSink) -> Result<()> {
+        use std::cmp::Reverse;
+        if n < 2 {
+            return Ok(());
+        }
+        if n == 2 {
+            return sink.accept_edge(0, 1);
+        }
+        let seq: Vec<usize> = (0..n - 2).map(|_| rng.random_range(0..n)).collect();
+        let mut degree = vec![1u32; n];
+        for &s in &seq {
+            degree[s] += 1;
+        }
+        let mut heap: std::collections::BinaryHeap<Reverse<usize>> =
+            (0..n).filter(|&v| degree[v] == 1).map(Reverse).collect();
+        for &s in &seq {
+            let Reverse(leaf) = heap.pop().expect("a leaf always exists");
+            sink.accept_edge(leaf as u32, s as u32)?;
+            degree[s] -= 1;
+            if degree[s] == 1 {
+                heap.push(Reverse(s));
+            }
+        }
+        let Reverse(u) = heap.pop().expect("two nodes remain");
+        let Reverse(v) = heap.pop().expect("two nodes remain");
+        sink.accept_edge(u as u32, v as u32)
+    }
+
+    /// Collects the emitted edges in order.
+    struct EdgeLog(Vec<(u32, u32)>);
+
+    impl EdgeSink for EdgeLog {
+        fn accept_edge(&mut self, u: u32, v: u32) -> Result<()> {
+            self.0.push((u, v));
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn linear_prufer_decode_matches_heap_decoder() {
+        let sizes = (0..300usize)
+            .chain([1000, 4096])
+            .map(|n| (n, 40u64))
+            .chain([(65_537, 3)]);
+        for (n, seeds) in sizes {
+            for seed in 0..seeds {
+                let mut fast_rng = StdRng::seed_from_u64(seed);
+                let mut fast = EdgeLog(Vec::new());
+                try_random_tree_into(n, &mut fast_rng, &mut fast).unwrap();
+                let mut heap_rng = StdRng::seed_from_u64(seed);
+                let mut heap = EdgeLog(Vec::new());
+                heap_random_tree_into(n, &mut heap_rng, &mut heap).unwrap();
+                assert_eq!(fast.0, heap.0, "edge sequence, n = {n}, seed = {seed}");
+                assert_eq!(
+                    format!("{fast_rng:?}"),
+                    format!("{heap_rng:?}"),
+                    "rng state after the build, n = {n}, seed = {seed}"
+                );
+            }
         }
     }
 

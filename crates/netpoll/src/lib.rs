@@ -14,7 +14,7 @@
 //!
 //! `poll(2)` is a syscall; calling it requires an `extern "C"`
 //! declaration and an FFI call. The unsafe surface is confined to the
-//! private [`ffi`] module — a single call site whose safety argument is
+//! private `ffi` module — a single call site whose safety argument is
 //! local: the fd array pointer/length come from a live `&mut [PollFd]`,
 //! and `PollFd` is `#[repr(C)]` layout-identical to `struct pollfd`.
 //! Everything above it is `#![deny(unsafe_code)]`-clean, mirroring the

@@ -4,7 +4,7 @@
 //! *breadth*. Instead of one hand-rolled binary per experiment, an
 //! experiment is a [`ScenarioSpec`] **value**: a graph family × a size
 //! sweep × weight models × a loss sweep × a seed set × an algorithm × a
-//! meter mode. The typed [`registry`] names ≥ 12 of them; the matrix
+//! meter mode. The typed [`registry`](mod@registry) names ≥ 12 of them; the matrix
 //! [`runner`] expands each into cells and executes every cell through the
 //! thread-parallel simulator; the [`report`] serializes solution quality
 //! (approximation ratio against the best certified reference) and round

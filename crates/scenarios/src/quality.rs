@@ -5,7 +5,7 @@
 //!
 //! 1. **exact optimum** — the forest DP (any size, forests only) or the
 //!    branch-and-bound solver (`n ≤ 64`): the true OPT;
-//! 2. **planted optimum** — on [`generators::planted_ds`]-style instances
+//! 2. **planted optimum** — on [`arbodom_graph::generators::planted_ds`]-style instances
 //!    the planted set's weight, a certified *upper* bound on OPT;
 //! 3. **packing lower bound** — the larger of the run's own dual
 //!    certificate and an independent greedy maximal packing (both are

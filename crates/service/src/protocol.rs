@@ -4,8 +4,8 @@
 //! little-endian payload length, then the payload, which is the [`Wire`]
 //! encoding of exactly one [`Request`] or [`Response`]. The payload
 //! codecs are the same varint helpers the CONGEST simulator meters with
-//! ([`arbodom_congest::wire`]), so the protocol inherits their
-//! conformance contract: encodings round-trip, consume exactly their own
+//! ([`arbodom_congest::put_uvarint`] and its kin), so the protocol
+//! inherits their conformance contract: encodings round-trip, consume exactly their own
 //! bytes, and fail on any strict prefix (checkable with
 //! [`arbodom_congest::assert_wire_conformance`]).
 //!

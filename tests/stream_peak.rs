@@ -10,10 +10,8 @@
 //!    planning before instantiation.
 //! 2. **Peak ≈ final**: the peak live-heap during
 //!    [`Graph::from_edge_stream`] stays within the final footprint plus
-//!    the generator's own transient state (≈ 24 bytes/node for the
-//!    Prüfer core: the u64 sequence, the degree array, and the leaf
-//!    heap) plus a small constant — no Vec-doubling spikes, no
-//!    per-tree intermediate graphs. The legacy builder path is measured
+//!    [`generator_slack`] — no Vec-doubling spikes, no per-tree
+//!    intermediate graphs. The legacy builder path is measured
 //!    alongside and must peak strictly higher, which is the refactor's
 //!    reason to exist.
 //!
@@ -106,13 +104,19 @@ fn via_builder(n: usize) -> Graph {
     b.build()
 }
 
-/// The generator's transient state: Prüfer sequence (8 bytes/node),
-/// degree array (4 bytes/node), leaf heap (≈ 4 bytes/node at a
-/// power-of-two capacity, transiently 1.5× during a doubling grow),
-/// invoked per tree but freed between trees — so one tree's worth bounds
-/// the whole union. Measured at ≈ 24 bytes/node; 26 leaves headroom for
-/// capacity rounding without masking a retained intermediate (any
-/// per-tree graph or adjacency-vec copy would cost ≥ 28n).
+/// Transient bytes above the footprint. Two terms, never live together:
+///
+/// * the generator's state during the fill pass: the Prüfer sequence
+///   (8 bytes/node) and degree array (4 bytes/node), freed between
+///   trees, so one tree's worth bounds the whole union;
+/// * the pre-shrink neighbor array (8 bytes per streamed edge, 24n − 24
+///   for α = 3) when duplicate edges are compacted away: this allocator
+///   models `shrink_to_fit`'s realloc as grow-then-free, so the old and
+///   new arrays count together.
+///
+/// The second term is the measured slack at n = 250k, exactly 24n − 24
+/// bytes. 26 leaves headroom without masking a retained intermediate
+/// (any per-tree graph or adjacency-vec copy would cost ≥ 28n).
 fn generator_slack(n: usize) -> usize {
     26 * n + 8192
 }
