@@ -218,12 +218,14 @@ fn thm11_once(
 /// The phase metrics the instrumented run must populate, in display
 /// order — the same names the daemon exposes under `--sim-obs`.
 const PHASE_METRICS: &[&str] = &[
+    sim_obs_names::SIM_SETUP_NANOS,
     sim_obs_names::SIM_ROUND_NANOS,
     sim_obs_names::SIM_DELIVER_NANOS,
     sim_obs_names::SIM_COMPUTE_NANOS,
     sim_obs_names::SIM_POOL_DISPATCH_NANOS,
     sim_obs_names::SIM_WORKER_BUSY_NANOS,
     sim_obs_names::SIM_POOL_BARRIER_NANOS,
+    sim_obs_names::SIM_TEARDOWN_NANOS,
     sim_obs_names::SIM_MESSAGE_BITS,
 ];
 
@@ -356,9 +358,9 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
 
     // --- instrumented phase breakdown (E-SCALE-e / "phase_breakdown") ---
     // One Theorem 1.1 run on the 50k workload through the persistent pool
-    // with the [`SimObs`] side channel attached: where a pool4 round's
-    // wall clock actually goes (deliver vs compute vs dispatch vs
-    // barrier), as log₂-bucket histograms — the same metrics `arbodomd
+    // with the [`SimObs`] side channel attached: where the run's wall
+    // clock actually goes (set-up, then per round deliver vs compute vs
+    // dispatch vs barrier, then tear-down), as log₂-bucket histograms — the same metrics `arbodomd
     // --sim-obs` serves, so the bench artifact and a live scrape are
     // directly comparable.
     let registry = Registry::new();
@@ -543,7 +545,7 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
     // --- BENCH_sim.json ---
     // Rendered with the tiny JSON builder below (keys and values here are
     // plain identifiers and finite numbers, nothing needs escaping), so
-    // this file has no opinion about which `serde_json` is installed.
+    // this file needs no JSON dependency.
     let current = JsonObj::new().entries(rows.iter().map(|r| {
         (
             r.name.to_string(),

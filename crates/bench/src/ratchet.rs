@@ -62,12 +62,14 @@ const ROW_FIELDS: &[&str] = &["rounds", "messages", "wall_seconds", "msgs_per_se
 /// `arbodomd --sim-obs` exposes, so a renamed or dropped hook fails the
 /// gate before it silently vanishes from dashboards.
 const SIM_PHASE_METRICS: &[&str] = &[
+    "sim_setup_nanos",
     "sim_round_nanos",
     "sim_deliver_nanos",
     "sim_compute_nanos",
     "sim_pool_dispatch_nanos",
     "sim_worker_busy_nanos",
     "sim_pool_barrier_nanos",
+    "sim_teardown_nanos",
     "sim_message_bits",
 ];
 

@@ -27,6 +27,7 @@
 //! quality accounting. A slice of cold sources keeps eviction and
 //! construction in the loop.
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -462,10 +463,12 @@ pub fn run_admission(scale: Scale) -> Result<AdmissionProbe, ServiceError> {
     // are accepted and the rest shed with typed `Overloaded` replies.
     let mut stream = TcpStream::connect(addr)?;
     stream.set_read_timeout(Some(Duration::from_secs(120)))?;
+    let mut burst = Vec::new();
     for i in 0..pipelined_requests {
         let batch = Request::Batch(vec![probe_job(scale, i as u64)]);
-        write_message(&mut stream, PROTOCOL_V3, &batch)?;
+        write_message(&mut burst, PROTOCOL_V3, &batch)?;
     }
+    stream.write_all(&burst)?;
     let (mut accepted, mut shed, mut errors) = (0usize, 0usize, 0usize);
     let mut min_retry_after_ms = u64::MAX;
     for _ in 0..pipelined_requests {

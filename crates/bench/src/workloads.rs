@@ -25,9 +25,10 @@ impl Flood {
 
 impl NodeProgram for Flood {
     type Message = u64;
+    type PortState = ();
     type Output = u64;
 
-    fn round(&mut self, ctx: &NodeCtx<'_>, inbox: Inbox<'_, u64>) -> Step<u64> {
+    fn round(&mut self, ctx: &NodeCtx<'_>, inbox: Inbox<'_, u64>, _ports: &mut [()]) -> Step<u64> {
         self.seen += inbox.iter().map(|(_, &m)| m).sum::<u64>();
         if self.rounds_left == 0 {
             return Step::halt();

@@ -27,11 +27,20 @@
 //! design decisions:
 //!
 //! * **Per-round mailbox arenas.** A round's messages live in one flat
-//!   buffer grouped by destination through a stable counting sort, with
-//!   an `n + 1` offset table; a node's inbox is a borrowed [`Inbox`]
-//!   slice of that arena. The staging buffer and the arena swap storage
-//!   every round, so steady-state delivery performs **zero heap
-//!   allocations** regardless of traffic volume.
+//!   buffer grouped by destination, with an `n + 1` offset table; a
+//!   node's inbox is a borrowed [`Inbox`] slice of that arena. Delivery
+//!   is one out-of-place stable counting sort straight from the staged
+//!   sends (count per destination, prefix sum, clone into slot) — no
+//!   gather copy, no in-place permutation — and every buffer keeps its
+//!   capacity across rounds, so steady-state delivery performs **zero
+//!   heap allocations** regardless of traffic volume.
+//! * **Run-owned per-port state.** What a node keeps per incident edge
+//!   ([`NodeProgram::PortState`]) lives in one CSR-ordered array of `2m`
+//!   entries owned by the run, and each round a node borrows its
+//!   `degree`-long slice, indexed by port. Node programs need no heap
+//!   allocation of their own — at 10⁶ nodes, per-node mirror `Vec`s
+//!   would be millions of allocations to build and free — and programs
+//!   without per-port state declare `()`, which takes no memory.
 //! * **Encode-once metering.** Each [`Outgoing`] is encoded at most once
 //!   per round into a reusable scratch buffer — a broadcast to `d`
 //!   neighbors is metered once and fanned out as `d` in-memory clones.
@@ -49,16 +58,17 @@
 //! * **Sharded round loop.** [`run_parallel`] partitions the node ids
 //!   into contiguous cache-sized shards (tunable via
 //!   [`RunOptions::shard_size`]), each owning its node programs, its
-//!   per-destination-shard send buckets, and its own mailbox arena.
+//!   per-destination-shard send buckets, its own mailbox arena, and the
+//!   contiguous slice of the port-state array covering its nodes.
 //!   Workers claim shards from an atomic queue, so a few high-degree
 //!   hubs cannot strand the other threads; each claimed shard first
-//!   *delivers* the previous round's sends into its arena, then
-//!   *computes* its nodes, staging sends straight into destination-shard
-//!   buckets. Buckets and gathers preserve staging order and shards are
-//!   walked in ascending order, which is how the sharded runner
-//!   reproduces the sequential runner's inbox order — and therefore its
-//!   outputs and telemetry — bit for bit at any shard size and thread
-//!   count.
+//!   *delivers* the previous round's sends into its arena, reading its
+//!   bucket in every source shard, then *computes* its nodes, staging
+//!   sends straight into destination-shard buckets. Buckets and delivery
+//!   preserve staging order and source shards are read in ascending
+//!   order, which is how the sharded runner reproduces the sequential
+//!   runner's inbox order — and therefore its outputs and telemetry —
+//!   bit for bit at any shard size and thread count.
 //! * **Persistent worker pool.** Threads are spawned once, when a
 //!   [`WorkerPool`] is constructed — not once per round. Each round is
 //!   an *epoch*: the caller installs the round's work as a shared
@@ -79,10 +89,11 @@
 //!   counter reaches zero. Halt bookkeeping per round costs one atomic
 //!   op per *shard*, not one check per node.
 //! * **Opt-in phase timing.** [`RunOptions::obs`] attaches an
-//!   [`arbodom_obs::Registry`]-backed [`SimObs`] side channel: per-shard
-//!   deliver/compute nanoseconds, pool dispatch and barrier-wait time,
-//!   per-worker busy time, and a delivered-message-size histogram (see
-//!   [`obs`] for the metric names). It is off by default and *provably
+//!   [`arbodom_obs::Registry`]-backed [`SimObs`] side channel: run
+//!   set-up and tear-down nanoseconds, per-shard deliver/compute
+//!   nanoseconds, pool dispatch and barrier-wait time, per-worker busy
+//!   time, and a delivered-message-size histogram (see [`obs`] for the
+//!   metric names). It is off by default and *provably
 //!   free when off* — no clocks, no allocations, outputs and telemetry
 //!   bit-identical either way, pinned by the differential proptests.
 //!   Long tracked runs can additionally bound
@@ -100,9 +111,10 @@
 //!            shard 0              shard 1        …       shard S−1
 //!   ┌──────────────────────┐ ┌───────────────┐      ┌───────────────┐
 //!   │ programs[0..c]       │ │ programs[c..]  │  …   │ programs[..n] │
+//!   │ ports (CSR slice)    │ │ ports          │      │ ports         │
 //!   │ arena (inboxes)      │ │ arena          │      │ arena         │
-//!   │ buckets[0..S] ───────┼─┼────────────────┼──────┼──▶ gathered by │
-//!   └──────────────────────┘ └───────────────┘      │   dest shard   │
+//!   │ buckets[0..S] ───────┼─┼────────────────┼──────┼──▶ delivered  │
+//!   └──────────────────────┘ └───────────────┘      │  by dest shard │
 //!                                                    └───────────────┘
 //! ```
 //!
@@ -112,6 +124,8 @@
 //!   `Graph::memory_footprint`) plus a `4·2m`-byte reverse-port table;
 //! * per live message: one staged copy (source bucket) and one delivered
 //!   copy (destination arena), `16 bytes + payload` each;
+//! * per directed edge: one [`NodeProgram::PortState`] (zero bytes for
+//!   `()`, 24 bytes for the Theorem 1.1 program's neighbor mirror);
 //! * per node: its program state plus two `u32` offset-table entries.
 //!
 //! A 10⁶-node forest union (α = 3) is ≈ 34 MB of graph and tens of MB of
@@ -121,22 +135,34 @@
 //!
 //! # Example: one round of neighbor counting
 //!
+//! Each node broadcasts its id, then records the id heard on each port
+//! in its per-port state (`ports[p]` belongs to the edge at port `p`;
+//! programs that need none declare `type PortState = ()`).
+//!
 //! ```
-//! use arbodom_congest::{run, Globals, Inbox, NodeCtx, NodeProgram, Outgoing, Recipients, RunOptions, Step, Wire};
+//! use arbodom_congest::{run, Globals, Inbox, NodeCtx, NodeProgram, Outgoing, RunOptions, Step};
 //! use arbodom_graph::generators;
 //!
 //! struct CountNeighbors { heard: usize }
 //!
 //! impl NodeProgram for CountNeighbors {
 //!     type Message = u32;
+//!     type PortState = Option<u32>; // the id heard on this port
 //!     type Output = usize;
-//!     fn round(&mut self, ctx: &NodeCtx<'_>, inbox: Inbox<'_, u32>) -> Step<u32> {
+//!     fn round(
+//!         &mut self,
+//!         ctx: &NodeCtx<'_>,
+//!         inbox: Inbox<'_, u32>,
+//!         ports: &mut [Option<u32>],
+//!     ) -> Step<u32> {
 //!         if ctx.round == 0 {
-//!             Step::continue_with(vec![Outgoing::broadcast(ctx.id.get())])
-//!         } else {
-//!             self.heard = inbox.len();
-//!             Step::halt()
+//!             return Step::continue_with(vec![Outgoing::broadcast(ctx.id.get())]);
 //!         }
+//!         for (port, &id) in inbox {
+//!             ports[port] = Some(id);
+//!         }
+//!         self.heard = ports.iter().flatten().count();
+//!         Step::halt()
 //!     }
 //!     fn output(&self) -> usize { self.heard }
 //! }

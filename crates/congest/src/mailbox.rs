@@ -11,9 +11,11 @@
 //!   `entries[offsets[v]..offsets[v + 1]]`.
 //!
 //! Node programs receive that slice as an [`Inbox`] — a borrowed view,
-//! never an owned buffer — so steady-state delivery performs **zero
-//! allocations**: the send buffer and the arena swap storage every round
-//! and reuse their capacity for the lifetime of the run.
+//! never an owned buffer. Delivery is one out-of-place pass from the
+//! staged sends into `entries` (count, prefix sum, clone into slot); no
+//! gather copy, no in-place permutation and no storage swap. Both arrays
+//! keep their capacity for the lifetime of the run, so steady-state
+//! delivery performs **zero allocations**.
 
 /// One delivered message: where it is going, which port it arrives on,
 /// and the payload.
@@ -115,56 +117,9 @@ impl<'a, M> Iterator for InboxIter<'a, M> {
 
 impl<M> ExactSizeIterator for InboxIter<'_, M> {}
 
-/// Stable in-place grouping of `staged` into `buckets` buckets keyed by
-/// `key` — the counting-sort core shared by [`MailArena::refill`]
-/// (bucket = destination node) and the sharded parallel runner
-/// (bucket = destination shard).
-///
-/// Fills `offsets` so bucket `b` is `staged[offsets[b]..offsets[b + 1]]`.
-/// The sort is **stable**: entries of equal key keep their staging order,
-/// which is how the parallel runner reproduces the sequential runner's
-/// inbox order bit for bit. The permutation is applied in place by
-/// cycle-following — O(m) swaps, no per-message allocation — and
-/// `pos`/`cursors` are caller-owned scratch whose capacity is recycled
-/// across rounds.
-pub(crate) fn group_stable<M>(
-    staged: &mut [Delivery<M>],
-    buckets: usize,
-    key: impl Fn(&Delivery<M>) -> usize,
-    offsets: &mut Vec<u32>,
-    pos: &mut Vec<u32>,
-    cursors: &mut Vec<u32>,
-) {
-    offsets.clear();
-    offsets.resize(buckets + 1, 0);
-    for d in staged.iter() {
-        offsets[key(d) + 1] += 1;
-    }
-    for b in 0..buckets {
-        offsets[b + 1] += offsets[b];
-    }
-    // Rank each send: position = next free slot of its bucket.
-    cursors.clear();
-    cursors.extend_from_slice(&offsets[..buckets]);
-    pos.clear();
-    pos.reserve(staged.len());
-    for d in staged.iter() {
-        let c = &mut cursors[key(d)];
-        pos.push(*c);
-        *c += 1;
-    }
-    // Apply the permutation in place.
-    for i in 0..staged.len() {
-        while pos[i] as usize != i {
-            let j = pos[i] as usize;
-            staged.swap(i, j);
-            pos.swap(i, j);
-        }
-    }
-}
-
-/// The double-buffered round arena: one flat entry array plus an offset
-/// table, rebuilt from the round's staged sends by [`MailArena::refill`].
+/// The round arena: one flat entry array plus an offset table, rebuilt
+/// every round from the finished round's staged sends by
+/// [`MailArena::deliver`].
 ///
 /// An arena covers a contiguous node-id range `base..base + len` — the
 /// whole graph in the sequential runner ([`MailArena::new`]), one shard of
@@ -177,10 +132,6 @@ pub(crate) struct MailArena<M> {
     /// `offsets[v]..offsets[v + 1]` indexes local node `v`'s inbox in
     /// `entries`.
     offsets: Vec<u32>,
-    /// Scratch: target position of each staged send (counting-sort ranks).
-    pos: Vec<u32>,
-    /// Scratch: per-destination write cursors during rank assignment.
-    cursors: Vec<u32>,
 }
 
 impl<M> MailArena<M> {
@@ -195,8 +146,6 @@ impl<M> MailArena<M> {
             entries: Vec::new(),
             base,
             offsets: vec![0; len + 1],
-            pos: Vec::new(),
-            cursors: Vec::new(),
         }
     }
 
@@ -206,47 +155,50 @@ impl<M> MailArena<M> {
         Inbox::new(&self.entries[self.offsets[v] as usize..self.offsets[v + 1] as usize])
     }
 
-    /// Replaces the arena contents with the staged sends of the finished
-    /// round, grouped by destination via the **stable** counting sort of
-    /// [`group_stable`]. Every staged destination must lie in this arena's
-    /// node range. The sorted buffer and the arena swap storage, so both
-    /// vectors' capacities are recycled every round.
-    pub(crate) fn refill(&mut self, staged: &mut Vec<Delivery<M>>) {
-        let n = self.offsets.len() - 1;
-        let base = self.base;
-        group_stable(
-            staged,
-            n,
-            |d| (d.dest - base) as usize,
-            &mut self.offsets,
-            &mut self.pos,
-            &mut self.cursors,
-        );
-        std::mem::swap(&mut self.entries, staged);
-        staged.clear();
-    }
-
-    /// Rebuilds the arena from per-source staged slices: concatenates the
-    /// sources into `gather` (callers pass sources in ascending
-    /// source-shard order, which is ascending sender id — the sequential
-    /// staging order the stable sort then preserves) and [`refill`]s from
-    /// the result. `gather` is caller-owned scratch whose capacity is
-    /// recycled across rounds; this is the sharded runner's per-shard
-    /// delivery step.
+    /// Replaces the arena contents with the deliveries in `sources`,
+    /// grouped by destination in one **stable**, out-of-place counting
+    /// sort: count per destination, take an exclusive prefix sum, then
+    /// clone each delivery straight into its slot. Entries of equal
+    /// destination keep their order across the concatenation of
+    /// `sources`, so callers pass sources in ascending sender order (the
+    /// sequential runner's one staging buffer; the sharded runner's
+    /// source shards, ascending) and every inbox sees the sequential
+    /// arrival order. Every destination must lie in this arena's node
+    /// range.
     ///
-    /// [`refill`]: MailArena::refill
-    pub(crate) fn refill_gathered<'s>(
-        &mut self,
-        gather: &mut Vec<Delivery<M>>,
-        sources: impl IntoIterator<Item = &'s [Delivery<M>]>,
-    ) where
+    /// The prefix sum runs in place one slot ahead (`offsets[v + 1]`
+    /// starts as `v`'s first slot and serves as its write cursor), so
+    /// after the scatter `offsets[v + 1]` is `v`'s end — the finished
+    /// offset table, with no cursor scratch. Slots are filled by
+    /// assignment over a `resize` of the previous round's entries, which
+    /// reuses their capacity; in steady state delivery allocates nothing.
+    pub(crate) fn deliver<'s, S>(&mut self, sources: S)
+    where
+        S: Iterator<Item = &'s [Delivery<M>]> + Clone,
         M: Clone + 's,
     {
-        gather.clear();
-        for slice in sources {
-            gather.extend_from_slice(slice);
+        let base = self.base;
+        let offsets = &mut self.offsets;
+        offsets.fill(0);
+        for d in sources.clone().flatten() {
+            offsets[(d.dest - base) as usize + 1] += 1;
         }
-        self.refill(gather);
+        let mut total = 0u32;
+        for slot in &mut offsets[1..] {
+            let count = *slot;
+            *slot = total;
+            total += count;
+        }
+        let Some(first) = sources.clone().flatten().next() else {
+            self.entries.clear();
+            return;
+        };
+        self.entries.resize(total as usize, first.clone());
+        for d in sources.flatten() {
+            let cursor = &mut offsets[(d.dest - base) as usize + 1];
+            self.entries[*cursor as usize] = d.clone();
+            *cursor += 1;
+        }
     }
 
     /// Total messages currently held (the finished round's traffic).
@@ -264,10 +216,19 @@ mod tests {
         Delivery { dest, port, msg }
     }
 
+    /// Delivers `sources` into `arena` and returns every local node's
+    /// inbox as `(port, message)` pairs.
+    fn deliver(arena: &mut MailArena<u32>, sources: &[&[Delivery<u32>]]) -> Vec<Vec<(usize, u32)>> {
+        arena.deliver(sources.iter().copied());
+        (0..arena.offsets.len() - 1)
+            .map(|v| arena.inbox(v).iter().map(|(p, &m)| (p, m)).collect())
+            .collect()
+    }
+
     #[test]
     fn refill_groups_by_destination_stably() {
         let mut arena: MailArena<u32> = MailArena::new(4);
-        let mut staged = vec![
+        let staged = [
             d(2, 0, 10),
             d(0, 1, 11),
             d(2, 1, 12),
@@ -275,50 +236,54 @@ mod tests {
             d(2, 2, 14),
             d(0, 0, 15),
         ];
-        arena.refill(&mut staged);
-        assert!(staged.is_empty());
+        let inboxes = deliver(&mut arena, &[&staged]);
         assert_eq!(arena.len(), 6);
-        let collect = |v: usize| -> Vec<(usize, u32)> {
-            arena.inbox(v).iter().map(|(p, &m)| (p, m)).collect()
-        };
         // Stable: dest 0 keeps (11 before 15), dest 2 keeps (10, 12, 14).
-        assert_eq!(collect(0), vec![(1, 11), (0, 15)]);
-        assert_eq!(collect(1), vec![]);
-        assert_eq!(collect(2), vec![(0, 10), (1, 12), (2, 14)]);
-        assert_eq!(collect(3), vec![(0, 13)]);
+        assert_eq!(inboxes[0], vec![(1, 11), (0, 15)]);
+        assert_eq!(inboxes[1], vec![]);
+        assert_eq!(inboxes[2], vec![(0, 10), (1, 12), (2, 14)]);
+        assert_eq!(inboxes[3], vec![(0, 13)]);
+        // Several sources behave like their concatenation: a shard arena
+        // (nodes 10..13) fed by source shards in ascending order.
+        let mut shard: MailArena<u32> = MailArena::with_range(10, 3);
+        let (a, b, c) = ([d(12, 0, 1), d(10, 0, 2)], [], [d(12, 1, 3), d(10, 2, 4)]);
+        let inboxes = deliver(&mut shard, &[&a, &b, &c]);
+        assert_eq!(
+            inboxes,
+            vec![vec![(0, 2), (2, 4)], vec![], vec![(0, 1), (1, 3)]]
+        );
     }
 
     #[test]
     fn refill_recycles_capacity() {
         let mut arena: MailArena<u32> = MailArena::new(2);
-        let mut staged: Vec<Delivery<u32>> = Vec::with_capacity(64);
+        let mut ptr = None;
         for round in 0..10u32 {
-            for i in 0..32 {
-                staged.push(d(i % 2, 0, round * 100 + i));
-            }
-            let cap_before = staged.capacity();
-            arena.refill(&mut staged);
-            assert_eq!(arena.len(), 32);
-            assert_eq!(arena.inbox(0).len(), 16);
-            // After the first two rounds both buffers have grown to fit a
-            // full round, and no further allocation happens.
-            if round >= 2 {
-                assert!(staged.capacity() >= 32, "swap must recycle capacity");
-            }
-            let _ = cap_before;
+            // Traffic shrinks and grows back: truncation keeps capacity.
+            let count = if round % 3 == 1 { 8 } else { 32 };
+            let staged: Vec<_> = (0..count).map(|i| d(i % 2, 0, round * 100 + i)).collect();
+            let inboxes = deliver(&mut arena, &[&staged]);
+            assert_eq!(arena.len(), count as usize);
+            assert_eq!(inboxes[0].len(), count as usize / 2);
+            assert!(inboxes[1]
+                .iter()
+                .all(|&(_, m)| m % 2 == 1 && m / 100 == round));
+            let now = arena.entries.as_ptr();
+            assert!(ptr.is_none_or(|p| p == now), "round {round} reallocated");
+            ptr = Some(now);
         }
     }
 
     #[test]
     fn empty_round_yields_empty_inboxes() {
         let mut arena: MailArena<u32> = MailArena::new(3);
-        let mut staged = vec![d(1, 0, 5)];
-        arena.refill(&mut staged);
-        arena.refill(&mut staged); // nothing staged: all inboxes drain
-        for v in 0..3 {
-            assert!(arena.inbox(v).is_empty());
-            assert_eq!(arena.inbox(v).first(), None);
+        deliver(&mut arena, &[&[d(1, 0, 5)]]);
+        // Nothing staged: all inboxes drain.
+        for inbox in deliver(&mut arena, &[&[], &[]]) {
+            assert!(inbox.is_empty());
         }
+        assert_eq!(arena.len(), 0);
+        assert_eq!(arena.inbox(1).first(), None);
     }
 
     #[test]

@@ -8,8 +8,12 @@
 //! one branch per hook, no clocks, no allocations.
 //!
 //! Durations are nanoseconds; one histogram observation is one shard
-//! phase, one worker round, or one whole round, as each metric's name
-//! says. The message-size histogram sees one entry per *delivered*
+//! phase, one worker round, one whole round, or one run's set-up or
+//! tear-down, as each metric's name says. A run's set-up, its rounds and
+//! its tear-down are disjoint intervals inside the runner call, so
+//! `sim_setup_nanos + Σ sim_round_nanos + sim_teardown_nanos` is at most
+//! the call's wall time, and the gap is the round loop's own
+//! bookkeeping. The message-size histogram sees one entry per *delivered*
 //! message (a broadcast fans one encoding out to `d` entries of the same
 //! size) and is only populated in [`crate::MeterMode::Measure`] and
 //! [`crate::MeterMode::Strict`] — with metering off the sizes are never
@@ -17,8 +21,15 @@
 
 use arbodom_obs::{Counter, Histogram, Registry};
 
+/// Nanoseconds one run spent before round 0: building the node programs,
+/// the per-port state, the reverse-port table and the round buffers. One
+/// observation per run (both runners).
+pub const SIM_SETUP_NANOS: &str = "sim_setup_nanos";
 /// Wall-clock nanoseconds of one executed round (both runners).
 pub const SIM_ROUND_NANOS: &str = "sim_round_nanos";
+/// Nanoseconds one run spent after its last round: assembling the outputs
+/// and dropping the run's state. One observation per run (both runners).
+pub const SIM_TEARDOWN_NANOS: &str = "sim_teardown_nanos";
 /// Nanoseconds one shard spent rebuilding its inbox arena (the deliver
 /// phase). The sequential runner records one entry per round.
 pub const SIM_DELIVER_NANOS: &str = "sim_deliver_nanos";
@@ -46,7 +57,9 @@ pub const SIM_MESSAGES_TOTAL: &str = "sim_messages_total";
 /// into the same registry.
 #[derive(Clone, Debug)]
 pub struct SimObs {
+    pub(crate) setup: Histogram,
     pub(crate) round_wall: Histogram,
+    pub(crate) teardown: Histogram,
     pub(crate) deliver: Histogram,
     pub(crate) compute: Histogram,
     pub(crate) dispatch: Histogram,
@@ -62,7 +75,9 @@ impl SimObs {
     /// `registry`.
     pub fn new(registry: &Registry) -> Self {
         SimObs {
+            setup: registry.histogram(SIM_SETUP_NANOS),
             round_wall: registry.histogram(SIM_ROUND_NANOS),
+            teardown: registry.histogram(SIM_TEARDOWN_NANOS),
             deliver: registry.histogram(SIM_DELIVER_NANOS),
             compute: registry.histogram(SIM_COMPUTE_NANOS),
             dispatch: registry.histogram(SIM_POOL_DISPATCH_NANOS),
@@ -85,7 +100,9 @@ mod tests {
         let obs = SimObs::new(&registry);
         let names: Vec<String> = registry.names().into_iter().map(|(n, _)| n).collect();
         for expected in [
+            SIM_SETUP_NANOS,
             SIM_ROUND_NANOS,
+            SIM_TEARDOWN_NANOS,
             SIM_DELIVER_NANOS,
             SIM_COMPUTE_NANOS,
             SIM_POOL_DISPATCH_NANOS,

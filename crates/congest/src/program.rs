@@ -179,14 +179,37 @@ impl<M> Step<M> {
 /// where the port identifies which incident edge delivered the message.
 /// Programs never own their inbox, which is what lets the simulator keep
 /// every round's traffic in one flat allocation-free buffer.
+///
+/// Per-port state works the same way: whatever a node remembers about
+/// each incident edge (typically a mirror of the neighbor behind it)
+/// lives in a run-owned array, not in the program, and each round the
+/// node borrows its slice of it. See [`NodeProgram::PortState`].
 pub trait NodeProgram {
     /// Message type exchanged along edges.
     type Message: Wire + Clone + std::fmt::Debug;
+    /// What the node keeps per incident edge, handed to
+    /// [`NodeProgram::round`] as `ports`, indexed by port exactly like
+    /// [`NodeCtx::neighbors`] and the inbox. Every entry starts as
+    /// `Default::default()` and persists across rounds.
+    ///
+    /// The runner owns one array of these for the whole run, laid out in
+    /// CSR order (`2m` entries, node `v`'s ports at
+    /// [`Graph::neighbor_range`]`(v)`), so a program needs no heap
+    /// allocation of its own for per-neighbor state. Programs without
+    /// per-port state declare `()`, which takes no memory.
+    type PortState: Clone + Default;
     /// Per-node output extracted when the run completes.
     type Output;
 
-    /// Executes one synchronous round.
-    fn round(&mut self, ctx: &NodeCtx<'_>, inbox: Inbox<'_, Self::Message>) -> Step<Self::Message>;
+    /// Executes one synchronous round. `ports` is this node's per-port
+    /// state: `ports.len() == ctx.degree()`, and `ports[p]` belongs to the
+    /// edge at port `p`.
+    fn round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: Inbox<'_, Self::Message>,
+        ports: &mut [Self::PortState],
+    ) -> Step<Self::Message>;
 
     /// This node's part of the global output.
     fn output(&self) -> Self::Output;

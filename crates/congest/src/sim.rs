@@ -4,9 +4,14 @@
 //!
 //! * **Arena delivery** — each round's messages live in one flat
 //!   [`crate::mailbox`] arena grouped by destination; node programs
-//!   receive borrowed [`Inbox`] slices, and the send buffer and arena
-//!   swap storage every round, so steady-state delivery allocates
-//!   nothing.
+//!   receive borrowed [`Inbox`] slices. Delivery is one out-of-place
+//!   stable counting sort from the staged sends into the arena (no
+//!   gather step, no storage swap), and every buffer keeps its capacity
+//!   across rounds, so steady-state delivery allocates nothing.
+//! * **Run-owned port state** — each run owns one CSR-ordered array of
+//!   [`NodeProgram::PortState`] (`2m` entries) and hands every node its
+//!   `degree`-long slice each round, so node programs allocate nothing
+//!   per neighbor.
 //! * **Encode-once metering** — [`MeterMode::Measure`] and
 //!   [`MeterMode::Strict`] encode each [`Outgoing`] exactly once into a
 //!   reusable scratch buffer, however many edges it fans out to;
@@ -14,15 +19,15 @@
 //! * **CSR fan-out** — [`Recipients::Broadcast`] expands through the
 //!   graph's flat CSR adjacency ([`Graph::csr`]) and a flat reverse-port
 //!   table sharing the same offsets.
-//! * **Sharded two-phase schedule** — [`run_parallel`] partitions the
-//!   node ids into contiguous cache-sized shards, each owning its node
-//!   programs, staged-send buffer, and mailbox arena. Every round,
-//!   workers first claim shards to *compute* (step nodes, stage sends,
-//!   group them by destination shard), then claim shards to *deliver*
-//!   (gather each destination's slices from every source shard —
-//!   sources ascending = senders ascending — and rebuild its arena).
-//!   Both phases drain atomic work queues, so skewed-degree graphs keep
-//!   every thread busy, and all grouping is stable, which is why the
+//! * **Sharded schedule** — [`run_parallel`] partitions the node ids
+//!   into contiguous cache-sized shards, each owning its node programs,
+//!   its slice of the port-state array, per-destination-shard send
+//!   buckets, and its mailbox arena. Every round, workers claim shards
+//!   from an atomic queue; a claimed shard first *delivers* (reads its
+//!   bucket in every source shard's previous-round output — sources
+//!   ascending = senders ascending — straight into its arena), then
+//!   *computes* (steps its nodes, staging sends into destination-shard
+//!   buckets). Bucketing and delivery are stable, which is why the
 //!   results are bit-identical to [`run`]'s at any shard/thread count.
 
 use arbodom_graph::{Graph, NodeId};
@@ -287,8 +292,10 @@ pub fn run<P: NodeProgram>(
     mut make: impl FnMut(NodeId, &Graph) -> P,
     opts: &RunOptions,
 ) -> Result<RunResult<P::Output>, SimError> {
+    let setup = opts.obs.as_ref().map(|_| Stopwatch::start());
     let n = g.n();
     let mut nodes: Vec<P> = g.nodes().map(|v| make(v, g)).collect();
+    let mut ports = vec![P::PortState::default(); g.csr().1.len()];
     let mut active = vec![true; n];
     let mut active_count = n;
     let rev = reverse_ports(g);
@@ -305,6 +312,9 @@ pub fn run<P: NodeProgram>(
         bandwidth_budget_bits: router.budget,
         ..Telemetry::default()
     };
+    if let (Some(obs), Some(watch)) = (&opts.obs, &setup) {
+        obs.setup.observe(watch.elapsed_nanos());
+    }
     let mut round = 0usize;
     while active_count > 0 {
         if round >= opts.max_rounds {
@@ -327,7 +337,8 @@ pub fn run<P: NodeProgram>(
                 globals,
                 round,
             };
-            let step: Step<P::Message> = nodes[vi].round(&ctx, arena.inbox(vi));
+            let step: Step<P::Message> =
+                nodes[vi].round(&ctx, arena.inbox(vi), &mut ports[g.neighbor_range(v)]);
             if step.done {
                 active[vi] = false;
                 active_count -= 1;
@@ -337,25 +348,28 @@ pub fn run<P: NodeProgram>(
             })?;
         }
         telemetry.absorb(round, &stats, opts.track_rounds, opts.per_round_cap);
-        if let (Some(obs), Some(watch)) = (&opts.obs, watch.as_mut()) {
-            let compute = watch.lap_nanos();
-            arena.refill(&mut staged);
+        let compute = watch.as_mut().map(Stopwatch::lap_nanos);
+        arena.deliver(std::iter::once(staged.as_slice()));
+        staged.clear();
+        if let (Some(obs), Some(watch), Some(compute)) = (&opts.obs, &watch, compute) {
             let deliver = watch.elapsed_nanos();
             obs.compute.observe(compute);
             obs.deliver.observe(deliver);
             obs.round_wall.observe(compute + deliver);
             obs.rounds.inc();
             obs.messages.add(stats.messages as u64);
-        } else {
-            arena.refill(&mut staged);
         }
         round += 1;
     }
+    let teardown = opts.obs.as_ref().map(|_| Stopwatch::start());
     telemetry.rounds = round;
-    Ok(RunResult {
-        outputs: nodes.iter().map(NodeProgram::output).collect(),
-        telemetry,
-    })
+    let outputs = nodes.iter().map(NodeProgram::output).collect();
+    // Free the run state here, inside the tear-down span.
+    drop((nodes, ports, active, rev, arena, staged, scratch));
+    if let (Some(obs), Some(watch)) = (&opts.obs, &teardown) {
+        obs.teardown.observe(watch.elapsed_nanos());
+    }
+    Ok(RunResult { outputs, telemetry })
 }
 
 /// Upper bound on the automatically chosen shard size: a shard's node
@@ -402,16 +416,19 @@ impl<M> ShardOut<M> {
 /// the work queue hands each shard to exactly one worker per round) by
 /// whichever pool worker claims the shard: its node programs, its
 /// **owned** active flags (decentralized halting — the worker flips a
-/// flag the instant the node halts, no post-round merge), and its inbox
-/// arena plus the gather scratch the arena recycles every round.
-struct Shard<P: NodeProgram> {
+/// flag the instant the node halts, no post-round merge), its slice of
+/// the run's per-port state, and its inbox arena.
+struct Shard<'p, P: NodeProgram> {
     nodes: Vec<P>,
     /// `active[i]` for local node index `i`; owned by the shard, so
     /// halting needs no cross-shard coordination beyond one atomic
     /// subtraction of the shard's halt count per round.
     active: Vec<bool>,
+    /// The shard's contiguous slice of the run's CSR-ordered port state:
+    /// flat indices `port_base..port_base + ports.len()`.
+    ports: &'p mut [P::PortState],
+    port_base: usize,
     arena: MailArena<P::Message>,
-    gather: Vec<Delivery<P::Message>>,
 }
 
 /// Thread-parallel variant of [`run`], producing identical outputs and
@@ -433,6 +450,7 @@ pub fn run_parallel<P>(
 where
     P: NodeProgram + Send,
     P::Message: Send + Sync,
+    P::PortState: Send,
 {
     let n = g.n();
     let threads = threads.max(1).min(n.max(1));
@@ -449,17 +467,18 @@ where
 ///
 /// The node ids are partitioned into contiguous cache-sized **shards**
 /// (several per worker; size tunable via [`RunOptions::shard_size`]),
-/// each owning its node programs, its active flags, per-destination-shard
-/// send buckets, and its own mailbox arena — all built once per run.
+/// each owning its node programs, its active flags, its slice of the
+/// run's CSR-ordered per-port state, per-destination-shard send buckets,
+/// and its own mailbox arena — all built once per run.
 /// Every round is one pool **epoch**: [`WorkerPool::broadcast`] wakes the
 /// persistent workers (no threads are spawned after pool construction),
 /// they claim shards from an atomic queue, and each claimed shard runs a
 /// fused two-phase deliver/compute pass:
 ///
-/// 1. **deliver** — gather the shard's bucket from every source shard's
-///    *previous-round* output (sources in ascending order = ascending
-///    sender id, exactly the sequential staging order) and rebuild the
-///    shard's arena with the same stable per-node counting sort the
+/// 1. **deliver** — rebuild the shard's arena straight from the shard's
+///    bucket in every source shard's *previous-round* output (sources in
+///    ascending order = ascending sender id, exactly the sequential
+///    staging order), with the same one-pass stable counting sort the
 ///    sequential runner uses;
 /// 2. **compute** — step the shard's active nodes against the freshly
 ///    rebuilt arena, expanding each send straight into the destination
@@ -475,13 +494,13 @@ where
 /// immutable while a round runs (shard outputs are double-buffered and
 /// their contents swapped by the coordinator between epochs), which is
 /// what lets the two phases fuse into a single pass per shard — no global
-/// merge, no global sort. All per-shard buffers persist and swap storage
-/// across rounds, so steady-state rounds allocate nothing and peak
-/// memory stays `O(edges + live messages)` at any graph size. Because
-/// bucketing and gathering preserve staging order and shards are walked
-/// in ascending order, each inbox sees the same arrival order as in the
-/// sequential runner — which is why the results are bit-identical at any
-/// shard size and thread count.
+/// merge, no global sort. All per-shard buffers persist and keep their
+/// capacity across rounds, so steady-state rounds allocate nothing and
+/// peak memory stays `O(edges + live messages)` at any graph size.
+/// Because bucketing and delivery preserve staging order and shards are
+/// walked in ascending order, each inbox sees the same arrival order as in
+/// the sequential runner — which is why the results are bit-identical at
+/// any shard size and thread count.
 ///
 /// Error reporting is deterministic: the queue hands out shard indices in
 /// ascending order and an erroring worker stops claiming, so every shard
@@ -506,6 +525,7 @@ pub fn run_parallel_in<P>(
 where
     P: NodeProgram + Send,
     P::Message: Send + Sync,
+    P::PortState: Send,
 {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
@@ -515,6 +535,7 @@ where
     if threads <= 1 || n < PARALLEL_MIN_NODES {
         return run(g, globals, make, opts);
     }
+    let setup = opts.obs.as_ref().map(|_| Stopwatch::start());
     let rev = reverse_ports(g);
     let router = Router {
         g,
@@ -539,18 +560,28 @@ where
     // Per-shard owned state, built once for the whole run. The slot
     // mutexes are uncontended — the queue hands each shard to exactly one
     // worker per round — they exist to prove exclusive access to the
-    // borrow checker across epochs.
+    // borrow checker across epochs. Each shard borrows the contiguous
+    // slice of the run's one CSR-ordered port-state array that covers its
+    // nodes' ports.
+    let (csr_offsets, nbrs_flat) = g.csr();
+    let mut ports = vec![P::PortState::default(); nbrs_flat.len()];
+    let mut unclaimed: &mut [P::PortState] = &mut ports;
     let shards: Vec<Mutex<Shard<P>>> = (0..num_shards)
         .map(|s| {
             let base = s * shard_size;
             let len = shard_size.min(n - base);
+            let port_base = csr_offsets[base] as usize;
+            let port_len = csr_offsets[base + len] as usize - port_base;
+            let (mine, rest) = std::mem::take(&mut unclaimed).split_at_mut(port_len);
+            unclaimed = rest;
             Mutex::new(Shard {
                 nodes: (base..base + len)
                     .map(|vi| make(NodeId::from_index(vi), g))
                     .collect(),
                 active: vec![true; len],
+                ports: mine,
+                port_base,
                 arena: MailArena::with_range(base as u32, len),
-                gather: Vec::new(),
             })
         })
         .collect();
@@ -581,6 +612,9 @@ where
         .obs
         .as_ref()
         .map(|_| (0..pool.threads()).map(|_| Mutex::new((0, 0))).collect());
+    if let (Some(obs), Some(watch)) = (&opts.obs, &setup) {
+        obs.setup.observe(watch.elapsed_nanos());
+    }
     let mut round = 0usize;
     loop {
         // The epoch barrier at the end of the previous broadcast ordered
@@ -618,14 +652,15 @@ where
                 let Shard {
                     nodes,
                     active,
+                    ports,
+                    port_base,
                     arena,
-                    gather,
                 } = &mut *shard;
                 let mut shard_watch = opts.obs.as_ref().map(|_| Stopwatch::start());
                 // Deliver: rebuild the arena from this shard's bucket in
                 // every source (ascending = sequential staging order).
-                // Round 0 gathers nothing.
-                arena.refill_gathered(gather, prev_outs.iter().map(|src| src.staged[s].as_slice()));
+                // Round 0 delivers nothing.
+                arena.deliver(prev_outs.iter().map(|src| src.staged[s].as_slice()));
                 if let (Some(obs), Some(watch)) = (&opts.obs, shard_watch.as_mut()) {
                     let deliver = watch.lap_nanos();
                     obs.deliver.observe(deliver);
@@ -651,7 +686,9 @@ where
                         globals,
                         round,
                     };
-                    let step = node.round(&ctx, arena.inbox(i));
+                    let range = router.g.neighbor_range(v);
+                    let node_ports = &mut ports[range.start - *port_base..range.end - *port_base];
+                    let step = node.round(&ctx, arena.inbox(i), node_ports);
                     if step.done {
                         active[i] = false;
                         halted += 1;
@@ -726,11 +763,17 @@ where
         }
         round += 1;
     }
+    let teardown = opts.obs.as_ref().map(|_| Stopwatch::start());
     telemetry.rounds = round;
     let mut outputs = Vec::with_capacity(n);
     for slot in shards {
         let shard = slot.into_inner().expect("shard poisoned");
         outputs.extend(shard.nodes.iter().map(NodeProgram::output));
+    }
+    // Free the rest of the run state here, inside the tear-down span.
+    drop((ports, rev, prev_outs, cur_outs, scratches, worker_times));
+    if let (Some(obs), Some(watch)) = (&opts.obs, &teardown) {
+        obs.teardown.observe(watch.elapsed_nanos());
     }
     Ok(RunResult { outputs, telemetry })
 }
@@ -748,8 +791,14 @@ mod tests {
 
     impl NodeProgram for Echo {
         type Message = u32;
+        type PortState = ();
         type Output = u64;
-        fn round(&mut self, ctx: &NodeCtx<'_>, inbox: Inbox<'_, u32>) -> Step<u32> {
+        fn round(
+            &mut self,
+            ctx: &NodeCtx<'_>,
+            inbox: Inbox<'_, u32>,
+            _ports: &mut [()],
+        ) -> Step<u32> {
             match ctx.round {
                 0 => Step::continue_with(vec![Outgoing::broadcast(ctx.id.get())]),
                 _ => {
@@ -839,8 +888,14 @@ mod tests {
     struct Forever;
     impl NodeProgram for Forever {
         type Message = bool;
+        type PortState = ();
         type Output = ();
-        fn round(&mut self, _ctx: &NodeCtx<'_>, _inbox: Inbox<'_, bool>) -> Step<bool> {
+        fn round(
+            &mut self,
+            _ctx: &NodeCtx<'_>,
+            _inbox: Inbox<'_, bool>,
+            _ports: &mut [()],
+        ) -> Step<bool> {
             Step::idle()
         }
         fn output(&self) {}
@@ -876,8 +931,14 @@ mod tests {
     }
     impl NodeProgram for ExactRounds {
         type Message = bool;
+        type PortState = ();
         type Output = ();
-        fn round(&mut self, ctx: &NodeCtx<'_>, _inbox: Inbox<'_, bool>) -> Step<bool> {
+        fn round(
+            &mut self,
+            ctx: &NodeCtx<'_>,
+            _inbox: Inbox<'_, bool>,
+            _ports: &mut [()],
+        ) -> Step<bool> {
             if ctx.round + 1 == self.total {
                 Step::halt()
             } else {
@@ -965,8 +1026,14 @@ mod tests {
     }
     impl NodeProgram for HaltSome {
         type Message = bool;
+        type PortState = ();
         type Output = ();
-        fn round(&mut self, ctx: &NodeCtx<'_>, _inbox: Inbox<'_, bool>) -> Step<bool> {
+        fn round(
+            &mut self,
+            ctx: &NodeCtx<'_>,
+            _inbox: Inbox<'_, bool>,
+            _ports: &mut [()],
+        ) -> Step<bool> {
             if self.halts && ctx.round + 1 == self.total {
                 Step::halt()
             } else {
@@ -1070,8 +1137,14 @@ mod tests {
     struct BadSender;
     impl NodeProgram for BadSender {
         type Message = bool;
+        type PortState = ();
         type Output = ();
-        fn round(&mut self, _ctx: &NodeCtx<'_>, _inbox: Inbox<'_, bool>) -> Step<bool> {
+        fn round(
+            &mut self,
+            _ctx: &NodeCtx<'_>,
+            _inbox: Inbox<'_, bool>,
+            _ports: &mut [()],
+        ) -> Step<bool> {
             Step::halt_with(vec![Outgoing::to_port(99, true)])
         }
         fn output(&self) {}
@@ -1091,8 +1164,14 @@ mod tests {
     }
     impl NodeProgram for FaultAt {
         type Message = bool;
+        type PortState = ();
         type Output = ();
-        fn round(&mut self, _ctx: &NodeCtx<'_>, _inbox: Inbox<'_, bool>) -> Step<bool> {
+        fn round(
+            &mut self,
+            _ctx: &NodeCtx<'_>,
+            _inbox: Inbox<'_, bool>,
+            _ports: &mut [()],
+        ) -> Step<bool> {
             if self.faulty {
                 Step::continue_with(vec![Outgoing::to_port(99, true)])
             } else {
@@ -1133,8 +1212,14 @@ mod tests {
     }
     impl NodeProgram for Relay {
         type Message = u64;
+        type PortState = ();
         type Output = u64;
-        fn round(&mut self, ctx: &NodeCtx<'_>, inbox: Inbox<'_, u64>) -> Step<u64> {
+        fn round(
+            &mut self,
+            ctx: &NodeCtx<'_>,
+            inbox: Inbox<'_, u64>,
+            _ports: &mut [()],
+        ) -> Step<u64> {
             if ctx.round == 0 && self.is_source {
                 return Step::halt_with(vec![Outgoing::to_port(0, 1)]);
             }
@@ -1334,6 +1419,40 @@ mod tests {
                     assert_eq!(g.neighbors(u)[rev[e] as usize], v, "edge {v:?} -> {u:?}");
                 }
             }
+        }
+    }
+
+    /// An observed run records exactly one set-up and one tear-down span,
+    /// in both runners. Set-up, the rounds and tear-down are disjoint
+    /// intervals inside the call, so their sum cannot exceed the wall
+    /// time measured around it.
+    #[test]
+    fn setup_and_teardown_are_timed_once_inside_the_call() {
+        use crate::obs::{SIM_ROUND_NANOS, SIM_SETUP_NANOS, SIM_TEARDOWN_NANOS};
+
+        let g = generators::grid2d(16, 16, true);
+        let globals = Globals::new(&g, 0);
+        for threads in [1usize, 2] {
+            let pool = WorkerPool::new(threads);
+            let registry = arbodom_obs::Registry::new();
+            let opts = RunOptions {
+                obs: Some(SimObs::new(&registry)),
+                ..RunOptions::default()
+            };
+            let start = std::time::Instant::now();
+            let result = run_parallel_in(&pool, &g, &globals, |_, _| Echo { sum: 0 }, &opts);
+            let wall = u64::try_from(start.elapsed().as_nanos()).expect("short run");
+            let rounds = result.expect("run succeeds").telemetry.rounds as u64;
+            let [setup, round, teardown] = [SIM_SETUP_NANOS, SIM_ROUND_NANOS, SIM_TEARDOWN_NANOS]
+                .map(|name| registry.histogram(name));
+            assert_eq!(setup.count(), 1, "threads={threads}");
+            assert_eq!(round.count(), rounds, "threads={threads}");
+            assert_eq!(teardown.count(), 1, "threads={threads}");
+            let inside = setup.sum() + round.sum() + teardown.sum();
+            assert!(
+                inside <= wall,
+                "threads={threads}: {inside} ns > {wall} ns wall"
+            );
         }
     }
 

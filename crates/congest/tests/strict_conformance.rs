@@ -25,8 +25,9 @@ struct SendOnce<M: Clone> {
 
 impl<M: Wire + Clone + std::fmt::Debug> NodeProgram for SendOnce<M> {
     type Message = M;
+    type PortState = ();
     type Output = usize;
-    fn round(&mut self, _ctx: &NodeCtx<'_>, inbox: Inbox<'_, M>) -> Step<M> {
+    fn round(&mut self, _ctx: &NodeCtx<'_>, inbox: Inbox<'_, M>, _ports: &mut [()]) -> Step<M> {
         if inbox.is_empty() {
             Step::halt_with(vec![Outgoing::broadcast(self.msg.clone())])
         } else {
@@ -133,8 +134,14 @@ fn strict_mode_delivers_the_roundtripped_value() {
     }
     impl NodeProgram for EchoPayload {
         type Message = Lossy;
+        type PortState = ();
         type Output = Option<u32>;
-        fn round(&mut self, _ctx: &NodeCtx<'_>, inbox: Inbox<'_, Lossy>) -> Step<Lossy> {
+        fn round(
+            &mut self,
+            _ctx: &NodeCtx<'_>,
+            inbox: Inbox<'_, Lossy>,
+            _ports: &mut [()],
+        ) -> Step<Lossy> {
             if let Some((_, m)) = inbox.first() {
                 self.got = Some(m.0);
                 return Step::halt();

@@ -40,13 +40,14 @@ pub use config::RunConfig;
 pub use msg::ProtocolMsg;
 pub use randomized::{
     run_general, run_general_with, run_randomized, run_randomized_with,
-    NodeOutput as RandomizedNodeOutput, RandomizedProgram,
+    NodeOutput as RandomizedNodeOutput, RandomizedPort, RandomizedProgram,
 };
 pub use trees::{run_trees, run_trees_with, TreeProgram};
 pub use unknown_delta::{
     run_unknown_delta, run_unknown_delta_with, NodeOutput as UnknownDeltaNodeOutput,
-    UnknownDeltaProgram,
+    UnknownDeltaPort, UnknownDeltaProgram,
 };
 pub use weighted::{
-    run_weighted, run_weighted_with, NodeOutput as WeightedNodeOutput, WeightedProgram,
+    run_weighted, run_weighted_with, NodeOutput as WeightedNodeOutput, WeightedPort,
+    WeightedProgram,
 };

@@ -16,7 +16,9 @@
 //! Sampling decisions are the *same coin flips* the centralized solver
 //! makes — `det_rand::bernoulli(seed, [TAG, phase, iter, node], p)` — so
 //! the two implementations produce identical dominating sets, which the
-//! tests assert.
+//! tests assert. Per-neighbor mirrors are the program's
+//! [`NodeProgram::PortState`] ([`RandomizedPort`]), so the program itself
+//! allocates nothing.
 
 use arbodom_congest::{
     det_rand, run_parallel, Globals, Inbox, NodeCtx, NodeProgram, Outgoing, RunOptions, Step,
@@ -68,28 +70,38 @@ pub struct RandomizedProgram {
     in_s_prime: bool,
     dominated: bool,
     announced: bool,
-    // ---- per-port mirrors ----
-    nbr_weight: Vec<u64>,
-    nbr_x: Vec<f64>,
-    nbr_dominated: Vec<bool>,
     // ---- schedule (filled at round 2) ----
     r1: usize,
     t_phases: usize,
     r_iters: usize,
 }
 
+/// What a Theorem 1.2 / 1.3 node mirrors about the neighbor behind one
+/// port: its weight, its packing value `x` and whether it is dominated.
+/// The program's [`NodeProgram::PortState`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct RandomizedPort {
+    weight: u64,
+    x: f64,
+    dominated: bool,
+}
+
 impl RandomizedProgram {
     /// Creates the Theorem 1.2 program for a node of the given degree.
-    pub fn new(cfg: Config, degree: usize) -> Self {
-        Self::with_mode(Mode::Theorem12(cfg), degree)
+    /// Construction allocates nothing: the per-neighbor mirrors
+    /// ([`RandomizedPort`]) are run state the simulator sizes, so
+    /// `_degree` is unused.
+    pub fn new(cfg: Config, _degree: usize) -> Self {
+        Self::with_mode(Mode::Theorem12(cfg))
     }
 
-    /// Creates the Theorem 1.3 program (Lemma 4.6 alone, `S = ∅`).
-    pub fn new_general(cfg: crate::general::Config, degree: usize) -> Self {
-        Self::with_mode(Mode::Theorem13(cfg), degree)
+    /// Creates the Theorem 1.3 program (Lemma 4.6 alone, `S = ∅`); like
+    /// [`RandomizedProgram::new`], it allocates nothing.
+    pub fn new_general(cfg: crate::general::Config, _degree: usize) -> Self {
+        Self::with_mode(Mode::Theorem13(cfg))
     }
 
-    fn with_mode(mode: Mode, degree: usize) -> Self {
+    fn with_mode(mode: Mode) -> Self {
         RandomizedProgram {
             mode,
             // λ and γ are finalized at round 2 (Theorem 1.3 needs Δ).
@@ -105,62 +117,59 @@ impl RandomizedProgram {
             in_s_prime: false,
             dominated: false,
             announced: false,
-            nbr_weight: vec![0; degree],
-            nbr_x: vec![0.0; degree],
-            nbr_dominated: vec![false; degree],
             r1: 0,
             t_phases: 0,
             r_iters: 0,
         }
     }
 
-    fn apply_dominated_events(&mut self, inbox: Inbox<'_, ProtocolMsg>) {
+    fn apply_dominated_events(inbox: Inbox<'_, ProtocolMsg>, ports: &mut [RandomizedPort]) {
         for (port, &msg) in inbox {
             match msg {
                 ProtocolMsg::Dominated | ProtocolMsg::Joined => {
-                    self.nbr_dominated[port] = true;
+                    ports[port].dominated = true;
                 }
                 _ => {}
             }
         }
     }
 
-    fn raise_undominated(&mut self, factor: f64) {
+    fn raise_undominated(&mut self, factor: f64, ports: &mut [RandomizedPort]) {
         if !self.dominated {
             self.x *= factor;
         }
-        for p in 0..self.nbr_x.len() {
-            if !self.nbr_dominated[p] {
-                self.nbr_x[p] *= factor;
+        for port in ports {
+            if !port.dominated {
+                port.x *= factor;
             }
         }
     }
 
     /// `X_u` over all closed neighbors (Lemma 4.1 semantics).
-    fn x_sum_all(&self) -> f64 {
+    fn x_sum_all(&self, ports: &[RandomizedPort]) -> f64 {
         let mut sum = self.x;
-        for &xv in &self.nbr_x {
-            sum += xv;
+        for port in ports {
+            sum += port.x;
         }
         sum
     }
 
     /// `X_u` over *undominated* closed neighbors (Lemma 4.6 semantics).
-    fn x_sum_undominated(&self) -> f64 {
+    fn x_sum_undominated(&self, ports: &[RandomizedPort]) -> f64 {
         let mut sum = if self.dominated { 0.0 } else { self.x };
-        for p in 0..self.nbr_x.len() {
-            if !self.nbr_dominated[p] {
-                sum += self.nbr_x[p];
+        for port in ports {
+            if !port.dominated {
+                sum += port.x;
             }
         }
         sum
     }
 
-    fn cheapest_dominator(&self, ctx: &NodeCtx<'_>) -> Option<usize> {
+    fn cheapest_dominator(&self, ctx: &NodeCtx<'_>, ports: &[RandomizedPort]) -> Option<usize> {
         let mut best: (u64, NodeId) = (self.weight, ctx.id);
         let mut best_port = None;
-        for (p, &u) in ctx.neighbors.iter().enumerate() {
-            let cand = (self.nbr_weight[p], u);
+        for (p, (&u, port)) in ctx.neighbors.iter().zip(ports).enumerate() {
+            let cand = (port.weight, u);
             if cand < best {
                 best = cand;
                 best_port = Some(p);
@@ -169,11 +178,15 @@ impl RandomizedProgram {
         best_port
     }
 
-    fn part_b(&mut self, inbox: Inbox<'_, ProtocolMsg>) -> Vec<Outgoing<ProtocolMsg>> {
+    fn part_b(
+        &mut self,
+        inbox: Inbox<'_, ProtocolMsg>,
+        ports: &mut [RandomizedPort],
+    ) -> Vec<Outgoing<ProtocolMsg>> {
         let mut heard_join = false;
         for (port, &msg) in inbox {
             if msg == ProtocolMsg::Joined {
-                self.nbr_dominated[port] = true;
+                ports[port].dominated = true;
                 heard_join = true;
             }
         }
@@ -190,9 +203,15 @@ impl RandomizedProgram {
 
 impl NodeProgram for RandomizedProgram {
     type Message = ProtocolMsg;
+    type PortState = RandomizedPort;
     type Output = NodeOutput;
 
-    fn round(&mut self, ctx: &NodeCtx<'_>, inbox: Inbox<'_, ProtocolMsg>) -> Step<ProtocolMsg> {
+    fn round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: Inbox<'_, ProtocolMsg>,
+        ports: &mut [RandomizedPort],
+    ) -> Step<ProtocolMsg> {
         let rd = ctx.round;
         match rd {
             0 => {
@@ -202,13 +221,12 @@ impl NodeProgram for RandomizedProgram {
             1 => {
                 for (port, &msg) in inbox {
                     if let ProtocolMsg::Weight(w) = msg {
-                        self.nbr_weight[port] = w;
+                        ports[port].weight = w;
                     }
                 }
-                self.tau = self
-                    .nbr_weight
+                self.tau = ports
                     .iter()
-                    .copied()
+                    .map(|port| port.weight)
                     .chain(std::iter::once(self.weight))
                     .min()
                     .expect("nonempty");
@@ -220,7 +238,7 @@ impl NodeProgram for RandomizedProgram {
                     self.x = self.tau as f64 / dp1;
                     for (port, &msg) in inbox {
                         if let ProtocolMsg::Tau(t) = msg {
-                            self.nbr_x[port] = t as f64 / dp1;
+                            ports[port].x = t as f64 / dp1;
                         }
                     }
                     match self.mode {
@@ -253,12 +271,12 @@ impl NodeProgram for RandomizedProgram {
                     let i = (rd - 2) / 2;
                     if (rd - 2) % 2 == 0 {
                         if i > 0 {
-                            self.apply_dominated_events(inbox);
-                            self.raise_undominated(1.0 + self.epsilon);
+                            Self::apply_dominated_events(inbox, ports);
+                            self.raise_undominated(1.0 + self.epsilon, ports);
                         }
                         if !self.in_s {
                             let threshold = self.weight as f64 / (1.0 + self.epsilon);
-                            if self.x_sum_all() >= threshold {
+                            if self.x_sum_all(ports) >= threshold {
                                 self.in_s = true;
                                 self.dominated = true;
                                 self.announced = true;
@@ -269,7 +287,7 @@ impl NodeProgram for RandomizedProgram {
                         }
                         Step::idle()
                     } else {
-                        Step::continue_with(self.part_b(inbox))
+                        Step::continue_with(self.part_b(inbox, ports))
                     }
                 } else if rd < fallback_round {
                     // ---- Lemma 4.6 phase ----
@@ -277,22 +295,22 @@ impl NodeProgram for RandomizedProgram {
                     let phase = j / self.r_iters + 1;
                     let iter = j % self.r_iters + 1;
                     if (rd - base) % 2 == 0 {
-                        self.apply_dominated_events(inbox);
+                        Self::apply_dominated_events(inbox, ports);
                         if j == 0 {
                             // Finish the last Lemma 4.1 iteration and
                             // snapshot the certificate values.
                             if self.r1 > 0 {
-                                self.raise_undominated(1.0 + self.epsilon);
+                                self.raise_undominated(1.0 + self.epsilon, ports);
                             }
                             self.x_certificate = self.x;
                         } else if iter == 1 {
                             // Phase boundary: the γ-raise of the previous
                             // phase's end.
-                            self.raise_undominated(self.gamma);
+                            self.raise_undominated(self.gamma, ports);
                         }
                         if !self.in_s && !self.in_s_prime {
                             let gamma_threshold = self.weight as f64 / self.gamma;
-                            if self.x_sum_undominated() >= gamma_threshold {
+                            if self.x_sum_undominated(ports) >= gamma_threshold {
                                 let dp1 = (ctx.globals.max_degree + 1) as f64;
                                 let p = sampling_probability(self.gamma, dp1, iter, self.r_iters);
                                 if det_rand::bernoulli(
@@ -316,17 +334,17 @@ impl NodeProgram for RandomizedProgram {
                         }
                         Step::idle()
                     } else {
-                        Step::continue_with(self.part_b(inbox))
+                        Step::continue_with(self.part_b(inbox, ports))
                     }
                 } else if rd == fallback_round {
-                    self.apply_dominated_events(inbox);
+                    Self::apply_dominated_events(inbox, ports);
                     if self.r1 == 0 && self.t_phases * self.r_iters == 0 {
                         self.x_certificate = self.x;
                     }
                     if self.dominated {
                         return Step::idle();
                     }
-                    match self.cheapest_dominator(ctx) {
+                    match self.cheapest_dominator(ctx, ports) {
                         None => {
                             self.in_s_prime = true;
                             Step::idle()

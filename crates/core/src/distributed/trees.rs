@@ -22,9 +22,15 @@ pub struct TreeProgram {
 
 impl NodeProgram for TreeProgram {
     type Message = ProtocolMsg;
+    type PortState = ();
     type Output = bool;
 
-    fn round(&mut self, ctx: &NodeCtx<'_>, inbox: Inbox<'_, ProtocolMsg>) -> Step<ProtocolMsg> {
+    fn round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: Inbox<'_, ProtocolMsg>,
+        _ports: &mut [()],
+    ) -> Step<ProtocolMsg> {
         match ctx.round {
             0 => {
                 let deg = ctx.degree() as u64;

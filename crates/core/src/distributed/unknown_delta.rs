@@ -17,7 +17,9 @@
 //!
 //! The centralized [`crate::unknown_delta::solve`] uses the same
 //! simultaneous-snapshot semantics, and the equivalence tests require
-//! bit-identical dominating sets and packing values.
+//! bit-identical dominating sets and packing values. Per-neighbor mirrors
+//! are the program's [`NodeProgram::PortState`] ([`UnknownDeltaPort`]),
+//! so the program itself allocates nothing.
 
 use arbodom_congest::{
     run_parallel, Globals, Inbox, NodeCtx, NodeProgram, Outgoing, RunOptions, Step, Telemetry,
@@ -57,16 +59,24 @@ pub struct UnknownDeltaProgram {
     /// neighborhood) was already sent.
     announced_joined: bool,
     stabilized_at: usize,
-    // ---- per-port mirrors ----
-    nbr_weight: Vec<u64>,
-    nbr_tau: Vec<u64>,
-    nbr_x: Vec<f64>,
-    nbr_dominated: Vec<bool>,
+}
+
+/// What a Remark 4.4 node mirrors about the neighbor behind one port: its
+/// weight, its `τ`, its packing value `x` and whether it is dominated.
+/// The program's [`NodeProgram::PortState`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct UnknownDeltaPort {
+    weight: u64,
+    tau: u64,
+    x: f64,
+    dominated: bool,
 }
 
 impl UnknownDeltaProgram {
-    /// Creates the program for a node of the given degree.
-    pub fn new(cfg: Config, degree: usize) -> Self {
+    /// Creates the program for a node of the given degree. Construction
+    /// allocates nothing: the per-neighbor mirrors ([`UnknownDeltaPort`])
+    /// are run state the simulator sizes, so `_degree` is unused.
+    pub fn new(cfg: Config, _degree: usize) -> Self {
         UnknownDeltaProgram {
             cfg,
             weight: 0,
@@ -78,10 +88,6 @@ impl UnknownDeltaProgram {
             announced_dominated: false,
             announced_joined: false,
             stabilized_at: 0,
-            nbr_weight: vec![0; degree],
-            nbr_tau: vec![0; degree],
-            nbr_x: vec![0.0; degree],
-            nbr_dominated: vec![false; degree],
         }
     }
 
@@ -89,19 +95,19 @@ impl UnknownDeltaProgram {
         self.cfg.lambda()
     }
 
-    fn x_sum(&self) -> f64 {
+    fn x_sum(&self, ports: &[UnknownDeltaPort]) -> f64 {
         let mut sum = self.x;
-        for &xv in &self.nbr_x {
-            sum += xv;
+        for port in ports {
+            sum += port.x;
         }
         sum
     }
 
-    fn cheapest_dominator(&self, ctx: &NodeCtx<'_>) -> Option<usize> {
+    fn cheapest_dominator(&self, ctx: &NodeCtx<'_>, ports: &[UnknownDeltaPort]) -> Option<usize> {
         let mut best: (u64, NodeId) = (self.weight, ctx.id);
         let mut best_port = None;
-        for (p, &u) in ctx.neighbors.iter().enumerate() {
-            let cand = (self.nbr_weight[p], u);
+        for (p, (&u, port)) in ctx.neighbors.iter().zip(ports).enumerate() {
+            let cand = (port.weight, u);
             if cand < best {
                 best = cand;
                 best_port = Some(p);
@@ -111,16 +117,16 @@ impl UnknownDeltaProgram {
     }
 
     /// Digest `Joined`/`Dominated` events into the mirrors and own state.
-    fn digest(&mut self, inbox: Inbox<'_, ProtocolMsg>) -> bool {
+    fn digest(&mut self, inbox: Inbox<'_, ProtocolMsg>, ports: &mut [UnknownDeltaPort]) -> bool {
         let mut heard_join = false;
         for (port, &msg) in inbox {
             match msg {
                 ProtocolMsg::Joined => {
-                    self.nbr_dominated[port] = true;
+                    ports[port].dominated = true;
                     heard_join = true;
                 }
                 ProtocolMsg::Dominated => {
-                    self.nbr_dominated[port] = true;
+                    ports[port].dominated = true;
                 }
                 _ => {}
             }
@@ -147,16 +153,22 @@ impl UnknownDeltaProgram {
         out.push(Outgoing::broadcast(ProtocolMsg::Joined));
     }
 
-    fn stabilized(&self) -> bool {
-        self.dominated && self.nbr_dominated.iter().all(|&d| d)
+    fn stabilized(&self, ports: &[UnknownDeltaPort]) -> bool {
+        self.dominated && ports.iter().all(|port| port.dominated)
     }
 }
 
 impl NodeProgram for UnknownDeltaProgram {
     type Message = ProtocolMsg;
+    type PortState = UnknownDeltaPort;
     type Output = NodeOutput;
 
-    fn round(&mut self, ctx: &NodeCtx<'_>, inbox: Inbox<'_, ProtocolMsg>) -> Step<ProtocolMsg> {
+    fn round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: Inbox<'_, ProtocolMsg>,
+        ports: &mut [UnknownDeltaPort],
+    ) -> Step<ProtocolMsg> {
         let rd = ctx.round;
         match rd {
             0 => {
@@ -166,13 +178,12 @@ impl NodeProgram for UnknownDeltaProgram {
             1 => {
                 for (port, &msg) in inbox {
                     if let ProtocolMsg::Weight(w) = msg {
-                        self.nbr_weight[port] = w;
+                        ports[port].weight = w;
                     }
                 }
-                self.tau = self
-                    .nbr_weight
+                self.tau = ports
                     .iter()
-                    .copied()
+                    .map(|port| port.weight)
                     .chain(std::iter::once(self.weight))
                     .min()
                     .expect("nonempty");
@@ -184,7 +195,7 @@ impl NodeProgram for UnknownDeltaProgram {
                 // max_{u∈N⁺(v)} |N⁺(u)| — Remark 4.4's replacement for Δ+1.
                 for (port, &msg) in inbox {
                     if let ProtocolMsg::Tau(t) = msg {
-                        self.nbr_tau[port] = t;
+                        ports[port].tau = t;
                     }
                 }
                 Step::continue_with(vec![Outgoing::broadcast(ProtocolMsg::Degree(
@@ -214,7 +225,8 @@ impl NodeProgram for UnknownDeltaProgram {
                 if rd == 4 {
                     for (port, &msg) in inbox {
                         if let ProtocolMsg::Weight(m) = msg {
-                            self.nbr_x[port] = self.nbr_tau[port] as f64 / m as f64;
+                            let port = &mut ports[port];
+                            port.x = port.tau as f64 / m as f64;
                         }
                     }
                     // Fall through into sub-round A of iteration 0 below.
@@ -227,25 +239,25 @@ impl NodeProgram for UnknownDeltaProgram {
                         // ---- sub-round A ----
                         let mut out = Vec::new();
                         if iteration > 0 {
-                            self.digest(inbox);
+                            self.digest(inbox, ports);
                             // Raise every still-undominated packing value:
                             // the finish of iteration −1.
                             if !self.dominated {
                                 self.x *= one_plus_eps;
                             }
-                            for p in 0..self.nbr_x.len() {
-                                if !self.nbr_dominated[p] {
-                                    self.nbr_x[p] *= one_plus_eps;
+                            for port in ports.iter_mut() {
+                                if !port.dominated {
+                                    port.x *= one_plus_eps;
                                 }
                             }
-                            if self.stabilized() {
+                            if self.stabilized(ports) {
                                 self.stabilized_at = iteration;
                                 return Step::halt();
                             }
                         }
                         // Election (start-of-iteration snapshot).
                         if !self.dominated && self.x > self.lambda() * self.tau as f64 {
-                            match self.cheapest_dominator(ctx) {
+                            match self.cheapest_dominator(ctx, ports) {
                                 None => {
                                     self.in_s_prime = true;
                                     self.broadcast_joined(&mut out);
@@ -258,11 +270,11 @@ impl NodeProgram for UnknownDeltaProgram {
                         // Join (start-of-iteration snapshot; only useful
                         // joins — see the centralized solver's comment).
                         let any_undominated =
-                            !self.dominated || self.nbr_dominated.iter().any(|&d| !d);
+                            !self.dominated || ports.iter().any(|port| !port.dominated);
                         if !self.in_s
                             && any_undominated
                             && !self.announced_joined
-                            && self.x_sum() >= self.weight as f64 / one_plus_eps
+                            && self.x_sum(ports) >= self.weight as f64 / one_plus_eps
                         {
                             self.in_s = true;
                             self.broadcast_joined(&mut out);
@@ -272,7 +284,7 @@ impl NodeProgram for UnknownDeltaProgram {
                     1 => {
                         // ---- sub-round B ----
                         let mut out = Vec::new();
-                        self.digest(inbox);
+                        self.digest(inbox, ports);
                         if inbox.iter().any(|(_, &m)| m == ProtocolMsg::Elect) {
                             self.in_s_prime = true;
                             if !self.announced_joined {
@@ -287,7 +299,7 @@ impl NodeProgram for UnknownDeltaProgram {
                     _ => {
                         // ---- sub-round C ----
                         let mut out = Vec::new();
-                        self.digest(inbox);
+                        self.digest(inbox, ports);
                         self.announce_if_fresh(&mut out);
                         Step::continue_with(out)
                     }

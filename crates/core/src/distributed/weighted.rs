@@ -17,7 +17,10 @@
 //! `(1+ε)` in exactly the rounds the owner multiplies), so after setup all
 //! traffic is single-byte events — which is how the paper's
 //! `O(log(Δ/α)/ε)`-round claim translates to `O(log n)`-bit CONGEST
-//! compliance with room to spare.
+//! compliance with room to spare. The mirrors are the program's
+//! [`NodeProgram::PortState`] ([`WeightedPort`]), so they live in the
+//! simulator's run-owned port array and the program itself allocates
+//! nothing.
 
 use arbodom_congest::{
     run_parallel, Globals, Inbox, NodeCtx, NodeProgram, Outgoing, RunOptions, Step, Telemetry,
@@ -51,17 +54,25 @@ pub struct WeightedProgram {
     in_s_prime: bool,
     dominated: bool,
     announced: bool,
-    // ---- per-port mirrors ----
-    nbr_weight: Vec<u64>,
-    nbr_x: Vec<f64>,
-    nbr_dominated: Vec<bool>,
     // ---- schedule ----
     r: usize,
 }
 
+/// What a Theorem 1.1 node mirrors about the neighbor behind one port:
+/// its weight, its packing value `x` and whether it is dominated. The
+/// program's [`NodeProgram::PortState`].
+#[derive(Clone, Copy, Debug, Default)]
+pub struct WeightedPort {
+    weight: u64,
+    x: f64,
+    dominated: bool,
+}
+
 impl WeightedProgram {
-    /// Creates the program for a node of the given degree.
-    pub fn new(cfg: Config, degree: usize) -> Self {
+    /// Creates the program for a node of the given degree. Construction
+    /// allocates nothing: the per-neighbor mirrors ([`WeightedPort`]) are
+    /// run state the simulator sizes, so `_degree` is unused.
+    pub fn new(cfg: Config, _degree: usize) -> Self {
         WeightedProgram {
             cfg,
             weight: 0,
@@ -71,30 +82,27 @@ impl WeightedProgram {
             in_s_prime: false,
             dominated: false,
             announced: false,
-            nbr_weight: vec![0; degree],
-            nbr_x: vec![0.0; degree],
-            nbr_dominated: vec![false; degree],
             r: 0,
         }
     }
 
     /// `X_u` in the same summation order as the centralized solver
     /// (self first, then ports ascending).
-    fn x_sum(&self) -> f64 {
+    fn x_sum(&self, ports: &[WeightedPort]) -> f64 {
         let mut sum = self.x;
-        for &xv in &self.nbr_x {
-            sum += xv;
+        for port in ports {
+            sum += port.x;
         }
         sum
     }
 
     /// The `(weight, id)`-minimal member of the closed neighborhood; `None`
     /// means "self".
-    fn cheapest_dominator(&self, ctx: &NodeCtx<'_>) -> Option<usize> {
+    fn cheapest_dominator(&self, ctx: &NodeCtx<'_>, ports: &[WeightedPort]) -> Option<usize> {
         let mut best: (u64, NodeId) = (self.weight, ctx.id);
         let mut best_port = None;
-        for (p, &u) in ctx.neighbors.iter().enumerate() {
-            let cand = (self.nbr_weight[p], u);
+        for (p, (&u, port)) in ctx.neighbors.iter().zip(ports).enumerate() {
+            let cand = (port.weight, u);
             if cand < best {
                 best = cand;
                 best_port = Some(p);
@@ -103,11 +111,11 @@ impl WeightedProgram {
         best_port
     }
 
-    fn apply_dominated_events(&mut self, inbox: Inbox<'_, ProtocolMsg>) {
+    fn apply_dominated_events(inbox: Inbox<'_, ProtocolMsg>, ports: &mut [WeightedPort]) {
         for (port, &msg) in inbox {
             match msg {
                 ProtocolMsg::Dominated | ProtocolMsg::Joined => {
-                    self.nbr_dominated[port] = true;
+                    ports[port].dominated = true;
                 }
                 _ => {}
             }
@@ -117,23 +125,23 @@ impl WeightedProgram {
     /// End-of-iteration bookkeeping: raise every still-undominated packing
     /// value (own and mirrored) by `(1+ε)` — the same multiplication the
     /// owner performs, so mirrors stay bit-exact.
-    fn raise_undominated(&mut self) {
+    fn raise_undominated(&mut self, ports: &mut [WeightedPort]) {
         let f = 1.0 + self.cfg.epsilon;
         if !self.dominated {
             self.x *= f;
         }
-        for p in 0..self.nbr_x.len() {
-            if !self.nbr_dominated[p] {
-                self.nbr_x[p] *= f;
+        for port in ports {
+            if !port.dominated {
+                port.x *= f;
             }
         }
     }
 
     /// Part A of an iteration: threshold test and join.
-    fn part_a(&mut self) -> Vec<Outgoing<ProtocolMsg>> {
+    fn part_a(&mut self, ports: &[WeightedPort]) -> Vec<Outgoing<ProtocolMsg>> {
         if !self.in_s {
             let threshold = self.weight as f64 / (1.0 + self.cfg.epsilon);
-            if self.x_sum() >= threshold {
+            if self.x_sum(ports) >= threshold {
                 self.in_s = true;
                 self.dominated = true;
                 self.announced = true; // Joined broadcast implies domination
@@ -144,11 +152,15 @@ impl WeightedProgram {
     }
 
     /// Part B of an iteration: digest joins, announce fresh domination.
-    fn part_b(&mut self, inbox: Inbox<'_, ProtocolMsg>) -> Vec<Outgoing<ProtocolMsg>> {
+    fn part_b(
+        &mut self,
+        inbox: Inbox<'_, ProtocolMsg>,
+        ports: &mut [WeightedPort],
+    ) -> Vec<Outgoing<ProtocolMsg>> {
         let mut heard_join = false;
         for (port, &msg) in inbox {
             if msg == ProtocolMsg::Joined {
-                self.nbr_dominated[port] = true;
+                ports[port].dominated = true;
                 heard_join = true;
             }
         }
@@ -165,9 +177,15 @@ impl WeightedProgram {
 
 impl NodeProgram for WeightedProgram {
     type Message = ProtocolMsg;
+    type PortState = WeightedPort;
     type Output = NodeOutput;
 
-    fn round(&mut self, ctx: &NodeCtx<'_>, inbox: Inbox<'_, ProtocolMsg>) -> Step<ProtocolMsg> {
+    fn round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: Inbox<'_, ProtocolMsg>,
+        ports: &mut [WeightedPort],
+    ) -> Step<ProtocolMsg> {
         let rd = ctx.round;
         match rd {
             0 => {
@@ -177,13 +195,12 @@ impl NodeProgram for WeightedProgram {
             1 => {
                 for (port, &msg) in inbox {
                     if let ProtocolMsg::Weight(w) = msg {
-                        self.nbr_weight[port] = w;
+                        ports[port].weight = w;
                     }
                 }
-                self.tau = self
-                    .nbr_weight
+                self.tau = ports
                     .iter()
-                    .copied()
+                    .map(|port| port.weight)
                     .chain(std::iter::once(self.weight))
                     .min()
                     .expect("nonempty");
@@ -196,7 +213,7 @@ impl NodeProgram for WeightedProgram {
                     self.x = self.tau as f64 / dp1;
                     for (port, &msg) in inbox {
                         if let ProtocolMsg::Tau(t) = msg {
-                            self.nbr_x[port] = t as f64 / dp1;
+                            ports[port].x = t as f64 / dp1;
                         }
                     }
                     let pcfg = PartialConfig::new(self.cfg.epsilon, self.cfg.lambda())
@@ -210,23 +227,23 @@ impl NodeProgram for WeightedProgram {
                         // Part A of iteration i: first digest last
                         // iteration's Dominated events and apply the raise.
                         if i > 0 {
-                            self.apply_dominated_events(inbox);
-                            self.raise_undominated();
+                            Self::apply_dominated_events(inbox, ports);
+                            self.raise_undominated(ports);
                         }
-                        Step::continue_with(self.part_a())
+                        Step::continue_with(self.part_a(ports))
                     } else {
-                        Step::continue_with(self.part_b(inbox))
+                        Step::continue_with(self.part_b(inbox, ports))
                     }
                 } else if rd == completion_round {
                     // Final bookkeeping of iteration r−1, then elections.
                     if self.r > 0 {
-                        self.apply_dominated_events(inbox);
-                        self.raise_undominated();
+                        Self::apply_dominated_events(inbox, ports);
+                        self.raise_undominated(ports);
                     }
                     if self.dominated {
                         return Step::idle();
                     }
-                    match self.cheapest_dominator(ctx) {
+                    match self.cheapest_dominator(ctx, ports) {
                         None => {
                             self.in_s_prime = true;
                             Step::idle()

@@ -3,20 +3,21 @@
 //! runners must be observationally identical — same outputs *and* same
 //! telemetry, down to the per-round breakdown — at every thread count,
 //! at every shard size (one-node shards, a mid size, one whole-graph
-//! shard, and the automatic choice), and in every [`MeterMode`]; and the
-//! Theorem 1.1 node program must match its centralized counterpart node
-//! for node.
+//! shard, and the automatic choice), and in every [`MeterMode`], for
+//! every node program with per-port state (Theorem 1.1, Remark 4.4,
+//! Theorems 1.2 and 1.3); and the Theorem 1.1 node program must match its
+//! centralized counterpart node for node.
 //!
 //! These tests are the safety net under the simulator's performance work:
 //! any scheduling, arena, or metering change that perturbs observable
 //! behavior fails here before it can skew an experiment.
 
 use arbodom::congest::{
-    run, run_parallel, run_parallel_in, Globals, MeterMode, RunOptions, SimObs, Telemetry,
-    WorkerPool,
+    run, run_parallel, run_parallel_in, Globals, MeterMode, NodeProgram, RunOptions, SimObs,
+    Telemetry, WorkerPool,
 };
-use arbodom::core::{distributed, weighted};
-use arbodom::graph::{generators, weights::WeightModel, Graph};
+use arbodom::core::{distributed, general, randomized, unknown_delta, weighted};
+use arbodom::graph::{generators, weights::WeightModel, Graph, GraphBuilder, NodeId};
 use arbodom::obs::Registry;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -39,45 +40,37 @@ fn opts(meter: MeterMode) -> RunOptions {
     }
 }
 
-/// Runs Theorem 1.1's node program under both runners — across thread
+/// Runs `make`'s node program under both runners — across thread
 /// counts **and shard sizes**, from degenerate one-node shards through
 /// the automatic cache-sized choice to a single whole-graph shard — and
-/// asserts they are indistinguishable; returns the sequential result for
-/// further use.
-fn assert_runners_agree(
+/// asserts they are indistinguishable, outputs and telemetry; returns
+/// the sequential telemetry for further use.
+fn assert_runners_agree<P>(
+    label: &str,
     g: &Graph,
-    cfg: weighted::Config,
-    seed: u64,
+    globals: &Globals,
+    make: impl Fn(NodeId, &Graph) -> P + Copy,
     meter: MeterMode,
-) -> Result<(Vec<bool>, Vec<f64>, Telemetry), proptest::test_runner::TestCaseError> {
-    let globals = Globals::new(g, seed).with_arboricity(cfg.alpha);
-    let make =
-        |v: arbodom::graph::NodeId, g: &Graph| distributed::WeightedProgram::new(cfg, g.degree(v));
-    let o = opts(meter);
-    let seq = run(g, &globals, make, &o).expect("sequential run succeeds");
+) -> Result<Telemetry, proptest::test_runner::TestCaseError>
+where
+    P: NodeProgram + Send,
+    P::Message: Send + Sync,
+    P::PortState: Send,
+    P::Output: PartialEq + std::fmt::Debug,
+{
+    let seq = run(g, globals, make, &opts(meter)).expect("sequential run succeeds");
     for shard_size in [None, Some(1), Some(64), Some(g.n())] {
         let o = RunOptions {
             shard_size,
             ..opts(meter)
         };
         for threads in [1usize, 2, 4] {
-            let par = run_parallel(g, &globals, make, &o, threads).expect("parallel run succeeds");
-            let seq_ds: Vec<bool> = seq.outputs.iter().map(|out| out.in_ds).collect();
-            let par_ds: Vec<bool> = par.outputs.iter().map(|out| out.in_ds).collect();
+            let par = run_parallel(g, globals, make, &o, threads).expect("parallel run succeeds");
             prop_assert_eq!(
-                seq_ds,
-                par_ds,
-                "{:?} threads={} shard={:?} set differs",
-                meter,
-                threads,
-                shard_size
-            );
-            let seq_x: Vec<f64> = seq.outputs.iter().map(|out| out.x).collect();
-            let par_x: Vec<f64> = par.outputs.iter().map(|out| out.x).collect();
-            prop_assert_eq!(
-                seq_x,
-                par_x,
-                "{:?} threads={} shard={:?}: packing values differ",
+                &seq.outputs,
+                &par.outputs,
+                "{} {:?} threads={} shard={:?}: outputs differ",
+                label,
                 meter,
                 threads,
                 shard_size
@@ -85,18 +78,83 @@ fn assert_runners_agree(
             prop_assert_eq!(
                 &seq.telemetry,
                 &par.telemetry,
-                "{:?} threads={} shard={:?}: telemetry differs",
+                "{} {:?} threads={} shard={:?}: telemetry differs",
+                label,
                 meter,
                 threads,
                 shard_size
             );
         }
     }
-    Ok((
-        seq.outputs.iter().map(|out| out.in_ds).collect(),
-        seq.outputs.iter().map(|out| out.x).collect(),
-        seq.telemetry,
-    ))
+    Ok(seq.telemetry)
+}
+
+/// Theorem 1.1's node program under [`assert_runners_agree`].
+fn assert_thm11_runners_agree(
+    g: &Graph,
+    cfg: weighted::Config,
+    seed: u64,
+    meter: MeterMode,
+) -> Result<Telemetry, proptest::test_runner::TestCaseError> {
+    let globals = Globals::new(g, seed).with_arboricity(cfg.alpha);
+    let make = |v: NodeId, g: &Graph| distributed::WeightedProgram::new(cfg, g.degree(v));
+    assert_runners_agree("thm1.1", g, &globals, make, meter)
+}
+
+/// The other node programs with per-port state — Remark 4.4 and
+/// Theorems 1.2 and 1.3 — under [`assert_runners_agree`], metered.
+fn assert_per_port_programs_agree(
+    g: &Graph,
+    alpha: usize,
+    seed: u64,
+) -> Result<(), proptest::test_runner::TestCaseError> {
+    let meter = MeterMode::Measure;
+    let ud = unknown_delta::Config::new(alpha, 0.3).expect("valid config");
+    let globals = Globals::new(g, seed).with_arboricity(alpha);
+    let make = |v: NodeId, g: &Graph| distributed::UnknownDeltaProgram::new(ud, g.degree(v));
+    assert_runners_agree("remark4.4", g, &globals, make, meter)?;
+    let rnd = randomized::Config::new(alpha, 2, seed).expect("valid config");
+    let globals = Globals::new(g, rnd.seed).with_arboricity(alpha);
+    let make = |v: NodeId, g: &Graph| distributed::RandomizedProgram::new(rnd, g.degree(v));
+    assert_runners_agree("thm1.2", g, &globals, make, meter)?;
+    let gen = general::Config::new(2, seed).expect("valid config");
+    let globals = Globals::new(g, gen.seed);
+    let make = |v: NodeId, g: &Graph| distributed::RandomizedProgram::new_general(gen, g.degree(v));
+    assert_runners_agree("thm1.3", g, &globals, make, meter)?;
+    Ok(())
+}
+
+/// 320 weighted nodes: a hub (node 1) adjacent to 2..64 and 129..192, a
+/// path over 193..320 broken at multiples of 64, and everything else
+/// isolated (0, 64..=128, 192, 256). With one-node and 64-node shards,
+/// shards start on zero-degree nodes and whole shards (64..128) own
+/// empty port slices, while the hub's ports span shards.
+fn hub_with_isolated_nodes() -> Graph {
+    let mut b = GraphBuilder::new(320);
+    for u in (2..64).chain(129..192) {
+        b.add_edge_u32(1, u).expect("valid edge");
+    }
+    for u in (193..319).filter(|u| u % 64 != 0 && (u + 1) % 64 != 0) {
+        b.add_edge_u32(u, u + 1).expect("valid edge");
+    }
+    let mut wrng = StdRng::seed_from_u64(5);
+    WeightModel::Uniform { lo: 1, hi: 30 }.assign(&b.build(), &mut wrng)
+}
+
+#[test]
+fn per_port_programs_agree_on_a_hub_with_isolated_nodes() {
+    let g = hub_with_isolated_nodes();
+    assert_eq!(g.degree(NodeId::from_index(1)), 125);
+    for v in [0, 64, 100, 128, 192, 256] {
+        assert_eq!(g.degree(NodeId::from_index(v)), 0, "node {v}");
+    }
+    for seed in [3u64, 8] {
+        let cfg = weighted::Config::new(1, 0.3).expect("valid config");
+        for meter in [MeterMode::Measure, MeterMode::Strict, MeterMode::Off] {
+            assert_thm11_runners_agree(&g, cfg, seed, meter).expect("runners agree");
+        }
+        assert_per_port_programs_agree(&g, 1, seed).expect("runners agree");
+    }
 }
 
 proptest! {
@@ -116,9 +174,9 @@ proptest! {
     ) {
         let g = instance(n, alpha, seed, wseed);
         let cfg = weighted::Config::new(alpha, 0.3).expect("valid config");
-        let (_, _, measure_t) = assert_runners_agree(&g, cfg, seed, MeterMode::Measure)?;
-        let (_, _, strict_t) = assert_runners_agree(&g, cfg, seed, MeterMode::Strict)?;
-        let (_, _, off_t) = assert_runners_agree(&g, cfg, seed, MeterMode::Off)?;
+        let measure_t = assert_thm11_runners_agree(&g, cfg, seed, MeterMode::Measure)?;
+        let strict_t = assert_thm11_runners_agree(&g, cfg, seed, MeterMode::Strict)?;
+        let off_t = assert_thm11_runners_agree(&g, cfg, seed, MeterMode::Off)?;
         // Cross-mode invariants: metering changes what is measured, never
         // what happens.
         prop_assert_eq!(measure_t.rounds, strict_t.rounds);
@@ -128,6 +186,22 @@ proptest! {
         prop_assert_eq!(measure_t.total_bits, strict_t.total_bits);
         prop_assert_eq!(off_t.total_bits, 0);
         prop_assert_eq!(off_t.max_message_bits, 0);
+    }
+
+    /// The same sweep for the other programs with per-port state: Remark
+    /// 4.4 (`UnknownDeltaProgram`) and Theorems 1.2 and 1.3
+    /// (`RandomizedProgram::new` and `new_general`) produce the
+    /// sequential runner's outputs and telemetry at every thread count
+    /// and shard size.
+    #[test]
+    fn per_port_programs_are_indistinguishable_across_runners(
+        n in 100usize..350,
+        alpha in 1usize..4,
+        seed: u64,
+        wseed: u64,
+    ) {
+        let g = instance(n, alpha, seed, wseed);
+        assert_per_port_programs_agree(&g, alpha, seed)?;
     }
 
     /// Worker-pool reuse: back-to-back runs on one persistent
