@@ -9,9 +9,12 @@
 use crate::report::{check, f2, Table};
 use crate::workloads::Flood;
 use crate::Scale;
+use arbodom_congest::obs::{
+    self as sim_obs_names, SIM_ROUND_NANOS, SIM_SETUP_NANOS, SIM_TEARDOWN_NANOS,
+};
 use arbodom_congest::{
-    obs as sim_obs_names, run as congest_run, run_parallel, run_parallel_in, Globals, MeterMode,
-    RunOptions, SimObs, WorkerPool,
+    run as congest_run, run_parallel, run_parallel_in, Globals, MeterMode, RunOptions, SimObs,
+    WorkerPool,
 };
 use arbodom_core::{distributed, weighted};
 use arbodom_graph::{generators, weights::WeightModel, Graph};
@@ -229,6 +232,34 @@ const PHASE_METRICS: &[&str] = &[
     sim_obs_names::SIM_MESSAGE_BITS,
 ];
 
+/// One instrumented Theorem 1.1 run on `pool`, observed into `registry`:
+/// its wall seconds and its coverage, `(sim_setup + Σ sim_round +
+/// sim_teardown) / wall`, the share of the call the simulator's own spans
+/// account for.
+fn instrumented_thm11(
+    pool: &WorkerPool,
+    g: &Graph,
+    wglobals: &Globals,
+    cfg: weighted::Config,
+    registry: &Registry,
+) -> (f64, f64) {
+    let opts = RunOptions {
+        obs: Some(SimObs::new(registry)),
+        ..RunOptions::default()
+    };
+    let mk =
+        |v: arbodom_graph::NodeId, g: &Graph| distributed::WeightedProgram::new(cfg, g.degree(v));
+    let start = Instant::now();
+    run_parallel_in(pool, g, wglobals, mk, &opts).expect("instrumented thm11 runs");
+    let wall_ns = start.elapsed().as_nanos().max(1) as f64;
+    let spans = [SIM_SETUP_NANOS, SIM_ROUND_NANOS, SIM_TEARDOWN_NANOS];
+    let inside: u64 = spans
+        .map(|name| registry.histogram(name).sum())
+        .iter()
+        .sum();
+    (wall_ns / 1e9, inside as f64 / wall_ns)
+}
+
 /// Runs the simulator throughput workloads (the 50k trajectory, the
 /// million-node tier, and the streamed 10⁷ tier), writes
 /// `BENCH_sim.json`, and returns the human-readable tables.
@@ -360,20 +391,14 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
     // One Theorem 1.1 run on the 50k workload through the persistent pool
     // with the [`SimObs`] side channel attached: where the run's wall
     // clock actually goes (set-up, then per round deliver vs compute vs
-    // dispatch vs barrier, then tear-down), as log₂-bucket histograms — the same metrics `arbodomd
-    // --sim-obs` serves, so the bench artifact and a live scrape are
-    // directly comparable.
+    // dispatch vs barrier, then tear-down), as log₂-bucket histograms —
+    // the same metrics `arbodomd --sim-obs` serves, so the bench artifact
+    // and a live scrape are directly comparable. It and the same run on
+    // the million-node graph also give the `coverage` figures.
     let registry = Registry::new();
-    let obs_opts = RunOptions {
-        meter: MeterMode::Measure,
-        obs: Some(SimObs::new(&registry)),
-        ..RunOptions::default()
-    };
-    let mk_thm11 =
-        |v: arbodom_graph::NodeId, g: &Graph| distributed::WeightedProgram::new(cfg, g.degree(v));
-    let t_obs = Instant::now();
-    run_parallel_in(pool, g, wglobals, mk_thm11, &obs_opts).expect("instrumented thm11 runs");
-    let obs_wall_s = t_obs.elapsed().as_secs_f64();
+    let (obs_wall_s, coverage) = instrumented_thm11(pool, g, wglobals, cfg, &registry);
+    let (huge_obs_wall_s, huge_coverage) =
+        instrumented_thm11(pool, hg, hwglobals, cfg, &Registry::new());
 
     let mut phase_table = Table::new(
         "E-SCALE-e",
@@ -402,10 +427,14 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
     phase_table.note(format!(
         "one instrumented run ({:.0} ms wall); percentiles are log₂-bucket \
          upper bounds (≤2× the true value), identical to what `arbodomd \
-         --sim-obs` exposes via `arbodom-client metrics`. Observability \
-         is off in every timed row above — the differential and \
-         allocation-pin tests prove the off path costs nothing.",
-        obs_wall_s * 1e3
+         --sim-obs` exposes via `arbodom-client metrics`. Coverage \
+         (setup + Σ round + teardown) / wall: {coverage:.3} here, \
+         {huge_coverage:.3} for the same run at n = {huge_n} ({:.0} ms \
+         wall). Observability is off in every timed row above — the \
+         differential and allocation-pin tests prove the off path costs \
+         nothing.",
+        obs_wall_s * 1e3,
+        huge_obs_wall_s * 1e3,
     ));
 
     let phase_json = JsonObj::new().entries(
@@ -644,6 +673,8 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
                 )
                 .render(),
         );
+    let coverage_json = JsonObj::new().num("50k", coverage);
+    let coverage_json = coverage_json.num("huge", huge_coverage);
     let json = JsonObj::new()
         .str("schema", "arbodom-sim-bench/v4")
         .raw(
@@ -684,6 +715,7 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
         .raw("current", current.render())
         .raw("speedup_vs_pre_pr", speedups.render())
         .raw("phase_breakdown", phase_json.render())
+        .raw("coverage", coverage_json.render())
         .raw("huge", huge_json.render())
         .raw("ten_million", tm_json.render())
         .render();

@@ -12,8 +12,9 @@
 //!   present (full-scale n = 10⁷ in the committed baseline, byte-accurate
 //!   footprint fields, zero weight bytes, a nonzero Theorem 1.1 solve),
 //!   the instrumented `phase_breakdown` block populated (every simulator
-//!   phase histogram counted), and the frozen pre-PR reference block
-//!   carried forward;
+//!   phase histogram counted), the `coverage` figures of the instrumented
+//!   50k and 10⁶ runs present, finite and in `(0, 1]`, and the frozen
+//!   pre-PR reference block carried forward;
 //! * [`check_scenarios`] gates `BENCH_scenarios.json`: schema version,
 //!   every baseline scenario — static matrix *and* the dynamic `churn`
 //!   family — still produced with a nonzero cell count, zero quality
@@ -72,6 +73,11 @@ const SIM_PHASE_METRICS: &[&str] = &[
     "sim_teardown_nanos",
     "sim_message_bits",
 ];
+
+/// The `coverage` figures, `(setup + Σ round + teardown) / wall` of the
+/// instrumented 50k and 10⁶ runs. The spans are disjoint intervals inside
+/// the call, so each figure must lie in `(0, 1]` in both artifacts.
+const SIM_COVERAGE: &[&str] = &["50k", "huge"];
 
 /// Rows that must exist in *both* artifacts of every tier: the
 /// pool-reuse measurements are the headline of the persistent-worker-pool
@@ -277,6 +283,19 @@ pub fn check(current: &JsonValue, baseline: &JsonValue) -> RatchetReport {
             "current artifact has no `phase_breakdown` block — the instrumented run was dropped"
                 .into(),
         ),
+    }
+
+    for (which, doc) in [("baseline", baseline), ("current", current)] {
+        for label in SIM_COVERAGE {
+            let v = doc.get("coverage").and_then(|c| c.get(label));
+            let v = v.and_then(JsonValue::as_f64);
+            if !v.is_some_and(|v| v > 0.0 && v <= 1.0) {
+                let shown = v.map_or("missing".to_string(), |v| v.to_string());
+                violations.push(format!(
+                    "coverage `{label}` = {shown} in the {which} artifact; must be in (0, 1]"
+                ));
+            }
+        }
     }
 
     // The frozen pre-PR reference must survive in shape.
@@ -717,7 +736,7 @@ mod tests {
             .collect();
         let ten_million = r#","ten_million":{"workload":{"graph":"forest_union","alpha":3,"n":10000000,"m":9453892,"weights":"unit","scale":"full","build_seconds":14.2,"footprint":{"offsets_bytes":40000004,"neighbors_bytes":75631136,"weights_bytes":0,"total_bytes":115631140}},"thm11":{"iterations":33,"ds_size":2950000,"ds_weight":2950000,"solve_seconds":21.5,"nodes_per_sec":465116}}"#;
         format!(
-            r#"{{"schema":"{schema}","baseline_pre_pr":{{"commit":"92bbb82","msgs_per_sec":{{"flood_measure_seq":6780170}}}},"current":{{"flood_measure_seq":{{"rounds":21,"messages":5999560,"wall_seconds":0.14,"msgs_per_sec":{seq_rate}}}{pool}}},"phase_breakdown":{{{},"sim_rounds_total":33,"sim_messages_total":847210}}{huge}{ten_million}}}"#,
+            r#"{{"schema":"{schema}","baseline_pre_pr":{{"commit":"92bbb82","msgs_per_sec":{{"flood_measure_seq":6780170}}}},"current":{{"flood_measure_seq":{{"rounds":21,"messages":5999560,"wall_seconds":0.14,"msgs_per_sec":{seq_rate}}}{pool}}},"phase_breakdown":{{{},"sim_rounds_total":33,"sim_messages_total":847210}},"coverage":{{"50k":0.97,"huge":0.93}}{huge}{ten_million}}}"#,
             phases.join(",")
         )
     }
@@ -803,6 +822,32 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.contains("`sim_compute_nanos.count` is 0")));
+    }
+
+    #[test]
+    fn coverage_must_be_present_and_a_share_of_the_wall_time() {
+        let base_s = artifact("arbodom-sim-bench/v2", 42e6, true);
+        let base = parse(&base_s);
+        for (cur, expected) in [
+            (
+                base_s.replace(r#""huge":0.93"#, r#""huge":1.2"#),
+                "`huge` = 1.2",
+            ),
+            (base_s.replace(r#""50k":0.97"#, r#""50k":0"#), "`50k` = 0"),
+            (base_s.replace(r#""50k":0.97,"#, ""), "`50k` = missing"),
+        ] {
+            let report = check(&parse(&cur), &base);
+            assert!(
+                report
+                    .violations
+                    .iter()
+                    .any(|v| v.contains("coverage") && v.contains(expected)),
+                "{expected}: {:?}",
+                report.violations
+            );
+        }
+        let exact = base_s.replace(r#""huge":0.93"#, r#""huge":1"#);
+        assert!(check(&parse(&exact), &base).ok(), "1 is a valid share");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Deterministic, coordinate-addressable randomness.
 //!
-//! Randomized node programs cannot carry a stateful RNG if the sequential
-//! and parallel runners — and the centralized reference implementations in
-//! `arbodom-core` — are to agree bit-for-bit. Instead, every random draw is
+//! Randomized node programs cannot carry a stateful RNG if runs at every
+//! thread count and shard size — and the centralized reference
+//! implementations in `arbodom-core` — are to agree bit-for-bit. Instead, every random draw is
 //! a pure function of `(seed, coordinates…)`: typically
 //! `(seed, node, phase, iteration)`. This is the classic counter-based RNG
 //! design; the mixer is SplitMix64, whose avalanche behaviour is more than

@@ -13,11 +13,11 @@
 //! message counts, total bits, the largest message, and the number of
 //! messages exceeding the configured CONGEST budget.
 //!
-//! Two runners are provided: a deterministic sequential runner
-//! ([`run`]) and a thread-parallel runner ([`run_parallel`]) that
-//! produces bit-identical results (node programs draw randomness only
-//! through the deterministic [`det_rand`] utilities, keyed by seed, node,
-//! and round).
+//! One round loop drives every run. [`run`] makes each round inline on
+//! the calling thread; [`run_parallel`] and [`run_parallel_in`] share
+//! each round among a pool of worker threads and produce bit-identical
+//! results (node programs draw randomness only through the deterministic
+//! [`det_rand`] utilities, keyed by seed, node, and round).
 //!
 //! # Simulator performance model
 //!
@@ -50,25 +50,28 @@
 //! * **CSR fan-out.** [`Recipients::Broadcast`] and port sends expand
 //!   through the graph's flat CSR arrays ([`arbodom_graph::Graph::csr`])
 //!   and a flat reverse-port table sharing the same offsets, so fan-out
-//!   walks contiguous memory. Both runners build that table before
+//!   walks contiguous memory. The round loop builds that table before
 //!   round 0 in one `O(n + m)` pass: CSR adjacency lists are sorted and
 //!   symmetric, so walking the flat neighbor array (senders in
 //!   ascending id) with one cursor per receiver yields each reverse port
 //!   in order, with no per-edge search.
-//! * **Sharded round loop.** [`run_parallel`] partitions the node ids
-//!   into contiguous cache-sized shards (tunable via
-//!   [`RunOptions::shard_size`]), each owning its node programs, its
+//! * **Sharded round loop.** The loop partitions the node ids into
+//!   contiguous shards — one whole-graph shard for a single worker,
+//!   several cache-sized shards per worker on a pool (tunable via
+//!   [`RunOptions::shard_size`]) — each owning its node programs, its
 //!   per-destination-shard send buckets, its own mailbox arena, and the
 //!   contiguous slice of the port-state array covering its nodes.
 //!   Workers claim shards from an atomic queue, so a few high-degree
 //!   hubs cannot strand the other threads; each claimed shard first
 //!   *delivers* the previous round's sends into its arena, reading its
 //!   bucket in every source shard, then *computes* its nodes, staging
-//!   sends straight into destination-shard buckets. Buckets and delivery
-//!   preserve staging order and source shards are read in ascending
-//!   order, which is how the sharded runner reproduces the sequential
-//!   runner's inbox order — and therefore its outputs and telemetry —
-//!   bit for bit at any shard size and thread count.
+//!   sends straight into destination-shard buckets. A shard's sends to
+//!   its own nodes stay in one buffer of its own, so a one-shard run
+//!   holds a single staging buffer. Buckets and delivery preserve
+//!   staging order and source shards are read in ascending order, so
+//!   every inbox lists its senders in ascending id — the same inbox
+//!   order, and therefore the same outputs and telemetry, bit for bit,
+//!   at any shard size and thread count.
 //! * **Persistent worker pool.** Threads are spawned once, when a
 //!   [`WorkerPool`] is constructed — not once per round. Each round is
 //!   an *epoch*: the caller installs the round's work as a shared
@@ -79,7 +82,8 @@
 //!   at 10⁶ nodes × hundreds of rounds the spawn/join overhead made
 //!   `run_parallel` *slower* than [`run`];
 //!   [`WorkerPool::threads_spawned`] pins the steady state at zero
-//!   spawns per round. [`run_parallel`] creates a pool per call;
+//!   spawns per round. [`run`] uses no pool: its one worker is the
+//!   calling thread. [`run_parallel`] creates a pool per call;
 //!   [`run_parallel_in`] reuses a caller-owned pool across runs (what
 //!   the benches and the daemon do).
 //! * **Decentralized halting.** No central `O(n)` scan decides when the
@@ -91,9 +95,9 @@
 //! * **Opt-in phase timing.** [`RunOptions::obs`] attaches an
 //!   [`arbodom_obs::Registry`]-backed [`SimObs`] side channel: run
 //!   set-up and tear-down nanoseconds, per-shard deliver/compute
-//!   nanoseconds, pool dispatch and barrier-wait time, per-worker busy
-//!   time, and a delivered-message-size histogram (see [`obs`] for the
-//!   metric names). It is off by default and *provably
+//!   nanoseconds, on a pool the dispatch and barrier-wait time and
+//!   per-worker busy time, and a delivered-message-size histogram (see
+//!   [`obs`] for the metric names). It is off by default and *provably
 //!   free when off* — no clocks, no allocations, outputs and telemetry
 //!   bit-identical either way, pinned by the differential proptests.
 //!   Long tracked runs can additionally bound

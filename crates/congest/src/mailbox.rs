@@ -3,11 +3,14 @@
 //! The naive mailbox — one `Vec` of messages per node, reallocated as
 //! traffic ebbs and flows — spends most of its time in the allocator and
 //! in cache misses across `n` scattered buffers. The arena replaces it
-//! with two flat arrays per round:
+//! with two flat arrays per shard of the round loop (one shard covers
+//! the whole graph when a single worker runs it):
 //!
-//! * `entries`: every [`Delivery`] of the round, grouped by destination
-//!   node (a stable counting sort keyed by destination);
-//! * `offsets`: an `n + 1` offset table, so node `v`'s inbox is the slice
+//! * `entries`: every [`Delivery`] of the round to the shard's nodes,
+//!   grouped by destination node (a stable counting sort keyed by
+//!   destination);
+//! * `offsets`: a `len + 1` offset table over the shard's `len` nodes, so
+//!   local node `v`'s inbox is the slice
 //!   `entries[offsets[v]..offsets[v + 1]]`.
 //!
 //! Node programs receive that slice as an [`Inbox`] — a borrowed view,
@@ -121,10 +124,9 @@ impl<M> ExactSizeIterator for InboxIter<'_, M> {}
 /// every round from the finished round's staged sends by
 /// [`MailArena::deliver`].
 ///
-/// An arena covers a contiguous node-id range `base..base + len` — the
-/// whole graph in the sequential runner ([`MailArena::new`]), one shard of
-/// it in the sharded parallel runner ([`MailArena::with_range`]). Inboxes
-/// are addressed by *local* index (`v - base`).
+/// An arena covers one shard's contiguous node-id range
+/// `base..base + len` (the whole graph when the run has one shard).
+/// Inboxes are addressed by *local* index (`v - base`).
 pub(crate) struct MailArena<M> {
     entries: Vec<Delivery<M>>,
     /// First node id this arena covers.
@@ -135,11 +137,6 @@ pub(crate) struct MailArena<M> {
 }
 
 impl<M> MailArena<M> {
-    /// A whole-graph arena covering nodes `0..n`.
-    pub(crate) fn new(n: usize) -> Self {
-        Self::with_range(0, n)
-    }
-
     /// A shard arena covering nodes `base..base + len`.
     pub(crate) fn with_range(base: u32, len: usize) -> Self {
         MailArena {
@@ -160,11 +157,9 @@ impl<M> MailArena<M> {
     /// sort: count per destination, take an exclusive prefix sum, then
     /// clone each delivery straight into its slot. Entries of equal
     /// destination keep their order across the concatenation of
-    /// `sources`, so callers pass sources in ascending sender order (the
-    /// sequential runner's one staging buffer; the sharded runner's
-    /// source shards, ascending) and every inbox sees the sequential
-    /// arrival order. Every destination must lie in this arena's node
-    /// range.
+    /// `sources`, so the round loop passes its source shards in ascending
+    /// order and every inbox lists its senders in ascending id. Every
+    /// destination must lie in this arena's node range.
     ///
     /// The prefix sum runs in place one slot ahead (`offsets[v + 1]`
     /// starts as `v`'s first slot and serves as its write cursor), so
@@ -180,8 +175,10 @@ impl<M> MailArena<M> {
         let base = self.base;
         let offsets = &mut self.offsets;
         offsets.fill(0);
-        for d in sources.clone().flatten() {
-            offsets[(d.dest - base) as usize + 1] += 1;
+        for src in sources.clone() {
+            for d in src {
+                offsets[(d.dest - base) as usize + 1] += 1;
+            }
         }
         let mut total = 0u32;
         for slot in &mut offsets[1..] {
@@ -194,10 +191,12 @@ impl<M> MailArena<M> {
             return;
         };
         self.entries.resize(total as usize, first.clone());
-        for d in sources.flatten() {
-            let cursor = &mut offsets[(d.dest - base) as usize + 1];
-            self.entries[*cursor as usize] = d.clone();
-            *cursor += 1;
+        for src in sources {
+            for d in src {
+                let cursor = &mut offsets[(d.dest - base) as usize + 1];
+                self.entries[*cursor as usize] = d.clone();
+                *cursor += 1;
+            }
         }
     }
 
@@ -227,7 +226,7 @@ mod tests {
 
     #[test]
     fn refill_groups_by_destination_stably() {
-        let mut arena: MailArena<u32> = MailArena::new(4);
+        let mut arena: MailArena<u32> = MailArena::with_range(0, 4);
         let staged = [
             d(2, 0, 10),
             d(0, 1, 11),
@@ -256,7 +255,7 @@ mod tests {
 
     #[test]
     fn refill_recycles_capacity() {
-        let mut arena: MailArena<u32> = MailArena::new(2);
+        let mut arena: MailArena<u32> = MailArena::with_range(0, 2);
         let mut ptr = None;
         for round in 0..10u32 {
             // Traffic shrinks and grows back: truncation keeps capacity.
@@ -276,7 +275,7 @@ mod tests {
 
     #[test]
     fn empty_round_yields_empty_inboxes() {
-        let mut arena: MailArena<u32> = MailArena::new(3);
+        let mut arena: MailArena<u32> = MailArena::with_range(0, 3);
         deliver(&mut arena, &[&[d(1, 0, 5)]]);
         // Nothing staged: all inboxes drain.
         for inbox in deliver(&mut arena, &[&[], &[]]) {

@@ -1,5 +1,5 @@
 //! Simulator-side observability: the pre-resolved metric handles the
-//! runners record into when [`crate::RunOptions::obs`] is set.
+//! round loop records into when [`crate::RunOptions::obs`] is set.
 //!
 //! Everything here is a **side channel**: enabling it never changes what
 //! a run computes — outputs, telemetry, and RNG draws are bit-identical
@@ -23,26 +23,32 @@ use arbodom_obs::{Counter, Histogram, Registry};
 
 /// Nanoseconds one run spent before round 0: building the node programs,
 /// the per-port state, the reverse-port table and the round buffers. One
-/// observation per run (both runners).
+/// observation per run, inline or on a pool.
 pub const SIM_SETUP_NANOS: &str = "sim_setup_nanos";
-/// Wall-clock nanoseconds of one executed round (both runners).
+/// Wall-clock nanoseconds of one executed round, inline or on a pool.
 pub const SIM_ROUND_NANOS: &str = "sim_round_nanos";
 /// Nanoseconds one run spent after its last round: assembling the outputs
-/// and dropping the run's state. One observation per run (both runners).
+/// and dropping the run's state. One observation per run, inline or on a
+/// pool.
 pub const SIM_TEARDOWN_NANOS: &str = "sim_teardown_nanos";
 /// Nanoseconds one shard spent rebuilding its inbox arena (the deliver
-/// phase). The sequential runner records one entry per round.
+/// phase): one entry per shard per round, so one per round when a single
+/// worker runs one whole-graph shard.
 pub const SIM_DELIVER_NANOS: &str = "sim_deliver_nanos";
 /// Nanoseconds one shard spent stepping its node programs (the compute
-/// phase). The sequential runner records one entry per round.
+/// phase): one entry per shard per round, so one per round when a single
+/// worker runs one whole-graph shard.
 pub const SIM_COMPUTE_NANOS: &str = "sim_compute_nanos";
 /// Nanoseconds between a round's broadcast and a worker picking the
-/// epoch up (pool wake-up latency; parallel runner only).
+/// epoch up: pool wake-up latency, one entry per worker per round. Runs
+/// made inline on the calling thread record none.
 pub const SIM_POOL_DISPATCH_NANOS: &str = "sim_pool_dispatch_nanos";
-/// Nanoseconds one worker spent doing shard work in one round.
+/// Nanoseconds one pool worker spent doing shard work in one round (one
+/// entry per worker per round; none for inline runs).
 pub const SIM_WORKER_BUSY_NANOS: &str = "sim_worker_busy_nanos";
-/// Nanoseconds one worker spent neither dispatching nor busy in one
-/// round — dominated by the epoch-barrier wait for slower workers.
+/// Nanoseconds one pool worker spent neither dispatching nor busy in one
+/// round — dominated by the epoch-barrier wait for slower workers (one
+/// entry per worker per round; none for inline runs).
 pub const SIM_POOL_BARRIER_NANOS: &str = "sim_pool_barrier_nanos";
 /// Size in bits of each delivered message (Measure/Strict metering only).
 pub const SIM_MESSAGE_BITS: &str = "sim_message_bits";

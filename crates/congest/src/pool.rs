@@ -1,4 +1,4 @@
-//! A persistent worker pool for the sharded runner.
+//! A persistent worker pool for the simulator's round loop.
 //!
 //! [`crate::run_parallel`] used to open a `std::thread::scope` every
 //! round, paying a thread spawn + join per round per worker — on short

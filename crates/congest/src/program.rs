@@ -74,9 +74,10 @@ impl NodeCtx<'_> {
     }
 
     /// Deterministic uniform draw in `[0, 1)` for this node and round,
-    /// optionally distinguished by `tag`. Both runners (sequential and
-    /// parallel) see identical values, which is how randomized node
-    /// programs stay reproducible.
+    /// optionally distinguished by `tag`. The value depends only on the
+    /// seed, node, round and tag — never on the worker or shard that
+    /// steps the node — which is how randomized node programs stay
+    /// reproducible at every thread count.
     pub fn unit_rand(&self, tag: u64) -> f64 {
         crate::det_rand::unit_f64(crate::det_rand::stream(
             self.globals.seed,
@@ -184,9 +185,13 @@ impl<M> Step<M> {
 /// each incident edge (typically a mirror of the neighbor behind it)
 /// lives in a run-owned array, not in the program, and each round the
 /// node borrows its slice of it. See [`NodeProgram::PortState`].
-pub trait NodeProgram {
+///
+/// Any run may step its shards on a pool's worker threads, so programs
+/// and their port state are `Send`, and messages — read by every shard
+/// that delivers them — are `Send + Sync`.
+pub trait NodeProgram: Send {
     /// Message type exchanged along edges.
-    type Message: Wire + Clone + std::fmt::Debug;
+    type Message: Wire + Clone + std::fmt::Debug + Send + Sync;
     /// What the node keeps per incident edge, handed to
     /// [`NodeProgram::round`] as `ports`, indexed by port exactly like
     /// [`NodeCtx::neighbors`] and the inbox. Every entry starts as
@@ -197,7 +202,7 @@ pub trait NodeProgram {
     /// [`Graph::neighbor_range`]`(v)`), so a program needs no heap
     /// allocation of its own for per-neighbor state. Programs without
     /// per-port state declare `()`, which takes no memory.
-    type PortState: Clone + Default;
+    type PortState: Clone + Default + Send;
     /// Per-node output extracted when the run completes.
     type Output;
 

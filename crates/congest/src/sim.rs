@@ -1,34 +1,13 @@
-//! The synchronous round executors.
+//! The synchronous round loop.
 //!
-//! Both runners share one high-throughput core:
-//!
-//! * **Arena delivery** — each round's messages live in one flat
-//!   [`crate::mailbox`] arena grouped by destination; node programs
-//!   receive borrowed [`Inbox`] slices. Delivery is one out-of-place
-//!   stable counting sort from the staged sends into the arena (no
-//!   gather step, no storage swap), and every buffer keeps its capacity
-//!   across rounds, so steady-state delivery allocates nothing.
-//! * **Run-owned port state** — each run owns one CSR-ordered array of
-//!   [`NodeProgram::PortState`] (`2m` entries) and hands every node its
-//!   `degree`-long slice each round, so node programs allocate nothing
-//!   per neighbor.
-//! * **Encode-once metering** — [`MeterMode::Measure`] and
-//!   [`MeterMode::Strict`] encode each [`Outgoing`] exactly once into a
-//!   reusable scratch buffer, however many edges it fans out to;
-//!   [`MeterMode::Off`] never touches an encoder.
-//! * **CSR fan-out** — [`Recipients::Broadcast`] expands through the
-//!   graph's flat CSR adjacency ([`Graph::csr`]) and a flat reverse-port
-//!   table sharing the same offsets.
-//! * **Sharded schedule** — [`run_parallel`] partitions the node ids
-//!   into contiguous cache-sized shards, each owning its node programs,
-//!   its slice of the port-state array, per-destination-shard send
-//!   buckets, and its mailbox arena. Every round, workers claim shards
-//!   from an atomic queue; a claimed shard first *delivers* (reads its
-//!   bucket in every source shard's previous-round output — sources
-//!   ascending = senders ascending — straight into its arena), then
-//!   *computes* (steps its nodes, staging sends into destination-shard
-//!   buckets). Bucketing and delivery are stable, which is why the
-//!   results are bit-identical to [`run`]'s at any shard/thread count.
+//! [`run`], [`run_parallel`] and [`run_parallel_in`] all drive one round
+//! loop. It splits the node ids into contiguous shards and runs each
+//! round as one pass over them: a pool's workers share the pass, and a
+//! single worker — [`run`], a one-thread pool, or a graph too small to
+//! split — makes it inline on the calling thread. The crate docs'
+//! performance model describes its parts: arena delivery, run-owned port
+//! state, encode-once metering, CSR fan-out, the sharded schedule and
+//! decentralized halting.
 
 use arbodom_graph::{Graph, NodeId};
 use bytes::BytesMut;
@@ -37,7 +16,7 @@ use crate::mailbox::{Delivery, MailArena};
 use crate::obs::SimObs;
 use crate::pool::WorkerPool;
 use crate::telemetry::SendStats;
-use crate::{Globals, NodeCtx, NodeProgram, Outgoing, Recipients, SimError, Step, Telemetry, Wire};
+use crate::{Globals, NodeCtx, NodeProgram, Outgoing, Recipients, SimError, Telemetry, Wire};
 use arbodom_obs::{SpanAcc, Stopwatch};
 
 /// How thoroughly messages are serialized for metering.
@@ -83,27 +62,30 @@ pub struct RunOptions {
     pub track_rounds: bool,
     /// Optional message-loss fault injection.
     pub loss: Option<LossModel>,
-    /// Nodes per shard in [`run_parallel`]. `None` picks a cache-sized
-    /// shard automatically; explicit values are rounded up to the next
-    /// power of two (the destination-shard lookup is a shift). Results
-    /// are bit-identical at **any** value — only wall clock and peak
-    /// per-shard memory change. Tiny explicit shards on huge graphs cost
-    /// `O((n / shard_size)²)` bucket memory — the auto choice keeps the
-    /// shard count small.
+    /// Nodes per shard, honoured by every entry point. `None` makes one
+    /// whole-graph shard when a single worker runs the rounds ([`run`],
+    /// or a pool that runs inline) and picks a cache-sized shard for a
+    /// pool; explicit values are rounded up to the next power of two (the
+    /// destination-shard lookup is a shift). Results are bit-identical at
+    /// **any** value — only wall clock and peak per-shard memory change.
+    /// Tiny explicit shards on huge graphs cost `O((n / shard_size)²)`
+    /// bucket memory — the auto choice keeps the shard count small.
     pub shard_size: Option<usize>,
     /// Retention cap on [`Telemetry::per_round`] when
     /// [`RunOptions::track_rounds`] is on. `None` keeps every round
     /// (memory proportional to rounds); `Some(cap)` keeps at most `cap`
     /// entries by deterministic keep-every-k downsampling — the stride
-    /// ends up in [`Telemetry::per_round_stride`]. Identical under both
-    /// runners, so differential comparisons still hold with a cap.
+    /// ends up in [`Telemetry::per_round_stride`]. Identical at every
+    /// worker count and shard size, so differential comparisons still
+    /// hold with a cap.
     pub per_round_cap: Option<usize>,
-    /// Observability side channel: when set, the runners record phase
-    /// timings (deliver/compute per shard, pool dispatch and barrier
-    /// wait, worker busy time) and a delivered-message-size histogram
-    /// into the handles' registry. `None` (the default) records nothing
-    /// and costs nothing — no clocks, no allocations, and outputs and
-    /// telemetry stay bit-identical either way (see [`crate::obs`]).
+    /// Observability side channel: when set, the round loop records
+    /// phase timings (deliver/compute per shard, and on a pool the
+    /// dispatch, barrier-wait and per-worker busy time) and a
+    /// delivered-message-size histogram into the handles' registry.
+    /// `None` (the default) records nothing and costs nothing — no
+    /// clocks, no allocations, and outputs and telemetry stay
+    /// bit-identical either way (see [`crate::obs`]).
     pub obs: Option<SimObs>,
 }
 
@@ -157,14 +139,15 @@ fn reverse_ports(g: &Graph) -> Vec<u32> {
 /// Domain-separation tag for fault-injection coin flips.
 const LOSS_TAG: u64 = 0x4c4f5353; // "LOSS"
 
-/// Below this node count the parallel runner falls back to [`run`]:
-/// thread start-up costs more than the round work it would split.
+/// Below this node count a pool is not woken and the rounds run inline
+/// on the calling thread: waking workers costs more than the round work
+/// they would split.
 const PARALLEL_MIN_NODES: usize = 128;
 
-/// Immutable per-run routing state shared by both runners (and, in the
-/// parallel runner, by every worker thread).
+/// Immutable per-run routing state, shared by every worker.
 struct Router<'a> {
     g: &'a Graph,
+    globals: &'a Globals,
     rev: &'a [u32],
     opts: &'a RunOptions,
     /// The CONGEST per-message budget, for violation counting.
@@ -172,19 +155,20 @@ struct Router<'a> {
 }
 
 impl Router<'_> {
-    /// Expands one node's [`Step`] output into staged deliveries.
+    /// Expands one node's [`crate::Step`] output into staged deliveries.
+    /// `ctx` is the context the node just stepped with, and `first_port`
+    /// the flat CSR index of its port 0.
     ///
     /// Each `Outgoing` is metered **once** — encoded into `scratch` in
     /// `Measure`/`Strict` modes, skipped entirely in `Off` — then fanned
     /// out to its recipients through the CSR adjacency slice. Dropped
     /// messages (fault injection) are metered as sent but never staged.
     /// Surviving deliveries are handed to `stage` in deterministic order
-    /// (the sequential runner pushes onto one buffer; the sharded runner
-    /// appends to the destination shard's bucket).
+    /// (the round loop appends each to its destination shard's bucket).
     fn expand<M: Wire + Clone>(
         &self,
-        v: NodeId,
-        round: usize,
+        ctx: &NodeCtx<'_>,
+        first_port: usize,
         outgoing: Vec<Outgoing<M>>,
         scratch: &mut BytesMut,
         stats: &mut SendStats,
@@ -193,11 +177,9 @@ impl Router<'_> {
         if outgoing.is_empty() {
             return Ok(());
         }
-        let (_, nbrs_flat) = self.g.csr();
-        let range = self.g.neighbor_range(v);
-        let nbrs = &nbrs_flat[range.clone()];
-        let rev = &self.rev[range];
+        let (v, round, nbrs) = (ctx.id, ctx.round, ctx.neighbors);
         let deg = nbrs.len();
+        let rev = &self.rev[first_port..first_port + deg];
         for out in outgoing {
             let (bits, roundtripped) = match self.opts.meter {
                 MeterMode::Off => (0, None),
@@ -278,100 +260,6 @@ impl Router<'_> {
     }
 }
 
-/// Runs `make(v, g)`-constructed node programs over `g` sequentially and
-/// deterministically until every node halts.
-///
-/// # Errors
-///
-/// Returns [`SimError::MaxRoundsExceeded`] if any node is still active
-/// after `opts.max_rounds` rounds, [`SimError::BadPort`] on invalid
-/// addressing, and [`SimError::Wire`] on strict-mode decode failures.
-pub fn run<P: NodeProgram>(
-    g: &Graph,
-    globals: &Globals,
-    mut make: impl FnMut(NodeId, &Graph) -> P,
-    opts: &RunOptions,
-) -> Result<RunResult<P::Output>, SimError> {
-    let setup = opts.obs.as_ref().map(|_| Stopwatch::start());
-    let n = g.n();
-    let mut nodes: Vec<P> = g.nodes().map(|v| make(v, g)).collect();
-    let mut ports = vec![P::PortState::default(); g.csr().1.len()];
-    let mut active = vec![true; n];
-    let mut active_count = n;
-    let rev = reverse_ports(g);
-    let router = Router {
-        g,
-        rev: &rev,
-        opts,
-        budget: globals.congest_bits(),
-    };
-    let mut arena: MailArena<P::Message> = MailArena::new(n);
-    let mut staged: Vec<Delivery<P::Message>> = Vec::new();
-    let mut scratch = BytesMut::new();
-    let mut telemetry = Telemetry {
-        bandwidth_budget_bits: router.budget,
-        ..Telemetry::default()
-    };
-    if let (Some(obs), Some(watch)) = (&opts.obs, &setup) {
-        obs.setup.observe(watch.elapsed_nanos());
-    }
-    let mut round = 0usize;
-    while active_count > 0 {
-        if round >= opts.max_rounds {
-            return Err(SimError::MaxRoundsExceeded {
-                limit: opts.max_rounds,
-                active: active_count,
-            });
-        }
-        let mut watch = opts.obs.as_ref().map(|_| Stopwatch::start());
-        let mut stats = SendStats::default();
-        for v in g.nodes() {
-            let vi = v.index();
-            if !active[vi] {
-                continue;
-            }
-            let ctx = NodeCtx {
-                id: v,
-                weight: g.weight(v),
-                neighbors: g.neighbors(v),
-                globals,
-                round,
-            };
-            let step: Step<P::Message> =
-                nodes[vi].round(&ctx, arena.inbox(vi), &mut ports[g.neighbor_range(v)]);
-            if step.done {
-                active[vi] = false;
-                active_count -= 1;
-            }
-            router.expand(v, round, step.outgoing, &mut scratch, &mut stats, |d| {
-                staged.push(d)
-            })?;
-        }
-        telemetry.absorb(round, &stats, opts.track_rounds, opts.per_round_cap);
-        let compute = watch.as_mut().map(Stopwatch::lap_nanos);
-        arena.deliver(std::iter::once(staged.as_slice()));
-        staged.clear();
-        if let (Some(obs), Some(watch), Some(compute)) = (&opts.obs, &watch, compute) {
-            let deliver = watch.elapsed_nanos();
-            obs.compute.observe(compute);
-            obs.deliver.observe(deliver);
-            obs.round_wall.observe(compute + deliver);
-            obs.rounds.inc();
-            obs.messages.add(stats.messages as u64);
-        }
-        round += 1;
-    }
-    let teardown = opts.obs.as_ref().map(|_| Stopwatch::start());
-    telemetry.rounds = round;
-    let outputs = nodes.iter().map(NodeProgram::output).collect();
-    // Free the run state here, inside the tear-down span.
-    drop((nodes, ports, active, rev, arena, staged, scratch));
-    if let (Some(obs), Some(watch)) = (&opts.obs, &teardown) {
-        obs.teardown.observe(watch.elapsed_nanos());
-    }
-    Ok(RunResult { outputs, telemetry })
-}
-
 /// Upper bound on the automatically chosen shard size: a shard's node
 /// programs, inbox arena, and staged sends should stay cache-resident.
 const AUTO_SHARD_MAX: usize = 32_768;
@@ -381,80 +269,149 @@ const AUTO_SHARD_MAX: usize = 32_768;
 /// stepping its nodes.
 const AUTO_SHARD_MIN: usize = 64;
 
-/// The cache-sized shard the parallel runner picks when
-/// [`RunOptions::shard_size`] is `None`: several shards per thread so the
-/// work queue can rebalance skewed-degree graphs, capped so a shard's
-/// working set stays cache-resident and the shard count stays small
-/// enough that the per-shard routing tables are negligible.
+/// The cache-sized shard a pool gets when [`RunOptions::shard_size`] is
+/// `None`: several shards per thread so the work queue can rebalance
+/// skewed-degree graphs, capped so a shard's working set stays
+/// cache-resident and the shard count stays small enough that the
+/// per-shard routing tables are negligible.
 fn auto_shard_size(n: usize, threads: usize) -> usize {
     n.div_ceil(threads * 4)
         .clamp(AUTO_SHARD_MIN, AUTO_SHARD_MAX)
 }
 
-/// Per-shard compute output: the shard's staged sends, bucketed by
-/// destination shard as they are expanded. Double-buffered across rounds
-/// (`prev` is read by everyone delivering, `cur` is written by the
-/// claiming worker) and all buckets persist, so steady-state rounds
-/// allocate nothing. Halting and statistics no longer live here: workers
-/// fold halted counts straight into the shared atomic and accumulate
-/// stats thread-locally, so nothing per-shard is left to merge serially.
-struct ShardOut<M> {
-    /// `staged[d]` holds this shard's deliveries to destination shard
-    /// `d`, in expansion order (= ascending sender id within the shard).
-    staged: Vec<Vec<Delivery<M>>>,
-}
-
-impl<M> ShardOut<M> {
-    fn new(num_shards: usize) -> Self {
-        ShardOut {
-            staged: (0..num_shards).map(|_| Vec::new()).collect(),
-        }
-    }
-}
+/// One shard's staged sends for one round, bucketed by destination
+/// shard: `buckets[d]` holds its deliveries to shard `d` in expansion
+/// order (= ascending sender id within the shard). Double-buffered across
+/// rounds (`prev` is read by everyone delivering, `cur` is written by the
+/// claiming worker) and every bucket persists, so steady-state rounds
+/// allocate nothing. A shard's sends to itself go to its single-buffered
+/// [`Shard::own`] instead; its own bucket here stays empty.
+type Buckets<M> = Vec<Vec<Delivery<M>>>;
 
 /// One shard's owned state, built once per run and locked (uncontended —
 /// the work queue hands each shard to exactly one worker per round) by
-/// whichever pool worker claims the shard: its node programs, its
-/// **owned** active flags (decentralized halting — the worker flips a
-/// flag the instant the node halts, no post-round merge), its slice of
-/// the run's per-port state, and its inbox arena.
+/// whichever worker claims the shard: its node programs, its **owned**
+/// active flags (decentralized halting — the worker flips a flag the
+/// instant the node halts, no post-round merge), its slice of the run's
+/// per-port state, its inbox arena, and its sends to itself.
 struct Shard<'p, P: NodeProgram> {
+    /// First node id of the shard.
+    base: usize,
     nodes: Vec<P>,
     /// `active[i]` for local node index `i`; owned by the shard, so
     /// halting needs no cross-shard coordination beyond one atomic
     /// subtraction of the shard's halt count per round.
     active: Vec<bool>,
-    /// The shard's contiguous slice of the run's CSR-ordered port state:
-    /// flat indices `port_base..port_base + ports.len()`.
+    /// The shard's contiguous slice of the run's CSR-ordered port state,
+    /// starting at the flat index of its first node's port 0.
     ports: &'p mut [P::PortState],
-    port_base: usize,
     arena: MailArena<P::Message>,
+    /// The previous round's sends from this shard to its own nodes. Only
+    /// this shard reads them, and it delivers them before it computes
+    /// again, so one buffer suffices: a one-shard run holds one staging
+    /// buffer, not two.
+    own: Vec<Delivery<P::Message>>,
 }
 
-/// Thread-parallel variant of [`run`], producing identical outputs and
-/// telemetry. Constructs a private [`WorkerPool`] of `threads` workers
-/// for the run and delegates to [`run_parallel_in`]; callers executing
-/// many runs should build one pool and call [`run_parallel_in`] directly
-/// so the threads are spawned once, not once per run.
+impl<P: NodeProgram> Shard<'_, P> {
+    /// Steps the shard's active nodes through `round` against its freshly
+    /// delivered arena, flipping its active flags as nodes halt and
+    /// handing every send to `stage`. Returns how many nodes halted.
+    ///
+    /// A function of its own, not inlined into the round closure: kept
+    /// apart, the per-node loop compiles as tightly at one whole-graph
+    /// shard as at many small ones. Each node's CSR range is read once
+    /// and serves its neighbor slice, its port-state slice and its
+    /// fan-out.
+    fn step(
+        &mut self,
+        router: &Router<'_>,
+        round: usize,
+        scratch: &mut BytesMut,
+        stats: &mut SendStats,
+        mut stage: impl FnMut(Delivery<P::Message>),
+    ) -> Result<usize, SimError> {
+        let g = router.g;
+        let (offsets, nbrs_flat) = g.csr();
+        let offsets = &offsets[self.base..=self.base + self.nodes.len()];
+        let port_base = offsets[0] as usize;
+        let mut halted = 0;
+        for (i, (node, active)) in self.nodes.iter_mut().zip(&mut self.active).enumerate() {
+            if !*active {
+                continue;
+            }
+            let v = NodeId::new((self.base + i) as u32);
+            let (start, end) = (offsets[i] as usize, offsets[i + 1] as usize);
+            let ctx = NodeCtx {
+                id: v,
+                weight: g.weight(v),
+                neighbors: &nbrs_flat[start..end],
+                globals: router.globals,
+                round,
+            };
+            let ports = &mut self.ports[start - port_base..end - port_base];
+            let step = node.round(&ctx, self.arena.inbox(i), ports);
+            if step.done {
+                *active = false;
+                halted += 1;
+            }
+            router.expand(&ctx, start, step.outgoing, scratch, stats, &mut stage)?;
+        }
+        Ok(halted)
+    }
+}
+
+/// One worker's state that persists across rounds: its encode scratch,
+/// and on a pool its (dispatch, busy) nanos for the running round, read
+/// back by the caller to derive the barrier-wait residue.
+#[derive(Default)]
+struct WorkerSlot {
+    scratch: BytesMut,
+    dispatch: u64,
+    busy: u64,
+}
+
+/// Runs `make(v, g)`-constructed node programs over `g` on the calling
+/// thread, deterministically, until every node halts.
+///
+/// This is the round loop with one worker: one whole-graph shard (more
+/// if [`RunOptions::shard_size`] asks for them), stepped inline with no
+/// pool. [`run_parallel`] and [`run_parallel_in`] run the same loop on
+/// several workers and produce identical outputs and telemetry.
+///
+/// # Errors
+///
+/// Returns [`SimError::MaxRoundsExceeded`] if any node is still active
+/// after `opts.max_rounds` rounds, [`SimError::BadPort`] on invalid
+/// addressing, and [`SimError::Wire`] on strict-mode decode failures.
+pub fn run<P: NodeProgram>(
+    g: &Graph,
+    globals: &Globals,
+    make: impl FnMut(NodeId, &Graph) -> P,
+    opts: &RunOptions,
+) -> Result<RunResult<P::Output>, SimError> {
+    run_rounds(None, g, globals, make, opts)
+}
+
+/// Thread-parallel [`run`], producing identical outputs and telemetry.
+/// Constructs a private [`WorkerPool`] of `threads` workers for the run
+/// and delegates to [`run_parallel_in`]; callers executing many runs
+/// should build one pool and call [`run_parallel_in`] directly so the
+/// threads are spawned once, not once per run. With one thread, or a
+/// graph below the parallel break-even point, no pool is built and the
+/// run is [`run`]'s.
 ///
 /// # Errors
 ///
 /// Same as [`run`].
-pub fn run_parallel<P>(
+pub fn run_parallel<P: NodeProgram>(
     g: &Graph,
     globals: &Globals,
     make: impl FnMut(NodeId, &Graph) -> P,
     opts: &RunOptions,
     threads: usize,
-) -> Result<RunResult<P::Output>, SimError>
-where
-    P: NodeProgram + Send,
-    P::Message: Send + Sync,
-    P::PortState: Send,
-{
-    let n = g.n();
-    let threads = threads.max(1).min(n.max(1));
-    if threads <= 1 || n < PARALLEL_MIN_NODES {
+) -> Result<RunResult<P::Output>, SimError> {
+    if threads <= 1 || g.n() < PARALLEL_MIN_NODES {
         return run(g, globals, make, opts);
     }
     run_parallel_in(&WorkerPool::new(threads), g, globals, make, opts)
@@ -462,83 +419,68 @@ where
 
 /// Runs `make(v, g)`-constructed node programs over `g` on a caller-owned
 /// [`WorkerPool`], producing outputs and telemetry **bit-identical** to
-/// [`run`]'s (totals, maxima, and per-round stats are all merged
-/// order-independently or in node order).
+/// [`run`]'s at any pool size and [`RunOptions::shard_size`].
 ///
-/// The node ids are partitioned into contiguous cache-sized **shards**
-/// (several per worker; size tunable via [`RunOptions::shard_size`]),
-/// each owning its node programs, its active flags, its slice of the
-/// run's CSR-ordered per-port state, per-destination-shard send buckets,
-/// and its own mailbox arena — all built once per run.
-/// Every round is one pool **epoch**: [`WorkerPool::broadcast`] wakes the
-/// persistent workers (no threads are spawned after pool construction),
-/// they claim shards from an atomic queue, and each claimed shard runs a
-/// fused two-phase deliver/compute pass:
-///
-/// 1. **deliver** — rebuild the shard's arena straight from the shard's
-///    bucket in every source shard's *previous-round* output (sources in
-///    ascending order = ascending sender id, exactly the sequential
-///    staging order), with the same one-pass stable counting sort the
-///    sequential runner uses;
-/// 2. **compute** — step the shard's active nodes against the freshly
-///    rebuilt arena, expanding each send straight into the destination
-///    shard's bucket of the shard's *current-round* output, flipping the
-///    shard's own active flags as nodes halt.
-///
-/// Halting is **decentralized**: each shard owns its active flags, and a
-/// worker folds the shard's halt count into one shared atomic counter —
-/// there is no serial post-round merge walking halted lists. Send
-/// statistics accumulate per worker and merge once per round; every
-/// `SendStats` field is a sum or a maximum, so the merge order cannot
-/// change the result. The previous-round outputs are
-/// immutable while a round runs (shard outputs are double-buffered and
-/// their contents swapped by the coordinator between epochs), which is
-/// what lets the two phases fuse into a single pass per shard — no global
-/// merge, no global sort. All per-shard buffers persist and keep their
-/// capacity across rounds, so steady-state rounds allocate nothing and
-/// peak memory stays `O(edges + live messages)` at any graph size.
-/// Because bucketing and delivery preserve staging order and shards are
-/// walked in ascending order, each inbox sees the same arrival order as in
-/// the sequential runner — which is why the results are bit-identical at
-/// any shard size and thread count.
-///
-/// Error reporting is deterministic: the queue hands out shard indices in
-/// ascending order and an erroring worker stops claiming, so every shard
-/// below the lowest reported faulty shard was processed cleanly — the
-/// propagated error is exactly the one the sequential runner (ascending
-/// node ids) would have hit first, regardless of worker scheduling.
-///
-/// Falls back to [`run`] when the pool has a single worker or the graph
-/// is smaller than the parallel break-even point; the results are
-/// identical either way.
+/// The node ids are split into cache-sized shards, several per worker,
+/// each owning its node programs, active flags, port-state slice, send
+/// buckets and mailbox arena, all built once per run. Every round is one
+/// pool epoch, so no thread is spawned after the pool's construction. A
+/// one-worker pool, or a graph smaller than the parallel break-even
+/// point, runs the rounds inline on the calling thread, as [`run`] does.
 ///
 /// # Errors
 ///
 /// Same as [`run`].
-pub fn run_parallel_in<P>(
+pub fn run_parallel_in<P: NodeProgram>(
     pool: &WorkerPool,
+    g: &Graph,
+    globals: &Globals,
+    make: impl FnMut(NodeId, &Graph) -> P,
+    opts: &RunOptions,
+) -> Result<RunResult<P::Output>, SimError> {
+    let pool = (pool.threads() > 1 && g.n() >= PARALLEL_MIN_NODES).then_some(pool);
+    run_rounds(pool, g, globals, make, opts)
+}
+
+/// The one round loop: on `pool`'s workers, or inline on the calling
+/// thread as worker 0 when `pool` is `None`.
+///
+/// Every round, workers claim shards from an atomic queue (on a pool the
+/// round is one [`WorkerPool::broadcast`] epoch), and each claimed shard
+/// runs a fused two-phase pass:
+///
+/// 1. **deliver** — rebuild the shard's arena from its bucket in every
+///    source shard's *previous-round* output, its own sends in their
+///    place (sources ascending = senders ascending), with one stable
+///    counting sort;
+/// 2. **compute** — step the shard's active nodes, staging each send in
+///    its destination shard's bucket of the *current-round* output and
+///    folding the shard's halts into one atomic counter.
+///
+/// The previous-round outputs stay immutable while a round runs (they are
+/// double-buffered), which is what lets the phases fuse with no global
+/// merge or sort. Send statistics merge once per round, and every field
+/// is a sum or a maximum, so worker order cannot change them. Errors are
+/// deterministic: shards are claimed in ascending order and an erroring
+/// worker stops claiming, so the error returned is the lowest faulty
+/// shard's — the first fault in node order.
+fn run_rounds<P: NodeProgram>(
+    pool: Option<&WorkerPool>,
     g: &Graph,
     globals: &Globals,
     mut make: impl FnMut(NodeId, &Graph) -> P,
     opts: &RunOptions,
-) -> Result<RunResult<P::Output>, SimError>
-where
-    P: NodeProgram + Send,
-    P::Message: Send + Sync,
-    P::PortState: Send,
-{
+) -> Result<RunResult<P::Output>, SimError> {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
 
-    let n = g.n();
-    let threads = pool.threads().min(n.max(1));
-    if threads <= 1 || n < PARALLEL_MIN_NODES {
-        return run(g, globals, make, opts);
-    }
     let setup = opts.obs.as_ref().map(|_| Stopwatch::start());
+    let n = g.n();
+    let workers = pool.map_or(1, WorkerPool::threads);
     let rev = reverse_ports(g);
     let router = Router {
         g,
+        globals,
         rev: &rev,
         opts,
         budget: globals.congest_bits(),
@@ -547,12 +489,17 @@ where
         bandwidth_budget_bits: router.budget,
         ..Telemetry::default()
     };
-    // Shard sizes are rounded up to a power of two so the per-message
-    // destination-shard lookup in the staging hot path is a shift, not an
-    // integer division (measurably faster at millions of messages/round).
+    // One worker steps one whole-graph shard; a pool gets several
+    // cache-sized shards per worker. Shard sizes are rounded up to a
+    // power of two so the per-message destination-shard lookup in the
+    // staging hot path is a shift, not an integer division (measurably
+    // faster at millions of messages/round).
     let shard_size = opts
         .shard_size
-        .unwrap_or_else(|| auto_shard_size(n, threads))
+        .unwrap_or_else(|| match pool {
+            Some(_) => auto_shard_size(n, workers),
+            None => n,
+        })
         .max(1)
         .next_power_of_two();
     let shard_shift = shard_size.trailing_zeros();
@@ -575,13 +522,14 @@ where
             let (mine, rest) = std::mem::take(&mut unclaimed).split_at_mut(port_len);
             unclaimed = rest;
             Mutex::new(Shard {
+                base,
                 nodes: (base..base + len)
                     .map(|vi| make(NodeId::from_index(vi), g))
                     .collect(),
                 active: vec![true; len],
                 ports: mine,
-                port_base,
                 arena: MailArena::with_range(base as u32, len),
+                own: Vec::new(),
             })
         })
         .collect();
@@ -589,29 +537,22 @@ where
     // sends (read-shared by every delivering shard), `cur` collects the
     // running round's (locked by the claiming worker). The coordinator
     // swaps their contents between epochs, recycling all capacity.
-    let mut prev_outs: Vec<ShardOut<P::Message>> =
-        (0..num_shards).map(|_| ShardOut::new(num_shards)).collect();
-    let mut cur_outs: Vec<Mutex<ShardOut<P::Message>>> = (0..num_shards)
-        .map(|_| Mutex::new(ShardOut::new(num_shards)))
+    let mut prev_outs: Vec<Buckets<P::Message>> = (0..num_shards)
+        .map(|_| vec![Vec::new(); num_shards])
         .collect();
-    // Per-worker encode scratch, persistent across rounds (indexed by the
-    // pool worker id, so each buffer is reused by exactly one worker per
-    // epoch).
-    let scratches: Vec<Mutex<BytesMut>> = (0..pool.threads())
-        .map(|_| Mutex::new(BytesMut::new()))
+    let mut cur_outs: Vec<Mutex<Buckets<P::Message>>> = (0..num_shards)
+        .map(|_| Mutex::new(vec![Vec::new(); num_shards]))
         .collect();
+    // Per-worker state, persistent across rounds and indexed by worker
+    // id, so each slot is used by exactly one worker per epoch. Built
+    // whether or not the run is observed, so observing allocates nothing.
+    let slots: Vec<Mutex<WorkerSlot>> = (0..workers).map(|_| Mutex::default()).collect();
     // Decentralized halting: the only shared halt state is this counter;
     // the flags live in the shards that own them.
     let active_count = AtomicUsize::new(n);
-    // Per-worker (dispatch, busy) nanos for the running round, written by
-    // each worker and read back by the coordinator to derive the
-    // barrier-wait residue. Allocated once per run, and only when the
-    // observability side channel is on — disabled runs keep the
-    // zero-steady-state-allocation property untouched.
-    let worker_times: Option<Vec<Mutex<(u64, u64)>>> = opts
-        .obs
-        .as_ref()
-        .map(|_| (0..pool.threads()).map(|_| Mutex::new((0, 0))).collect());
+    // The pool series (dispatch, busy, barrier) describe a pool; inline
+    // rounds record only the shard phases and the round wall time.
+    let pool_obs = opts.obs.as_ref().filter(|_| pool.is_some());
     if let (Some(obs), Some(watch)) = (&opts.obs, &setup) {
         obs.setup.observe(watch.elapsed_nanos());
     }
@@ -633,13 +574,15 @@ where
         let round_stats = Mutex::new(SendStats::default());
         let first_err: Mutex<Option<(usize, SimError)>> = Mutex::new(None);
         let round_watch = opts.obs.as_ref().map(|_| Stopwatch::start());
-        pool.broadcast(|w| {
+        let work = |w: usize| {
             // Pool wake-up latency: round start to this worker entering
             // the epoch. Workers then accumulate their shard-phase time
             // in a plain per-thread accumulator, drained once per round.
-            let dispatch_nanos = round_watch.as_ref().map(Stopwatch::elapsed_nanos);
+            let dispatch_nanos = pool_obs
+                .and(round_watch.as_ref())
+                .map(Stopwatch::elapsed_nanos);
             let mut busy = SpanAcc::default();
-            let mut scratch = scratches[w].lock().expect("one worker per scratch slot");
+            let mut slot = slots[w].lock().expect("one worker per slot");
             let mut stats = SendStats::default();
             let mut err: Option<(usize, SimError)> = None;
             loop {
@@ -649,62 +592,46 @@ where
                 }
                 let mut shard = shards[s].lock().expect("shard claimed once");
                 let mut out = cur_outs[s].lock().expect("output claimed once");
-                let Shard {
-                    nodes,
-                    active,
-                    ports,
-                    port_base,
-                    arena,
-                } = &mut *shard;
+                let shard = &mut *shard;
                 let mut shard_watch = opts.obs.as_ref().map(|_| Stopwatch::start());
                 // Deliver: rebuild the arena from this shard's bucket in
-                // every source (ascending = sequential staging order).
+                // every source, ascending, its own sends in its place.
                 // Round 0 delivers nothing.
-                arena.deliver(prev_outs.iter().map(|src| src.staged[s].as_slice()));
+                let own = shard.own.as_slice();
+                shard
+                    .arena
+                    .deliver(prev_outs.iter().enumerate().map(|(src, prev)| {
+                        if src == s {
+                            own
+                        } else {
+                            prev[s].as_slice()
+                        }
+                    }));
                 if let (Some(obs), Some(watch)) = (&opts.obs, shard_watch.as_mut()) {
                     let deliver = watch.lap_nanos();
                     obs.deliver.observe(deliver);
                     busy.add(deliver);
                 }
-                // Compute: step the shard's active nodes against the
-                // fresh arena, bucketing sends by destination shard and
-                // flipping the shard-owned active flags as nodes halt.
-                for bucket in &mut out.staged {
+                // Compute: step the shard's nodes, bucketing sends by
+                // destination shard. The shard's own buffer stands in
+                // for its bucket during the pass and is taken back after.
+                // The buckets are captured as a slice, so the staging
+                // closure keeps their base and length in registers.
+                std::mem::swap(&mut shard.own, &mut out[s]);
+                for bucket in out.iter_mut() {
                     bucket.clear();
                 }
-                let base = s * shard_size;
-                let mut halted = 0usize;
-                for (i, node) in nodes.iter_mut().enumerate() {
-                    if !active[i] {
-                        continue;
+                let staged = out.as_mut_slice();
+                let stepped = shard.step(&router, round, &mut slot.scratch, &mut stats, move |d| {
+                    staged[(d.dest as usize) >> shard_shift].push(d)
+                });
+                std::mem::swap(&mut shard.own, &mut out[s]);
+                match stepped {
+                    Ok(0) => {}
+                    Ok(halted) => {
+                        active_count.fetch_sub(halted, Ordering::Relaxed);
                     }
-                    let v = NodeId::from_index(base + i);
-                    let ctx = NodeCtx {
-                        id: v,
-                        weight: router.g.weight(v),
-                        neighbors: router.g.neighbors(v),
-                        globals,
-                        round,
-                    };
-                    let range = router.g.neighbor_range(v);
-                    let node_ports = &mut ports[range.start - *port_base..range.end - *port_base];
-                    let step = node.round(&ctx, arena.inbox(i), node_ports);
-                    if step.done {
-                        active[i] = false;
-                        halted += 1;
-                    }
-                    let staged = &mut out.staged;
-                    if let Err(e) =
-                        router.expand(v, round, step.outgoing, &mut scratch, &mut stats, |d| {
-                            staged[(d.dest >> shard_shift) as usize].push(d)
-                        })
-                    {
-                        err = Some((s, e));
-                        break;
-                    }
-                }
-                if halted > 0 {
-                    active_count.fetch_sub(halted, Ordering::Relaxed);
+                    Err(e) => err = Some((s, e)),
                 }
                 if let (Some(obs), Some(watch)) = (&opts.obs, shard_watch.as_mut()) {
                     let compute = watch.lap_nanos();
@@ -714,7 +641,8 @@ where
                 if err.is_some() {
                     // Stop claiming: shards this worker already finished
                     // form an error-free prefix of its claims, so the
-                    // lowest reported shard stays the sequential answer.
+                    // lowest reported shard is the first fault in node
+                    // order.
                     break;
                 }
             }
@@ -723,37 +651,40 @@ where
                 .expect("round stats poisoned")
                 .merge(&stats);
             if let Some((s, e)) = err {
-                let mut slot = first_err.lock().expect("error slot poisoned");
-                if slot.as_ref().is_none_or(|(fs, _)| s < *fs) {
-                    *slot = Some((s, e));
+                let mut first = first_err.lock().expect("error slot poisoned");
+                if first.as_ref().is_none_or(|(fs, _)| s < *fs) {
+                    *first = Some((s, e));
                 }
             }
-            if let (Some(obs), Some(times), Some(dispatch)) =
-                (&opts.obs, worker_times.as_ref(), dispatch_nanos)
-            {
+            if let (Some(obs), Some(dispatch)) = (pool_obs, dispatch_nanos) {
                 obs.dispatch.observe(dispatch);
                 obs.busy.observe(busy.nanos);
-                *times[w].lock().expect("worker time slot poisoned") = (dispatch, busy.nanos);
+                slot.dispatch = dispatch;
+                slot.busy = busy.nanos;
             }
-        });
+        };
+        match pool {
+            Some(pool) => pool.broadcast(work),
+            None => work(0),
+        }
         if let Some((_, e)) = first_err.into_inner().expect("error slot poisoned") {
             return Err(e);
         }
         let stats = round_stats.into_inner().expect("round stats poisoned");
         telemetry.absorb(round, &stats, opts.track_rounds, opts.per_round_cap);
-        if let (Some(obs), Some(times), Some(watch)) =
-            (&opts.obs, worker_times.as_ref(), round_watch.as_ref())
-        {
+        if let (Some(obs), Some(watch)) = (&opts.obs, round_watch.as_ref()) {
             let wall = watch.elapsed_nanos();
             obs.round_wall.observe(wall);
             obs.rounds.inc();
             obs.messages.add(stats.messages as u64);
-            // What a worker did not spend on dispatch or shard work it
-            // spent waiting on the epoch barrier for slower workers.
-            for slot in times {
-                let (dispatch, busy) = *slot.lock().expect("worker time slot poisoned");
-                obs.barrier
-                    .observe(wall.saturating_sub(dispatch.saturating_add(busy)));
+            // What a pool worker did not spend on dispatch or shard work
+            // it spent waiting on the epoch barrier for slower workers.
+            if pool_obs.is_some() {
+                for slot in &slots {
+                    let slot = slot.lock().expect("worker slot poisoned");
+                    obs.barrier
+                        .observe(wall.saturating_sub(slot.dispatch.saturating_add(slot.busy)));
+                }
             }
         }
         // Swap the double buffers' contents (the epoch is over, so the
@@ -771,17 +702,16 @@ where
         outputs.extend(shard.nodes.iter().map(NodeProgram::output));
     }
     // Free the rest of the run state here, inside the tear-down span.
-    drop((ports, rev, prev_outs, cur_outs, scratches, worker_times));
+    drop((ports, rev, prev_outs, cur_outs, slots));
     if let (Some(obs), Some(watch)) = (&opts.obs, &teardown) {
         obs.teardown.observe(watch.elapsed_nanos());
     }
     Ok(RunResult { outputs, telemetry })
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Inbox;
+    use crate::{det_rand, Inbox, Step};
     use arbodom_graph::generators;
 
     /// Each node floods its id once; everyone halts after hearing neighbors.
@@ -1423,12 +1353,18 @@ mod tests {
     }
 
     /// An observed run records exactly one set-up and one tear-down span,
-    /// in both runners. Set-up, the rounds and tear-down are disjoint
+    /// inline and on a pool. Set-up, the rounds and tear-down are disjoint
     /// intervals inside the call, so their sum cannot exceed the wall
-    /// time measured around it.
+    /// time measured around it. One worker records one deliver and one
+    /// compute span per round and no pool series; a pool records every
+    /// pool series once per worker per round and each shard phase once
+    /// per shard per round.
     #[test]
     fn setup_and_teardown_are_timed_once_inside_the_call() {
-        use crate::obs::{SIM_ROUND_NANOS, SIM_SETUP_NANOS, SIM_TEARDOWN_NANOS};
+        use crate::obs::{
+            SIM_COMPUTE_NANOS, SIM_DELIVER_NANOS, SIM_POOL_BARRIER_NANOS, SIM_POOL_DISPATCH_NANOS,
+            SIM_ROUND_NANOS, SIM_SETUP_NANOS, SIM_TEARDOWN_NANOS, SIM_WORKER_BUSY_NANOS,
+        };
 
         let g = generators::grid2d(16, 16, true);
         let globals = Globals::new(&g, 0);
@@ -1453,7 +1389,242 @@ mod tests {
                 inside <= wall,
                 "threads={threads}: {inside} ns > {wall} ns wall"
             );
+            let (shards, pool_series) = match threads {
+                1 => (1, 0),
+                _ => {
+                    let shard_size = auto_shard_size(g.n(), threads).next_power_of_two();
+                    (g.n().div_ceil(shard_size) as u64, rounds * threads as u64)
+                }
+            };
+            for name in [SIM_DELIVER_NANOS, SIM_COMPUTE_NANOS] {
+                let count = registry.histogram(name).count();
+                assert_eq!(count, rounds * shards, "threads={threads}: {name}");
+            }
+            for name in [
+                SIM_POOL_DISPATCH_NANOS,
+                SIM_WORKER_BUSY_NANOS,
+                SIM_POOL_BARRIER_NANOS,
+            ] {
+                let count = registry.histogram(name).count();
+                assert_eq!(count, pool_series, "threads={threads}: {name}");
+            }
         }
+    }
+
+    /// An independent reference for the round loop, sharing nothing with
+    /// it but the program interface: one `Vec` inbox per node, filled by
+    /// walking senders in ascending id and each `Outgoing` in order. Each
+    /// `Outgoing` is encoded once to meter it (as [`MeterMode::Measure`]
+    /// does), and the loss coin is keyed as [`Router::expand`] keys it.
+    fn reference<P: NodeProgram>(
+        g: &Graph,
+        globals: &Globals,
+        make: impl Fn(NodeId, &Graph) -> P,
+        opts: &RunOptions,
+    ) -> Result<(Vec<P::Output>, Telemetry), SimError> {
+        let mut nodes: Vec<P> = g.nodes().map(|v| make(v, g)).collect();
+        let default_ports = |v| vec![P::PortState::default(); g.degree(v)];
+        let mut ports: Vec<Vec<P::PortState>> = g.nodes().map(default_ports).collect();
+        let mut active = vec![true; g.n()];
+        let mut inboxes: Vec<Vec<Delivery<P::Message>>> = vec![Vec::new(); g.n()];
+        let mut t = Telemetry::default();
+        while active.contains(&true) {
+            if t.rounds >= opts.max_rounds {
+                let (limit, active) = (opts.max_rounds, active.iter().filter(|&&a| a).count());
+                return Err(SimError::MaxRoundsExceeded { limit, active });
+            }
+            let mut next: Vec<Vec<Delivery<P::Message>>> = vec![Vec::new(); g.n()];
+            for v in g.nodes() {
+                let (vi, nbrs, round) = (v.index(), g.neighbors(v), t.rounds);
+                if !active[vi] {
+                    continue;
+                }
+                let ctx = NodeCtx {
+                    id: v,
+                    weight: g.weight(v),
+                    neighbors: nbrs,
+                    globals,
+                    round,
+                };
+                let step = nodes[vi].round(&ctx, Inbox::new(&inboxes[vi]), &mut ports[vi]);
+                active[vi] = !step.done;
+                for out in step.outgoing {
+                    let mut encoded = BytesMut::new();
+                    out.msg.encode(&mut encoded);
+                    let to: Vec<usize> = match out.to {
+                        Recipients::Broadcast => (0..nbrs.len()).collect(),
+                        Recipients::Port(port) => vec![port],
+                        Recipients::Ports(ports) => ports,
+                    };
+                    for port in to {
+                        let (node, degree) = (v.get(), nbrs.len());
+                        let u = *nbrs
+                            .get(port)
+                            .ok_or(SimError::BadPort { node, port, degree })?;
+                        t.total_messages += 1;
+                        t.total_bits += encoded.len() * 8;
+                        let key = [LOSS_TAG, round as u64, u64::from(node), port as u64];
+                        let coin =
+                            |l: LossModel| det_rand::bernoulli(l.seed, &key, l.drop_probability);
+                        if opts.loss.is_some_and(coin) {
+                            t.dropped_messages += 1;
+                            continue;
+                        }
+                        let back = g.neighbors(u).binary_search(&v).expect("symmetric");
+                        let (dest, port, msg) = (u.get(), back as u32, out.msg.clone());
+                        next[u.index()].push(Delivery { dest, port, msg });
+                    }
+                }
+            }
+            inboxes = next;
+            t.rounds += 1;
+        }
+        Ok((nodes.iter().map(NodeProgram::output).collect(), t))
+    }
+
+    /// `run`, and `run_parallel_in` on every pool at shard sizes
+    /// {auto, 1, 64}, against [`reference`]: the same outputs, rounds,
+    /// total messages, total bits and dropped messages, or the same error.
+    fn assert_matches_reference<P: NodeProgram>(
+        label: &str,
+        pools: &[WorkerPool],
+        g: &Graph,
+        make: impl Fn(NodeId, &Graph) -> P + Copy,
+        opts: &RunOptions,
+    ) where
+        P::Output: PartialEq + std::fmt::Debug,
+    {
+        let globals = Globals::new(g, 9);
+        let expected = reference(g, &globals, make, opts);
+        let mut runs = vec![("run".to_string(), run(g, &globals, make, opts))];
+        for pool in pools {
+            for shard_size in [None, Some(1), Some(64)] {
+                let o = RunOptions {
+                    shard_size,
+                    ..opts.clone()
+                };
+                let run = run_parallel_in(pool, g, &globals, make, &o);
+                runs.push((
+                    format!("{} workers, shard {shard_size:?}", pool.threads()),
+                    run,
+                ));
+            }
+        }
+        for (how, got) in runs {
+            match (&expected, got) {
+                (Ok((outputs, t)), Ok(r)) => {
+                    assert_eq!(outputs, &r.outputs, "{label}, {how}: outputs");
+                    let u = &r.telemetry;
+                    assert_eq!(
+                        (t.rounds, t.total_messages, t.total_bits, t.dropped_messages),
+                        (u.rounds, u.total_messages, u.total_bits, u.dropped_messages),
+                        "{label}, {how}: rounds, messages, bits, dropped"
+                    );
+                }
+                (Err(e), Err(f)) => assert_eq!(e, &f, "{label}, {how}: error"),
+                (e, r) => panic!("{label}, {how}: reference {e:?}, loop {r:?}"),
+            }
+        }
+    }
+
+    /// Folds every `(port, message)` pair it hears, in arrival order, into
+    /// a running hash: any change in delivery order, port or payload
+    /// changes its output. Broadcasts for three rounds, halts in the
+    /// fourth.
+    struct Digest {
+        hash: u64,
+    }
+    impl NodeProgram for Digest {
+        type Message = u64;
+        type PortState = ();
+        type Output = u64;
+        fn round(
+            &mut self,
+            ctx: &NodeCtx<'_>,
+            inbox: Inbox<'_, u64>,
+            _ports: &mut [()],
+        ) -> Step<u64> {
+            for (port, &m) in inbox {
+                self.hash = self.hash.wrapping_mul(1_000_003) ^ (port as u64) << 32 ^ m;
+            }
+            match ctx.round {
+                3 => Step::halt(),
+                r => Step::continue_with(vec![Outgoing::broadcast(
+                    u64::from(ctx.id.get()) * 4 + r as u64,
+                )]),
+            }
+        }
+        fn output(&self) -> u64 {
+            self.hash
+        }
+    }
+
+    /// The round loop agrees with the naive reference on every program —
+    /// plain, order-sensitive, lossy, faulting and round-limited — over
+    /// paths, grids, stars, a hub graph and forest unions, at every
+    /// worker count and shard size.
+    #[test]
+    fn the_round_loop_matches_a_naive_reference() {
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+
+        let mut hub = arbodom_graph::Graph::builder(600);
+        for i in 1..600u32 {
+            hub.add_edge_u32(0, i).unwrap();
+        }
+        for i in 1..599u32 {
+            hub.add_edge_u32(i, i + 1).unwrap();
+        }
+        let mut graphs = vec![
+            ("path", generators::path(300)),
+            ("grid", generators::grid2d(15, 15, true)),
+            ("star", generators::star(200)),
+            ("hub", hub.build()),
+        ];
+        let mut rng = StdRng::seed_from_u64(23);
+        for alpha in 1..=3 {
+            graphs.push((
+                "forest union",
+                generators::forest_union(300, alpha, &mut rng),
+            ));
+        }
+        let pools = [WorkerPool::new(2), WorkerPool::new(4)];
+        let lossy = RunOptions {
+            loss: Some(crate::LossModel {
+                drop_probability: 0.3,
+                seed: 5,
+            }),
+            ..RunOptions::default()
+        };
+        let limited = RunOptions {
+            max_rounds: 4,
+            ..RunOptions::default()
+        };
+        let plain = RunOptions::default();
+        for (name, g) in &graphs {
+            let n = g.n();
+            let echo = |_: NodeId, _: &Graph| Echo { sum: 0 };
+            assert_matches_reference(name, &pools, g, echo, &plain);
+            let digest = |_: NodeId, _: &Graph| Digest { hash: 0 };
+            assert_matches_reference(name, &pools, g, digest, &plain);
+            assert_matches_reference(name, &pools, g, digest, &lossy);
+            let fault = move |v: NodeId, _: &Graph| FaultAt {
+                faulty: [n / 5, n / 2, n - 1].contains(&v.index()),
+            };
+            assert_matches_reference(name, &pools, g, fault, &plain);
+            let halt_some = |v: NodeId, _: &Graph| HaltSome {
+                total: 4,
+                halts: v.index() % 3 == 0,
+            };
+            assert_matches_reference(name, &pools, g, halt_some, &limited);
+        }
+        let (_, path) = &graphs[0];
+        let relay = |v: NodeId, g: &Graph| Relay {
+            value: 0,
+            is_source: v.index() == 0,
+            is_sink: v.index() == g.n() - 1,
+        };
+        assert_matches_reference("path", &pools, path, relay, &plain);
     }
 
     #[test]

@@ -76,8 +76,9 @@ impl Telemetry {
     /// Folds one round's aggregated send statistics into the totals (and
     /// the per-round breakdown when enabled). Rounds that sent nothing
     /// leave `per_round` untouched; gaps are back-filled with zero rows
-    /// when a later round records traffic, matching the per-message
-    /// accounting the sequential runner historically performed.
+    /// when a later round records traffic, matching per-message
+    /// accounting (`Telemetry::record`, the reference it is tested
+    /// against).
     ///
     /// With a retention cap, the breakdown is **downsampled, never
     /// unbounded**: whenever the incoming round would land past the cap,
@@ -159,7 +160,8 @@ impl Telemetry {
 /// Per-worker, per-round send statistics, merged into [`Telemetry`] once
 /// per round via [`Telemetry::absorb`]. All fields are order-independent
 /// (sums and maxima), so merging worker aggregates in any order produces
-/// bit-identical telemetry — the parallel runner relies on this.
+/// bit-identical telemetry — the round loop relies on this at every
+/// worker count.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct SendStats {
     pub(crate) messages: usize,

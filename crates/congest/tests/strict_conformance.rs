@@ -23,7 +23,7 @@ struct SendOnce<M: Clone> {
     msg: M,
 }
 
-impl<M: Wire + Clone + std::fmt::Debug> NodeProgram for SendOnce<M> {
+impl<M: Wire + Clone + std::fmt::Debug + Send + Sync> NodeProgram for SendOnce<M> {
     type Message = M;
     type PortState = ();
     type Output = usize;

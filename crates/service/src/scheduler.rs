@@ -1,7 +1,7 @@
 //! A std-only work-stealing job scheduler.
 //!
 //! The daemon's unit of work is one job closure (resolve graph → run the
-//! thread-capable `run_*_on` entry point → account quality). Jobs are
+//! algorithm's entry point → account quality). Jobs are
 //! pushed round-robin onto per-worker deques; a worker drains its own
 //! deque from the front and, when empty, *steals from the back* of the
 //! busiest other deque. Back-stealing keeps each deque's front hot for
@@ -80,15 +80,18 @@ impl Scheduler {
 
     /// Enqueues one job. Round-robin placement; an idle worker will steal
     /// it regardless of which deque it lands on.
+    ///
+    /// `pending` is counted up *before* the job is published, so a worker
+    /// can only pop — and count down — a job that is already counted: the
+    /// count cannot underflow, it is back at 0 once every job has been
+    /// taken, and idle workers then sleep.
     pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
+        *self.shared.pending.lock().expect("pending poisoned") += 1;
         let slot = self.shared.next.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
         self.shared.queues[slot]
             .lock()
             .expect("scheduler queue poisoned")
             .push_back(Box::new(job));
-        let mut pending = self.shared.pending.lock().expect("pending poisoned");
-        *pending += 1;
-        drop(pending);
         self.shared.signal.notify_all();
     }
 }
@@ -126,10 +129,7 @@ fn worker_loop(shared: &Shared, id: usize) {
         }
         match job {
             Some(job) => {
-                {
-                    let mut pending = shared.pending.lock().expect("pending poisoned");
-                    *pending = pending.saturating_sub(1);
-                }
+                *shared.pending.lock().expect("pending poisoned") -= 1;
                 // A panicking job must not kill the worker: the pool is
                 // fixed-size and never respawns, so an unwinding closure
                 // would permanently shrink the daemon's capacity.
@@ -218,6 +218,25 @@ mod tests {
             rx.recv_timeout(Duration::from_secs(10))
                 .expect("worker must survive the panicking job");
         }
+    }
+
+    /// Every job is counted up before any worker can pop it, so once all
+    /// jobs have run the counter is back at zero and idle workers sleep
+    /// instead of rescanning empty deques.
+    #[test]
+    fn pending_returns_to_zero_after_many_single_spawns() {
+        let scheduler = Scheduler::new(2);
+        let (tx, rx) = mpsc::channel();
+        let jobs = 100_000;
+        for _ in 0..jobs {
+            let tx = tx.clone();
+            scheduler.spawn(move || tx.send(()).unwrap());
+        }
+        for _ in 0..jobs {
+            rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        }
+        let pending = *scheduler.shared.pending.lock().unwrap();
+        assert_eq!(pending, 0, "pending drifted with every deque empty");
     }
 
     #[test]

@@ -53,9 +53,7 @@ fn assert_runners_agree<P>(
     meter: MeterMode,
 ) -> Result<Telemetry, proptest::test_runner::TestCaseError>
 where
-    P: NodeProgram + Send,
-    P::Message: Send + Sync,
-    P::PortState: Send,
+    P: NodeProgram,
     P::Output: PartialEq + std::fmt::Debug,
 {
     let seq = run(g, globals, make, &opts(meter)).expect("sequential run succeeds");
