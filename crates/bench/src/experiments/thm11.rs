@@ -94,7 +94,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let cfg = weighted::Config::new(alpha, eps).expect("valid");
         let central = weighted::solve(&g, &cfg).expect("solves");
         let (dist, telemetry) =
-            distributed::run_weighted(&g, &cfg, 7, &RunOptions::default()).expect("runs");
+            distributed::run_weighted(&g, &cfg, 7, &RunOptions::default(), 1).expect("runs");
         let identical = central.in_ds == dist.in_ds
             && central.certificate.as_ref().unwrap().values()
                 == dist.certificate.as_ref().unwrap().values();

@@ -1,9 +1,7 @@
 //! Run statistics: the quantities the paper's complexity claims are about.
 
-use serde::{Deserialize, Serialize};
-
 /// Message statistics for one round.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct RoundStats {
     /// Messages delivered this round (one per receiving edge endpoint).
     pub messages: usize,
@@ -14,7 +12,7 @@ pub struct RoundStats {
 }
 
 /// Aggregate statistics for a completed run.
-#[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Telemetry {
     /// Number of synchronous rounds executed (the paper's complexity
     /// measure).

@@ -28,26 +28,27 @@
 //! ([`run_trees`]), and Remark 4.4 ([`run_unknown_delta`] — the
 //! unknown-Δ variant, whose termination is by *local stabilization*
 //! rather than a precomputed round count).
+//!
+//! Each program has one entry point. It takes the graph, the algorithm's
+//! config, a seed where the program has its own, the simulator's
+//! [`RunOptions`](arbodom_congest::RunOptions) and a worker-thread count;
+//! outputs and telemetry are bit-identical at any thread count.
+//! [`run_trees`] takes no thread count: its one communication round runs
+//! inline on the calling thread.
 
-mod config;
 mod msg;
 mod randomized;
 mod trees;
 mod unknown_delta;
 mod weighted;
 
-pub use config::RunConfig;
 pub use msg::ProtocolMsg;
 pub use randomized::{
-    run_general, run_general_with, run_randomized, run_randomized_with,
-    NodeOutput as RandomizedNodeOutput, RandomizedPort, RandomizedProgram,
+    run_general, run_randomized, NodeOutput as RandomizedNodeOutput, RandomizedPort,
+    RandomizedProgram,
 };
-pub use trees::{run_trees, run_trees_with, TreeProgram};
+pub use trees::{run_trees, TreeProgram};
 pub use unknown_delta::{
-    run_unknown_delta, run_unknown_delta_with, NodeOutput as UnknownDeltaNodeOutput,
-    UnknownDeltaPort, UnknownDeltaProgram,
+    run_unknown_delta, NodeOutput as UnknownDeltaNodeOutput, UnknownDeltaPort, UnknownDeltaProgram,
 };
-pub use weighted::{
-    run_weighted, run_weighted_with, NodeOutput as WeightedNodeOutput, WeightedPort,
-    WeightedProgram,
-};
+pub use weighted::{run_weighted, NodeOutput as WeightedNodeOutput, WeightedPort, WeightedProgram};

@@ -27,7 +27,6 @@ use arbodom_congest::{
 use arbodom_graph::{Graph, NodeId};
 
 use super::msg::ProtocolMsg;
-use super::RunConfig;
 use crate::extend::{sampling_probability, ExtendConfig, EXTEND_RAND_TAG};
 use crate::partial::PartialConfig;
 use crate::randomized::Config;
@@ -373,34 +372,24 @@ impl NodeProgram for RandomizedProgram {
 
 /// Runs Theorem 1.2 as a real message-passing computation.
 ///
-/// # Errors
-///
-/// Propagates configuration validation and simulation errors.
-pub fn run_randomized(g: &Graph, cfg: &Config, opts: &RunOptions) -> Result<(DsResult, Telemetry)> {
-    run_randomized_with(g, cfg, &RunConfig::from_options(opts))
-}
-
-/// Like [`run_randomized`], driven by a [`RunConfig`]: executed on
-/// [`RunConfig::thread_count`] worker threads through [`run_parallel`]
-/// (one thread falls back to the sequential [`arbodom_congest::run`]).
-/// Randomness is drawn through [`det_rand`], so outputs and telemetry
-/// are bit-identical at any thread count.
+/// The rounds run on `threads` worker threads through [`run_parallel`];
+/// `0` and `1` both run them inline on the calling thread. Randomness is
+/// drawn through [`det_rand`], so outputs and telemetry are bit-identical
+/// at any thread count.
 ///
 /// # Errors
 ///
 /// Propagates configuration validation and simulation errors.
-pub fn run_randomized_with(
+pub fn run_randomized(
     g: &Graph,
     cfg: &Config,
-    run_cfg: &RunConfig,
+    opts: &RunOptions,
+    threads: usize,
 ) -> Result<(DsResult, Telemetry)> {
-    let (opts, threads) = (run_cfg.options(), run_cfg.thread_count());
     let pcfg = PartialConfig::new(cfg.epsilon(), cfg.lambda())?;
     let ecfg = ExtendConfig::new(cfg.lambda(), cfg.gamma(), cfg.seed)?;
     let globals = Globals::new(g, cfg.seed).with_arboricity(cfg.alpha);
     let make = |v: NodeId, g: &Graph| RandomizedProgram::new(*cfg, g.degree(v));
-    // `run_parallel` itself falls back to the sequential runner for
-    // `threads <= 1` or tiny graphs, so one call covers every case.
     let run_out = run_parallel(g, &globals, make, opts, threads)?;
     let in_ds: Vec<bool> = run_out.outputs.iter().map(|o| o.in_ds).collect();
     let x: Vec<f64> = run_out.outputs.iter().map(|o| o.x_certificate).collect();
@@ -416,6 +405,10 @@ pub fn run_randomized_with(
 /// alone over the initial packing `τ_v/(Δ+1)`, with `γ = Δ^{1/k}` —
 /// `O(k²)` rounds of single-byte traffic after setup.
 ///
+/// The rounds run on `threads` worker threads through [`run_parallel`];
+/// `0` and `1` both run them inline on the calling thread. Outputs and
+/// telemetry are bit-identical at any thread count.
+///
 /// # Errors
 ///
 /// Propagates configuration validation and simulation errors.
@@ -423,24 +416,8 @@ pub fn run_general(
     g: &Graph,
     cfg: &crate::general::Config,
     opts: &RunOptions,
+    threads: usize,
 ) -> Result<(DsResult, Telemetry)> {
-    run_general_with(g, cfg, &RunConfig::from_options(opts))
-}
-
-/// Like [`run_general`], driven by a [`RunConfig`]: executed on
-/// [`RunConfig::thread_count`] worker threads through [`run_parallel`]
-/// (one thread falls back to the sequential [`arbodom_congest::run`]).
-/// Outputs and telemetry are bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Propagates configuration validation and simulation errors.
-pub fn run_general_with(
-    g: &Graph,
-    cfg: &crate::general::Config,
-    run_cfg: &RunConfig,
-) -> Result<(DsResult, Telemetry)> {
-    let (opts, threads) = (run_cfg.options(), run_cfg.thread_count());
     let ecfg = ExtendConfig::new(
         1.0 / (g.max_degree() + 1) as f64,
         cfg.gamma(g.max_degree()),
@@ -448,8 +425,6 @@ pub fn run_general_with(
     )?;
     let globals = Globals::new(g, cfg.seed);
     let make = |v: NodeId, g: &Graph| RandomizedProgram::new_general(*cfg, g.degree(v));
-    // `run_parallel` itself falls back to the sequential runner for
-    // `threads <= 1` or tiny graphs, so one call covers every case.
     let run_out = run_parallel(g, &globals, make, opts, threads)?;
     let in_ds: Vec<bool> = run_out.outputs.iter().map(|o| o.in_ds).collect();
     let x: Vec<f64> = run_out.outputs.iter().map(|o| o.x_certificate).collect();
@@ -485,7 +460,7 @@ mod tests {
                 let g = WeightModel::Uniform { lo: 1, hi: 25 }.assign(&g, &mut rng);
                 let cfg = Config::new(alpha, t, 97).unwrap();
                 let central = randomized::solve(&g, &cfg).unwrap();
-                let (dist, telemetry) = run_randomized(&g, &cfg, &strict()).unwrap();
+                let (dist, telemetry) = run_randomized(&g, &cfg, &strict(), 1).unwrap();
                 assert_eq!(central.in_ds, dist.in_ds, "α={alpha} t={t}");
                 assert!(telemetry.is_congest_compliant());
             }
@@ -498,7 +473,7 @@ mod tests {
         let g = generators::forest_union(100, 2, &mut rng);
         let cfg = Config::new(2, 2, 5).unwrap();
         let central = randomized::solve(&g, &cfg).unwrap();
-        let (dist, _) = run_randomized(&g, &cfg, &strict()).unwrap();
+        let (dist, _) = run_randomized(&g, &cfg, &strict(), 1).unwrap();
         assert_eq!(
             central.certificate.as_ref().unwrap().values(),
             dist.certificate.as_ref().unwrap().values()
@@ -510,7 +485,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(163);
         let g = generators::gnp(150, 0.06, &mut rng);
         let cfg = Config::new(4, 2, 31).unwrap();
-        let (sol, telemetry) = run_randomized(&g, &cfg, &strict()).unwrap();
+        let (sol, telemetry) = run_randomized(&g, &cfg, &strict(), 1).unwrap();
         assert!(verify::is_dominating_set(&g, &sol.in_ds));
         assert!(telemetry.is_congest_compliant());
         assert!(telemetry.max_message_bits <= 8 + 8 * 10);
@@ -525,7 +500,7 @@ mod tests {
         let ecfg = ExtendConfig::new(cfg.lambda(), cfg.gamma(), 0).unwrap();
         let r1 = pcfg.iterations(g.max_degree());
         let ext = ecfg.phases() * ecfg.iterations_per_phase(g.max_degree());
-        let (_, telemetry) = run_randomized(&g, &cfg, &strict()).unwrap();
+        let (_, telemetry) = run_randomized(&g, &cfg, &strict(), 1).unwrap();
         assert_eq!(telemetry.rounds, 2 + 2 * r1 + 2 * ext + 2);
     }
 
@@ -537,7 +512,7 @@ mod tests {
             let g = WeightModel::Uniform { lo: 1, hi: 15 }.assign(&g, &mut rng);
             let cfg = crate::general::Config::new(k, 55).unwrap();
             let central = crate::general::solve(&g, &cfg).unwrap();
-            let (dist, telemetry) = run_general(&g, &cfg, &strict()).unwrap();
+            let (dist, telemetry) = run_general(&g, &cfg, &strict(), 1).unwrap();
             assert_eq!(central.in_ds, dist.in_ds, "k={k}");
             assert_eq!(
                 central.certificate.as_ref().unwrap().values(),
@@ -556,7 +531,7 @@ mod tests {
             .iter()
             .map(|&k| {
                 let cfg = crate::general::Config::new(k, 3).unwrap();
-                run_general(&g, &cfg, &strict()).unwrap().1.rounds
+                run_general(&g, &cfg, &strict(), 1).unwrap().1.rounds
             })
             .collect();
         assert!(rounds[1] > rounds[0] && rounds[2] > rounds[1], "{rounds:?}");
@@ -566,8 +541,8 @@ mod tests {
     fn different_seeds_differ() {
         let mut rng = StdRng::seed_from_u64(165);
         let g = generators::forest_union(200, 3, &mut rng);
-        let (a, _) = run_randomized(&g, &Config::new(3, 2, 1).unwrap(), &strict()).unwrap();
-        let (b, _) = run_randomized(&g, &Config::new(3, 2, 2).unwrap(), &strict()).unwrap();
+        let (a, _) = run_randomized(&g, &Config::new(3, 2, 1).unwrap(), &strict(), 1).unwrap();
+        let (b, _) = run_randomized(&g, &Config::new(3, 2, 2).unwrap(), &strict(), 1).unwrap();
         assert_ne!(a.in_ds, b.in_ds);
     }
 }

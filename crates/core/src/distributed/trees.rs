@@ -6,12 +6,11 @@
 //! why the boundary cases matter).
 
 use arbodom_congest::{
-    run_parallel, Globals, Inbox, NodeCtx, NodeProgram, Outgoing, RunOptions, Step, Telemetry,
+    run, Globals, Inbox, NodeCtx, NodeProgram, Outgoing, RunOptions, Step, Telemetry,
 };
 use arbodom_graph::Graph;
 
 use super::msg::ProtocolMsg;
-use super::RunConfig;
 use crate::{DsResult, Result};
 
 /// The Observation A.1 node program.
@@ -67,30 +66,16 @@ impl NodeProgram for TreeProgram {
     }
 }
 
-/// Runs Observation A.1 as a real message-passing computation.
+/// Runs Observation A.1 as a real message-passing computation, inline on
+/// the calling thread: the program is one communication round.
 ///
 /// # Errors
 ///
 /// Propagates simulation errors.
 pub fn run_trees(g: &Graph, opts: &RunOptions) -> Result<(DsResult, Telemetry)> {
-    run_trees_with(g, &RunConfig::from_options(opts))
-}
-
-/// Like [`run_trees`], driven by a [`RunConfig`]: executed on
-/// [`RunConfig::thread_count`] worker threads through [`run_parallel`]
-/// (one thread falls back to the sequential [`arbodom_congest::run`]).
-/// Outputs and telemetry are bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn run_trees_with(g: &Graph, run_cfg: &RunConfig) -> Result<(DsResult, Telemetry)> {
-    let (opts, threads) = (run_cfg.options(), run_cfg.thread_count());
     let globals = Globals::new(g, 0).with_arboricity(1);
     let make = |_, _: &Graph| TreeProgram::default();
-    // `run_parallel` itself falls back to the sequential runner for
-    // `threads <= 1` or tiny graphs, so one call covers every case.
-    let run_out = run_parallel(g, &globals, make, opts, threads)?;
+    let run_out = run(g, &globals, make, opts)?;
     Ok((
         DsResult::from_flags(g, run_out.outputs, 1, None),
         run_out.telemetry,

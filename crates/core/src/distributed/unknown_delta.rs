@@ -27,7 +27,6 @@ use arbodom_congest::{
 use arbodom_graph::{Graph, NodeId};
 
 use super::msg::ProtocolMsg;
-use super::RunConfig;
 use crate::unknown_delta::Config;
 use crate::{DsResult, PackingCertificate, Result};
 
@@ -319,6 +318,10 @@ impl NodeProgram for UnknownDeltaProgram {
 
 /// Runs Remark 4.4 as a real message-passing computation.
 ///
+/// The rounds run on `threads` worker threads through [`run_parallel`];
+/// `0` and `1` both run them inline on the calling thread. Outputs and
+/// telemetry are bit-identical at any thread count.
+///
 /// # Errors
 ///
 /// Propagates configuration validation and simulation errors.
@@ -327,29 +330,10 @@ pub fn run_unknown_delta(
     cfg: &Config,
     seed: u64,
     opts: &RunOptions,
+    threads: usize,
 ) -> Result<(DsResult, Telemetry)> {
-    run_unknown_delta_with(g, cfg, seed, &RunConfig::from_options(opts))
-}
-
-/// Like [`run_unknown_delta`], driven by a [`RunConfig`]: executed on
-/// [`RunConfig::thread_count`] worker threads through [`run_parallel`]
-/// (one thread falls back to the sequential [`arbodom_congest::run`]).
-/// Outputs and telemetry are bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Propagates configuration validation and simulation errors.
-pub fn run_unknown_delta_with(
-    g: &Graph,
-    cfg: &Config,
-    seed: u64,
-    run_cfg: &RunConfig,
-) -> Result<(DsResult, Telemetry)> {
-    let (opts, threads) = (run_cfg.options(), run_cfg.thread_count());
     let globals = Globals::new(g, seed).with_arboricity(cfg.alpha);
     let make = |v: NodeId, g: &Graph| UnknownDeltaProgram::new(*cfg, g.degree(v));
-    // `run_parallel` itself falls back to the sequential runner for
-    // `threads <= 1` or tiny graphs, so one call covers every case.
     let run_out = run_parallel(g, &globals, make, opts, threads)?;
     let in_ds: Vec<bool> = run_out.outputs.iter().map(|o| o.in_ds).collect();
     let x: Vec<f64> = run_out.outputs.iter().map(|o| o.x).collect();
@@ -390,7 +374,7 @@ mod tests {
                 let g = model.assign(&g, &mut rng);
                 let cfg = Config::new(alpha, 0.3).unwrap();
                 let central = unknown_delta::solve(&g, &cfg).unwrap();
-                let (dist, telemetry) = run_unknown_delta(&g, &cfg, 0, &strict()).unwrap();
+                let (dist, telemetry) = run_unknown_delta(&g, &cfg, 0, &strict(), 1).unwrap();
                 assert_eq!(central.in_ds, dist.in_ds, "α={alpha} {model:?}");
                 assert!(telemetry.is_congest_compliant());
             }
@@ -409,7 +393,7 @@ mod tests {
         ];
         for g in graphs {
             let cfg = Config::new(2, 0.4).unwrap();
-            let (sol, _) = run_unknown_delta(&g, &cfg, 1, &strict()).unwrap();
+            let (sol, _) = run_unknown_delta(&g, &cfg, 1, &strict(), 1).unwrap();
             assert!(verify::is_dominating_set(&g, &sol.in_ds));
         }
     }
@@ -440,8 +424,8 @@ mod tests {
         let small = generators::random_regular(200, 6, &mut rng);
         let large = generators::random_regular(3_200, 6, &mut rng);
         let cfg = Config::new(2, 0.3).unwrap();
-        let (_, t_small) = run_unknown_delta(&small, &cfg, 0, &strict()).unwrap();
-        let (_, t_large) = run_unknown_delta(&large, &cfg, 0, &strict()).unwrap();
+        let (_, t_small) = run_unknown_delta(&small, &cfg, 0, &strict(), 1).unwrap();
+        let (_, t_large) = run_unknown_delta(&large, &cfg, 0, &strict(), 1).unwrap();
         assert!(
             t_large.rounds <= t_small.rounds + 6,
             "rounds must not grow with n at fixed Δ: {} vs {}",

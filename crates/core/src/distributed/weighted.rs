@@ -28,7 +28,6 @@ use arbodom_congest::{
 use arbodom_graph::{Graph, NodeId};
 
 use super::msg::ProtocolMsg;
-use super::RunConfig;
 use crate::partial::PartialConfig;
 use crate::weighted::Config;
 use crate::{DsResult, PackingCertificate, Result};
@@ -274,6 +273,32 @@ impl NodeProgram for WeightedProgram {
 /// Runs Theorem 1.1 as a real message-passing computation and assembles the
 /// global result plus the exact CONGEST telemetry.
 ///
+/// The rounds run on `threads` worker threads through [`run_parallel`];
+/// `0` and `1` both run them inline on the calling thread. Outputs and
+/// telemetry are bit-identical at any thread count.
+///
+/// # Example
+///
+/// ```
+/// use arbodom_congest::{MeterMode, RunOptions};
+/// use arbodom_core::distributed::run_weighted;
+/// use arbodom_core::weighted;
+/// use arbodom_graph::generators;
+/// use rand::SeedableRng;
+///
+/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+/// let g = generators::forest_union(200, 2, &mut rng);
+/// let cfg = weighted::Config::new(2, 0.2)?;
+/// let opts = RunOptions {
+///     meter: MeterMode::Strict,
+///     ..RunOptions::default()
+/// };
+/// let (sol, telemetry) = run_weighted(&g, &cfg, 7, &opts, 2)?;
+/// assert!(telemetry.rounds > 0);
+/// assert_eq!(sol.in_ds.len(), g.n());
+/// # Ok::<(), arbodom_core::CoreError>(())
+/// ```
+///
 /// # Errors
 ///
 /// Propagates configuration validation and simulation errors.
@@ -282,31 +307,12 @@ pub fn run_weighted(
     cfg: &Config,
     seed: u64,
     opts: &RunOptions,
+    threads: usize,
 ) -> Result<(DsResult, Telemetry)> {
-    run_weighted_with(g, cfg, seed, &RunConfig::from_options(opts))
-}
-
-/// Like [`run_weighted`], driven by a [`RunConfig`]: executed on
-/// [`RunConfig::thread_count`] worker threads through [`run_parallel`]
-/// (one thread falls back to the sequential [`arbodom_congest::run`]).
-/// Outputs and telemetry are bit-identical at any thread count.
-///
-/// # Errors
-///
-/// Propagates configuration validation and simulation errors.
-pub fn run_weighted_with(
-    g: &Graph,
-    cfg: &Config,
-    seed: u64,
-    run_cfg: &RunConfig,
-) -> Result<(DsResult, Telemetry)> {
-    let (opts, threads) = (run_cfg.options(), run_cfg.thread_count());
     // Validate before constructing node programs.
     PartialConfig::new(cfg.epsilon, cfg.lambda())?;
     let globals = Globals::new(g, seed).with_arboricity(cfg.alpha);
     let make = |v: NodeId, g: &Graph| WeightedProgram::new(*cfg, g.degree(v));
-    // `run_parallel` itself falls back to the sequential runner for
-    // `threads <= 1` or tiny graphs, so one call covers every case.
     let run_out = run_parallel(g, &globals, make, opts, threads)?;
     let in_ds: Vec<bool> = run_out.outputs.iter().map(|o| o.in_ds).collect();
     let x: Vec<f64> = run_out.outputs.iter().map(|o| o.x).collect();
@@ -342,7 +348,7 @@ mod tests {
                 let g = model.assign(&g, &mut rng);
                 let cfg = Config::new(alpha, 0.3).unwrap();
                 let central = weighted::solve(&g, &cfg).unwrap();
-                let (dist, telemetry) = run_weighted(&g, &cfg, 0, &strict()).unwrap();
+                let (dist, telemetry) = run_weighted(&g, &cfg, 0, &strict(), 1).unwrap();
                 assert_eq!(central.in_ds, dist.in_ds, "α={alpha} {model:?}");
                 let cx = central.certificate.as_ref().unwrap().values();
                 let dx = dist.certificate.as_ref().unwrap().values();
@@ -360,7 +366,7 @@ mod tests {
         let r = PartialConfig::new(cfg.epsilon, cfg.lambda())
             .unwrap()
             .iterations(g.max_degree());
-        let (_, telemetry) = run_weighted(&g, &cfg, 0, &strict()).unwrap();
+        let (_, telemetry) = run_weighted(&g, &cfg, 0, &strict(), 1).unwrap();
         assert_eq!(telemetry.rounds, 2 + 2 * r + 2);
     }
 
@@ -370,7 +376,7 @@ mod tests {
         let g = generators::forest_union(200, 3, &mut rng);
         let g = WeightModel::Uniform { lo: 1, hi: 1000 }.assign(&g, &mut rng);
         let cfg = Config::new(3, 0.2).unwrap();
-        let (_, telemetry) = run_weighted(&g, &cfg, 0, &strict()).unwrap();
+        let (_, telemetry) = run_weighted(&g, &cfg, 0, &strict(), 1).unwrap();
         // The largest message is a setup Weight/Tau; events are 8 bits.
         assert!(telemetry.max_message_bits <= 8 + 8 * 10);
         assert!(telemetry.is_congest_compliant());
@@ -388,7 +394,7 @@ mod tests {
         ];
         for g in graphs {
             let cfg = Config::new(2, 0.4).unwrap();
-            let (sol, _) = run_weighted(&g, &cfg, 1, &strict()).unwrap();
+            let (sol, _) = run_weighted(&g, &cfg, 1, &strict(), 1).unwrap();
             assert!(verify::is_dominating_set(&g, &sol.in_ds));
         }
     }
@@ -397,7 +403,7 @@ mod tests {
     fn isolated_nodes_self_elect() {
         let g = arbodom_graph::Graph::from_edges(4, [(0, 1)]).unwrap();
         let cfg = Config::new(1, 0.5).unwrap();
-        let (sol, _) = run_weighted(&g, &cfg, 0, &strict()).unwrap();
+        let (sol, _) = run_weighted(&g, &cfg, 0, &strict(), 1).unwrap();
         assert!(verify::is_dominating_set(&g, &sol.in_ds));
         assert!(sol.in_ds[2] && sol.in_ds[3]);
     }

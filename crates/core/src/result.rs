@@ -1,12 +1,11 @@
 //! The common output type of all solvers.
 
 use arbodom_graph::{Graph, NodeId};
-use serde::{Deserialize, Serialize};
 
 use crate::PackingCertificate;
 
 /// A dominating set together with the evidence the algorithm produced.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+#[derive(Clone, Debug)]
 pub struct DsResult {
     /// Membership flags, indexed by node id.
     pub in_ds: Vec<bool>,

@@ -99,13 +99,13 @@ fn strict_runs_cover_every_program_and_message_type() {
 
     // Weight/Tau/Joined/Dominated/Elect flow through Theorem 1.1.
     let wcfg = weighted::Config::new(2, 0.3).unwrap();
-    let (sol, t) = distributed::run_weighted(&g, &wcfg, 0, &strict).unwrap();
+    let (sol, t) = distributed::run_weighted(&g, &wcfg, 0, &strict, 1).unwrap();
     assert!(arbodom_core::verify::is_dominating_set(&g, &sol.in_ds));
     assert!(t.is_congest_compliant());
 
     // The randomized program reuses the same events under sampling.
     let rcfg = randomized::Config::new(2, 2, 7).unwrap();
-    let (sol, _) = distributed::run_randomized(&g, &rcfg, &strict).unwrap();
+    let (sol, _) = distributed::run_randomized(&g, &rcfg, &strict, 1).unwrap();
     assert!(arbodom_core::verify::is_dominating_set(&g, &sol.in_ds));
 
     // Degree flows through the tree program's single exchange…
@@ -115,6 +115,6 @@ fn strict_runs_cover_every_program_and_message_type() {
 
     // …and through the unknown-Δ program's normalizer exchange.
     let ucfg = unknown_delta::Config::new(2, 0.3).unwrap();
-    let (sol, _) = distributed::run_unknown_delta(&g, &ucfg, 0, &strict).unwrap();
+    let (sol, _) = distributed::run_unknown_delta(&g, &ucfg, 0, &strict, 1).unwrap();
     assert!(arbodom_core::verify::is_dominating_set(&g, &sol.in_ds));
 }

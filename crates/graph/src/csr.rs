@@ -1,6 +1,5 @@
 //! Compressed-sparse-row graph representation.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::{GraphBuilder, GraphError, Result};
@@ -19,10 +18,7 @@ use crate::{GraphBuilder, GraphError, Result};
 /// assert_eq!(v.index(), 3);
 /// assert_eq!(u32::from(v), 3);
 /// ```
-#[derive(
-    Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Copy, Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug, Default)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -101,7 +97,7 @@ impl fmt::Display for NodeId {
 /// assert!(!g.has_edge(NodeId::new(0), NodeId::new(2)));
 /// # Ok::<(), arbodom_graph::GraphError>(())
 /// ```
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct Graph {
     pub(crate) offsets: Vec<u32>,
     pub(crate) neighbors: Vec<NodeId>,
@@ -121,7 +117,7 @@ pub struct Graph {
 /// [`Weights::from_vec`], so the derived `PartialEq` on [`Graph`] makes a
 /// compact unit-weight graph equal to one built from an explicit all-ones
 /// weight vector — the two are literally the same value.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub(crate) enum Weights {
     /// Every node has weight 1; stored in zero heap bytes.
     Unit,

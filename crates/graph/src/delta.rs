@@ -25,8 +25,6 @@
 //! Deltas never change the node count or the weight vector; both are
 //! carried over from the base graph unchanged.
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::check_edge_count;
 use crate::{Graph, GraphBuilder, GraphError, NodeId, Result};
 
@@ -51,7 +49,7 @@ use crate::{Graph, GraphBuilder, GraphError, NodeId, Result};
 /// assert!(!g2.has_edge(1.into(), 2.into()));
 /// # Ok::<(), arbodom_graph::GraphError>(())
 /// ```
-#[derive(Clone, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct GraphDelta {
     inserts: Vec<(NodeId, NodeId)>,
     deletes: Vec<(NodeId, NodeId)>,

@@ -30,8 +30,9 @@
 
 use std::cell::Cell;
 
+use arbodom_congest::RunOptions;
 use arbodom_core::repair::{Maintainer, RepairConfig};
-use arbodom_core::{distributed, verify};
+use arbodom_core::verify;
 use arbodom_graph::digest::{chain_digest, edge_digest};
 use arbodom_graph::{orientation, Graph, GraphDelta, NodeId};
 use rand::rngs::StdRng;
@@ -469,11 +470,11 @@ pub fn run_churn_cell(
     let mut rng = StdRng::seed_from_u64(cell_seed);
     let g = spec.family.build(spec.size(cfg.scale), &mut rng)?.graph;
     let (n, m0, base_digest) = (g.n(), g.m(), edge_digest(&g));
-    let run = distributed::RunConfig::new().threads(cfg.threads);
+    let opts = RunOptions::default();
 
-    let (sol, telemetry) = spec
-        .algorithm
-        .execute_with(&g, alpha_for(&g), cell_seed, &run)?;
+    let (sol, telemetry) =
+        spec.algorithm
+            .execute(&g, alpha_for(&g), cell_seed, &opts, cfg.threads)?;
     let initial_weight = sol.weight;
     let initial_rounds = telemetry.rounds;
     let repair_cfg = RepairConfig {
@@ -499,7 +500,9 @@ pub fn run_churn_cell(
         let (inserts, deletes) = (delta.inserts().len(), delta.deletes().len());
         let rounds_spent = Cell::new(0usize);
         let out = state.apply(&delta, |g| {
-            let (fresh, tel) = spec.algorithm.execute_with(g, alpha_for(g), seed, &run)?;
+            let (fresh, tel) = spec
+                .algorithm
+                .execute(g, alpha_for(g), seed, &opts, cfg.threads)?;
             rounds_spent.set(tel.rounds);
             Ok(fresh)
         })?;
@@ -507,11 +510,12 @@ pub fn run_churn_cell(
         all_valid &= valid;
         // The equivalence harness: a fresh certified solve of the same
         // mutated graph, *outside* the policy's cost accounting.
-        let (reference, _) = spec.algorithm.execute_with(
+        let (reference, _) = spec.algorithm.execute(
             state.graph(),
             alpha_for(state.graph()),
             splitmix64(seed),
-            &run,
+            &opts,
+            cfg.threads,
         )?;
         let measured_drift = out.weight as f64 / reference.weight.max(1) as f64;
         max_measured_drift = max_measured_drift.max(measured_drift);

@@ -380,7 +380,8 @@ impl Algorithm {
     }
 
     /// Executes the algorithm's node program over `g` on `threads` worker
-    /// threads. Identical output at any thread count.
+    /// threads through its `core::distributed` entry point (`0` and `1`
+    /// both run inline). Identical output at any thread count.
     ///
     /// # Errors
     ///
@@ -393,39 +394,22 @@ impl Algorithm {
         opts: &RunOptions,
         threads: usize,
     ) -> arbodom_core::Result<(DsResult, Telemetry)> {
-        let run = distributed::RunConfig::from_options(opts).threads(threads);
-        self.execute_with(g, alpha, seed, &run)
-    }
-
-    /// Executes the algorithm's node program over `g`, driven by a
-    /// [`distributed::RunConfig`]. Identical output at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Propagates configuration validation and simulation errors.
-    pub fn execute_with(
-        &self,
-        g: &Graph,
-        alpha: usize,
-        seed: u64,
-        run: &distributed::RunConfig,
-    ) -> arbodom_core::Result<(DsResult, Telemetry)> {
         match self {
             Algorithm::Weighted { eps } => {
                 let cfg = weighted::Config::new(alpha, *eps)?;
-                distributed::run_weighted_with(g, &cfg, seed, run)
+                distributed::run_weighted(g, &cfg, seed, opts, threads)
             }
             Algorithm::UnknownDelta { eps } => {
                 let cfg = unknown_delta::Config::new(alpha, *eps)?;
-                distributed::run_unknown_delta_with(g, &cfg, seed, run)
+                distributed::run_unknown_delta(g, &cfg, seed, opts, threads)
             }
             Algorithm::Randomized { t } => {
                 let cfg = randomized::Config::new(alpha, *t, seed)?;
-                distributed::run_randomized_with(g, &cfg, run)
+                distributed::run_randomized(g, &cfg, opts, threads)
             }
             Algorithm::General { k } => {
                 let cfg = general::Config::new(*k, seed)?;
-                distributed::run_general_with(g, &cfg, run)
+                distributed::run_general(g, &cfg, opts, threads)
             }
         }
     }

@@ -12,7 +12,8 @@
 //!    module's unit tests; here we check the repair/resolve pair shares
 //!    one stream).
 
-use arbodom_core::distributed::{run_weighted_with, RunConfig};
+use arbodom_congest::RunOptions;
+use arbodom_core::distributed::run_weighted;
 use arbodom_core::weighted;
 use arbodom_graph::digest::edge_digest;
 use arbodom_graph::{generators, Graph};
@@ -26,7 +27,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// Apply-deltas-then-solve ≡ solve-on-rebuilt-graph, bit-identically,
-    /// across 1/2/4 simulator threads.
+    /// across 0/1/2/4 simulator threads (0 and 1 both run inline).
     #[test]
     fn apply_then_solve_equals_rebuilt_solve_across_threads(seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -42,10 +43,10 @@ proptest! {
 
         let cfg = weighted::Config::new(3, 0.2).unwrap();
         let mut outputs = Vec::new();
-        for threads in [1usize, 2, 4] {
+        for threads in [0usize, 1, 2, 4] {
             for graph in [&g, &rebuilt] {
-                let run = RunConfig::new().threads(threads);
-                let (sol, tel) = run_weighted_with(graph, &cfg, 7, &run).unwrap();
+                let (sol, tel) =
+                    run_weighted(graph, &cfg, 7, &RunOptions::default(), threads).unwrap();
                 outputs.push((sol.in_ds, sol.weight, sol.size, tel.rounds));
             }
         }

@@ -53,7 +53,7 @@ pub struct ExecContext {
     pub cache: Arc<Mutex<GraphCache>>,
     /// The shared session registry (v2 dynamic-graph state).
     pub sessions: Arc<SessionTable>,
-    /// Threads handed to the `run_*_on` simulator entry points per job
+    /// Simulator threads handed to [`Algorithm::execute`] per job
     /// (results are identical at any value).
     pub sim_threads: usize,
     /// Scale used to resolve scenario-cell size sweeps.

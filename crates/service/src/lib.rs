@@ -5,10 +5,11 @@
 //! long-running **batch-query daemon**: a std-only threaded TCP server
 //! that amortizes graph construction across queries (a byte-budgeted
 //! LRU cache keyed by [`arbodom_graph::digest::edge_digest`]) and fans
-//! jobs across a work-stealing pool driving the thread-capable
-//! `run_*_on` simulator entry points. Since protocol v2 it also serves
-//! **dynamic graphs**: a session protocol holds `(graph, solution,
-//! quality)` state server-side and maintains the dominating set under
+//! jobs across a work-stealing pool; each job runs its solver through
+//! [`arbodom_scenarios::Algorithm::execute`] on
+//! [`ServerConfig::sim_threads`] simulator threads. Since protocol v2 it
+//! also serves **dynamic graphs**: a session protocol holds `(graph,
+//! solution, quality)` state server-side and maintains the dominating set under
 //! edge churn by incremental local repair
 //! ([`arbodom_core::repair`]), falling back to a certified full
 //! re-solve when the quality drift bound trips.

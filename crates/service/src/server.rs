@@ -89,7 +89,8 @@ const SHUTDOWN_GRACE: Duration = Duration::from_secs(10);
 pub struct ServerConfig {
     /// Worker threads in the job scheduler.
     pub workers: usize,
-    /// Simulator threads per job (`run_*_on`; results identical at any
+    /// Simulator threads per job, handed to
+    /// [`arbodom_scenarios::Algorithm::execute`] (results identical at any
     /// value).
     pub sim_threads: usize,
     /// Graph-cache budget in **bytes** of resident instance memory

@@ -72,7 +72,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let cfg = weighted::Config::new(alpha, 0.25)?;
-    let (sol, telemetry) = run_weighted(&mesh, &cfg, 99, &RunOptions::default())?;
+    let (sol, telemetry) = run_weighted(&mesh, &cfg, 99, &RunOptions::default(), 1)?;
     assert!(verify::is_dominating_set(&mesh, &sol.in_ds));
 
     println!(

@@ -60,7 +60,8 @@ fn weighted_program_equals_centralized_everywhere() {
             for alpha in [1usize, 3] {
                 let cfg = weighted::Config::new(alpha, 0.3).unwrap();
                 let central = weighted::solve(&g, &cfg).unwrap();
-                let (dist, telemetry) = distributed::run_weighted(&g, &cfg, 5, &strict()).unwrap();
+                let (dist, telemetry) =
+                    distributed::run_weighted(&g, &cfg, 5, &strict(), 1).unwrap();
                 assert_eq!(central.in_ds, dist.in_ds, "{name} {model:?} α={alpha}");
                 assert_eq!(
                     central.certificate.as_ref().unwrap().values(),
@@ -83,7 +84,7 @@ fn randomized_program_equals_centralized_across_seeds() {
         for seed in [0u64, 7, 1234] {
             let cfg = randomized::Config::new(2, 2, seed).unwrap();
             let central = randomized::solve(&g, &cfg).unwrap();
-            let (dist, telemetry) = distributed::run_randomized(&g, &cfg, &strict()).unwrap();
+            let (dist, telemetry) = distributed::run_randomized(&g, &cfg, &strict(), 1).unwrap();
             assert_eq!(
                 central.in_ds, dist.in_ds,
                 "{name} seed={seed}: same coin flips must give same set"
@@ -113,7 +114,7 @@ fn round_schedule_is_exact() {
     let cfg = weighted::Config::new(2, 0.4).unwrap();
     let central = weighted::solve(&g, &cfg).unwrap();
     let r = central.iterations - 1; // solve() adds the completion iteration
-    let (_, telemetry) = distributed::run_weighted(&g, &cfg, 0, &strict()).unwrap();
+    let (_, telemetry) = distributed::run_weighted(&g, &cfg, 0, &strict(), 1).unwrap();
     assert_eq!(telemetry.rounds, 2 + 2 * r + 2);
 }
 
@@ -131,7 +132,7 @@ fn steady_state_traffic_is_constant_bits() {
         track_rounds: true,
         ..strict()
     };
-    let (_, telemetry) = distributed::run_weighted(&g, &cfg, 0, &opts).unwrap();
+    let (_, telemetry) = distributed::run_weighted(&g, &cfg, 0, &opts, 1).unwrap();
     // After the two setup rounds every message is a 1-byte event.
     for (i, rs) in telemetry.per_round.iter().enumerate().skip(2) {
         assert!(

@@ -63,8 +63,8 @@ fn congest_runs_are_deterministic() {
     let mut rng = StdRng::seed_from_u64(13);
     let g = generators::forest_union(200, 2, &mut rng);
     let cfg = randomized::Config::new(2, 2, 31).unwrap();
-    let (a, ta) = distributed::run_randomized(&g, &cfg, &RunOptions::default()).unwrap();
-    let (b, tb) = distributed::run_randomized(&g, &cfg, &RunOptions::default()).unwrap();
+    let (a, ta) = distributed::run_randomized(&g, &cfg, &RunOptions::default(), 1).unwrap();
+    let (b, tb) = distributed::run_randomized(&g, &cfg, &RunOptions::default(), 1).unwrap();
     assert_eq!(a.in_ds, b.in_ds);
     assert_eq!(ta.rounds, tb.rounds);
     assert_eq!(ta.total_bits, tb.total_bits);

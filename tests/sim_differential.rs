@@ -386,7 +386,7 @@ proptest! {
         let cfg = weighted::Config::new(alpha, 0.25).expect("valid config");
         let central = weighted::solve(&g, &cfg).expect("centralized solve");
         let (dist, telemetry) =
-            distributed::run_weighted(&g, &cfg, seed, &opts(MeterMode::Strict))
+            distributed::run_weighted(&g, &cfg, seed, &opts(MeterMode::Strict), 1)
                 .expect("distributed run");
         prop_assert_eq!(&central.in_ds, &dist.in_ds, "membership differs");
         prop_assert_eq!(

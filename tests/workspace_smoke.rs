@@ -97,7 +97,7 @@ fn prelude_congest_surface_runs() {
     let g = arbodom::graph::generators::forest_union(300, 2, &mut rng);
     let cfg = arbodom::core::weighted::Config::new(2, 0.25).expect("valid config");
     let (result, telemetry) =
-        arbodom::core::distributed::run_weighted(&g, &cfg, 0, &RunOptions::default())
+        arbodom::core::distributed::run_weighted(&g, &cfg, 0, &RunOptions::default(), 1)
             .expect("CONGEST run succeeds");
     assert!(verify::is_dominating_set(&g, &result.in_ds));
 
