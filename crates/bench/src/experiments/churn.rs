@@ -61,10 +61,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
     // One simulation thread: churn cells are thread-count independent by
     // construction, and sequential wall clocks keep the repair-vs-resolve
     // timing comparison free of scheduling noise.
-    let cfg = RunConfig {
-        scale: scale.to_scenarios(),
-        threads: 1,
-    };
+    let cfg = RunConfig { scale, threads: 1 };
     let mut points = Vec::new();
     for spec in churn_registry() {
         for rate_idx in 0..spec.rates.len() {
@@ -158,7 +155,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         100.0 * (1.0 - rep_rounds as f64 / res_rounds.max(1) as f64),
     ));
 
-    write_artifact(scale, &points);
+    crate::write_artifact(scale, ARTIFACT_NAME, &artifact_json(scale, &points));
     vec![table]
 }
 
@@ -191,10 +188,8 @@ fn policy_json(m: &Measured) -> String {
         .render()
 }
 
-/// Writes `BENCH_churn.json` under the same real-invocation guard as
-/// `BENCH_sim.json`: full-scale runs or explicit `ARBODOM_QUICK=1` (CI),
-/// never in-process test harness calls.
-fn write_artifact(scale: Scale, points: &[Point]) {
+/// The `BENCH_churn.json` document.
+fn artifact_json(scale: Scale, points: &[Point]) -> String {
     let rows = JsonArr::from_raw(points.iter().map(|p| {
         JsonObj::new()
             .str("scenario", p.scenario)
@@ -219,26 +214,10 @@ fn write_artifact(scale: Scale, points: &[Point]) {
             .raw("resolve", policy_json(&p.resolve))
             .render()
     }));
-    let json = JsonObj::new()
+    JsonObj::new()
         .str("schema", "arbodom-churn/v1")
-        .str(
-            "scale",
-            if scale == Scale::Full {
-                "full"
-            } else {
-                "quick"
-            },
-        )
+        .str("scale", scale.label())
         .int("points", points.len())
         .raw("rows", rows.render())
-        .render();
-    let explicit_quick = std::env::var("ARBODOM_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    if scale == Scale::Full || explicit_quick {
-        match arbodom_scenarios::write_workspace_artifact(ARTIFACT_NAME, &json) {
-            Ok(path) => eprintln!("wrote {}", path.display()),
-            Err(e) => eprintln!("warning: could not write {ARTIFACT_NAME}: {e}"),
-        }
-    }
+        .render()
 }

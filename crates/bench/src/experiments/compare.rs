@@ -33,10 +33,7 @@ const SCENARIOS: &[&str] = &["compare-pref-attach", "compare-torus", "compare-pl
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let cfg = RunConfig {
-        scale: scale.to_scenarios(),
-        threads: 4,
-    };
+    let cfg = RunConfig { scale, threads: 4 };
     let mut tables = Vec::new();
     for name in SCENARIOS {
         let spec = arbodom_scenarios::find(name).expect("scenario registered");

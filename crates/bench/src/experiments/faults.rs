@@ -22,10 +22,7 @@ use arbodom_scenarios::runner::{run_scenario, RunConfig};
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let cfg = RunConfig {
-        scale: scale.to_scenarios(),
-        threads: 4,
-    };
+    let cfg = RunConfig { scale, threads: 4 };
     let spec = arbodom_scenarios::find("faults-forest-loss").expect("scenario registered");
     let report = run_scenario(&spec, &cfg).expect("scenario runs");
     let trials = spec.seeds as usize;

@@ -572,10 +572,7 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
     ));
 
     // --- BENCH_sim.json ---
-    // Rendered with the tiny JSON builder below (keys and values here are
-    // plain identifiers and finite numbers, nothing needs escaping), so
-    // this file needs no JSON dependency.
-    let current = JsonObj::new().entries(rows.iter().map(|r| {
+    let row_json = |r: &SimBenchRow| {
         (
             r.name.to_string(),
             JsonObj::new()
@@ -585,7 +582,8 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
                 .num("msgs_per_sec", r.msgs_per_sec().round())
                 .render(),
         )
-    }));
+    };
+    let current = JsonObj::new().entries(rows.iter().map(row_json));
     let speedups = JsonObj::new().entries(rows.iter().filter_map(|r| {
         if scale != Scale::Full {
             return None;
@@ -597,17 +595,7 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
             )
         })
     }));
-    let huge_current = JsonObj::new().entries(huge_rows.iter().map(|r| {
-        (
-            r.name.to_string(),
-            JsonObj::new()
-                .int("rounds", r.rounds)
-                .int("messages", r.messages)
-                .num("wall_seconds", r.wall_s)
-                .num("msgs_per_sec", r.msgs_per_sec().round())
-                .render(),
-        )
-    }));
+    let huge_current = JsonObj::new().entries(huge_rows.iter().map(row_json));
     let huge_json = JsonObj::new()
         .raw(
             "workload",
@@ -617,14 +605,7 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
                 .int("n", huge_n)
                 .int("m", hg.m())
                 .int("flood_rounds", FLOOD_ROUNDS as usize)
-                .str(
-                    "scale",
-                    if scale == Scale::Full {
-                        "full"
-                    } else {
-                        "quick"
-                    },
-                )
+                .str("scale", scale.label())
                 .int("reps_best_of", huge_reps)
                 .num("build_seconds", build_secs)
                 .int("graph_bytes", hfp.total())
@@ -640,14 +621,7 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
                 .int("n", tm_n)
                 .int("m", tm_m)
                 .str("weights", "unit")
-                .str(
-                    "scale",
-                    if scale == Scale::Full {
-                        "full"
-                    } else {
-                        "quick"
-                    },
-                )
+                .str("scale", scale.label())
                 .num("build_seconds", tm_build_secs)
                 .raw(
                     "footprint",
@@ -684,14 +658,7 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
                 .int("alpha", 3)
                 .int("n", n)
                 .int("flood_rounds", FLOOD_ROUNDS as usize)
-                .str(
-                    "scale",
-                    if scale == Scale::Full {
-                        "full"
-                    } else {
-                        "quick"
-                    },
-                )
+                .str("scale", scale.label())
                 .int("reps_best_of", reps)
                 .render(),
         )
@@ -719,26 +686,6 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
         .raw("huge", huge_json.render())
         .raw("ten_million", tm_json.render())
         .render();
-    // Write the trajectory file for real invocations only: full-scale
-    // runs, or explicitly downscaled ones (CI sets `ARBODOM_QUICK=1` and
-    // uploads the file as an artifact). In-process test harness calls
-    // (quick scale without the env var) must not litter the package
-    // directory or clobber the committed full-scale numbers. The path is
-    // pinned to the workspace root so the committed file is updated no
-    // matter which directory the binary runs from.
-    let explicit_quick = std::env::var("ARBODOM_QUICK")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    if scale == Scale::Full || explicit_quick {
-        let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-            .join("../..")
-            .join("BENCH_sim.json");
-        if let Err(e) = std::fs::write(&path, json + "\n") {
-            eprintln!("warning: could not write {}: {e}", path.display());
-        }
-    }
+    crate::write_artifact(scale, "BENCH_sim.json", &json);
     vec![table, phase_table, huge_table, tm_table]
 }
-
-// The JSON builder previously defined here moved to
-// `arbodom_scenarios::json`, where `BENCH_scenarios.json` shares it.

@@ -26,10 +26,7 @@ const SCENARIOS: &[&str] = &[
 
 /// Runs the experiment.
 pub fn run(scale: Scale) -> Vec<Table> {
-    let cfg = RunConfig {
-        scale: scale.to_scenarios(),
-        threads: 4,
-    };
+    let cfg = RunConfig { scale, threads: 4 };
     let mut table = Table::new(
         "E-1.1",
         "Theorem 1.1 (weighted) on forest unions, ε = 0.2 (scenario matrix)",

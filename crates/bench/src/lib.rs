@@ -31,48 +31,11 @@ pub mod report;
 pub mod service_load;
 pub mod workloads;
 
+/// Workload scale shared by all experiments: the scenario engine's, so
+/// an experiment hands its scale to the matrix runner as is.
+pub use arbodom_scenarios::Scale;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Workload scale shared by all experiments.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scale {
-    /// Small sizes for CI and `cargo test`.
-    Quick,
-    /// The sizes recorded in EXPERIMENTS.md.
-    Full,
-}
-
-impl Scale {
-    /// Picks `quick` or `full` by variant.
-    pub fn pick(self, quick: usize, full: usize) -> usize {
-        match self {
-            Scale::Quick => quick,
-            Scale::Full => full,
-        }
-    }
-
-    /// Reads `ARBODOM_QUICK=1` to downscale binaries (used by CI).
-    pub fn from_env() -> Self {
-        if std::env::var("ARBODOM_QUICK")
-            .map(|v| v == "1")
-            .unwrap_or(false)
-        {
-            Scale::Quick
-        } else {
-            Scale::Full
-        }
-    }
-
-    /// The corresponding scenario-engine scale (the two enums exist so
-    /// `arbodom-scenarios` does not depend on this crate).
-    pub fn to_scenarios(self) -> arbodom_scenarios::Scale {
-        match self {
-            Scale::Quick => arbodom_scenarios::Scale::Quick,
-            Scale::Full => arbodom_scenarios::Scale::Full,
-        }
-    }
-}
 
 /// The workspace experiment RNG: every experiment draws its randomness
 /// from a `StdRng` keyed by a per-experiment stream id, so runs are
@@ -81,6 +44,20 @@ impl Scale {
 /// module.
 pub fn seeded_rng(stream: u64) -> StdRng {
     StdRng::seed_from_u64(stream)
+}
+
+/// Writes `json` to the workspace-root artifact `name` for real
+/// invocations only: full-scale runs, or quick ones asked for with
+/// `ARBODOM_QUICK=1` (CI uploads those). In-process quick calls, such as
+/// the test harness's, write nothing, so they can neither litter the
+/// tree nor clobber the committed full-scale numbers.
+pub fn write_artifact(scale: Scale, name: &str, json: &str) {
+    if scale == Scale::Full || Scale::from_env() == Scale::Quick {
+        match arbodom_scenarios::write_workspace_artifact(name, json) {
+            Ok(path) => eprintln!("wrote {}", path.display()),
+            Err(e) => eprintln!("warning: could not write {name}: {e}"),
+        }
+    }
 }
 
 /// The shared `main` of every `exp_*` binary: read the scale from the

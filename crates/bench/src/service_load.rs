@@ -447,7 +447,7 @@ pub fn run_admission(scale: Scale) -> Result<AdmissionProbe, ServiceError> {
             workers: 2,
             per_conn_inflight: 2,
             max_pending_jobs: 8,
-            scale: scale.to_scenarios(),
+            scale,
             ..ServerConfig::default()
         },
     )?;
@@ -576,7 +576,7 @@ pub fn run_load(cfg: &LoadConfig) -> Result<LoadOutcome, ServiceError> {
         None => Some(Server::bind(
             "127.0.0.1:0",
             ServerConfig {
-                scale: cfg.scale.to_scenarios(),
+                scale: cfg.scale,
                 ..ServerConfig::default()
             },
         )?),
@@ -736,7 +736,7 @@ pub fn render_artifact(outcome: &LoadOutcome, cfg: &LoadConfig) -> String {
         .render();
     JsonObj::new()
         .str("schema", "arbodom-service/v4")
-        .str("scale", cfg.scale.to_scenarios().label())
+        .str("scale", cfg.scale.label())
         .str(
             "target",
             cfg.addr.as_deref().unwrap_or("in-process ephemeral daemon"),
@@ -822,7 +822,7 @@ mod tests {
         let server = Server::bind(
             "127.0.0.1:0",
             ServerConfig {
-                scale: cfg.scale.to_scenarios(),
+                scale: cfg.scale,
                 ..ServerConfig::default()
             },
         )

@@ -15,17 +15,26 @@ use arbodom_graph::{
 };
 use rand::rngs::StdRng;
 
-/// Workload scale of a matrix run: `Quick` for CI smoke, `Full` for the
-/// recorded artifact.
+/// Workload scale of a matrix run or an experiment: `Quick` for CI
+/// smoke, `Full` for the recorded artifacts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scale {
     /// Small sizes for CI and `cargo test`.
     Quick,
-    /// The sizes recorded in `BENCH_scenarios.json`.
+    /// The sizes recorded in `BENCH_scenarios.json` and the other
+    /// committed `BENCH_*.json` artifacts.
     Full,
 }
 
 impl Scale {
+    /// Picks `quick` or `full` by variant.
+    pub fn pick(self, quick: usize, full: usize) -> usize {
+        match self {
+            Scale::Quick => quick,
+            Scale::Full => full,
+        }
+    }
+
     /// Reads `ARBODOM_QUICK=1` (the CI convention shared with
     /// `arbodom-bench`).
     pub fn from_env() -> Self {

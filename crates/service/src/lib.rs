@@ -5,7 +5,7 @@
 //! long-running **batch-query daemon**: a std-only threaded TCP server
 //! that amortizes graph construction across queries (a byte-budgeted
 //! LRU cache keyed by [`arbodom_graph::digest::edge_digest`]) and fans
-//! jobs across a work-stealing pool; each job runs its solver through
+//! jobs across a FIFO worker pool; each job runs its solver through
 //! [`arbodom_scenarios::Algorithm::execute`] on
 //! [`ServerConfig::sim_threads`] simulator threads. Since protocol v2 it
 //! also serves **dynamic graphs**: a session protocol holds `(graph,
@@ -141,7 +141,7 @@ mod error;
 pub mod jobs;
 pub mod obs;
 pub mod protocol;
-pub mod scheduler;
+mod scheduler;
 mod server;
 pub mod session;
 
@@ -153,6 +153,5 @@ pub use protocol::{
     CacheStats, DeltaSpec, FrameAssembler, GraphSource, JobResult, JobSpec, RepairStats, Request,
     Response, ServerLimits, SessionPolicy, SessionUpdate, PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3,
 };
-pub use scheduler::Scheduler;
 pub use server::{Server, ServerConfig};
 pub use session::{Session, SessionLimits, SessionLost, SessionTable};

@@ -41,8 +41,9 @@ pub const REQUESTS_TOTAL_PREFIX: &str = "arbodom_requests_total_";
 pub const DECODE_NANOS: &str = "arbodom_decode_nanos";
 /// Nanoseconds a graph-cache lookup held the cache lock (hit or miss).
 pub const CACHE_LOOKUP_NANOS: &str = "arbodom_cache_lookup_nanos";
-/// Nanoseconds a batch job waited between scheduler submission and a
-/// worker picking it up.
+/// Nanoseconds a scheduled job — one batch job or one session operation
+/// (`Open`, `Mutate`, `Resolve`) — waited between scheduler submission
+/// and a worker picking it up.
 pub const QUEUE_WAIT_NANOS: &str = "arbodom_queue_wait_nanos";
 /// Nanoseconds one algorithm run (the simulator solve) took.
 pub const SOLVE_NANOS: &str = "arbodom_solve_nanos";

@@ -1,167 +1,138 @@
-//! A std-only work-stealing job scheduler.
+//! The daemon's job queue: a fixed pool of worker threads draining one
+//! FIFO.
 //!
 //! The daemon's unit of work is one job closure (resolve graph → run the
-//! algorithm's entry point → account quality). Jobs are
-//! pushed round-robin onto per-worker deques; a worker drains its own
-//! deque from the front and, when empty, *steals from the back* of the
-//! busiest other deque. Back-stealing keeps each deque's front hot for
-//! its owner while letting an idle worker relieve a loaded one — the
-//! classic Arora–Blumofe–Plaxton shape, implemented with mutexed
-//! `VecDeque`s (the workspace is std-only by design; contention is
-//! per-push/pop, and the jobs themselves are orders of magnitude
-//! heavier).
+//! algorithm's entry point → account quality, or one session
+//! operation). Jobs take milliseconds, so one `Mutex<VecDeque>` and one
+//! `Condvar` are all the coordination the pool needs: [`Scheduler::spawn`]
+//! pushes to the back and wakes one worker, and a worker pops from the
+//! front and sleeps, without a timeout, while the queue is empty. Jobs
+//! therefore start in submission order.
 //!
-//! Determinism note: the scheduler reorders *execution*, never results —
+//! Determinism note: workers reorder *completion*, never results —
 //! callers tag jobs with their batch index and reassemble in order, so
 //! the response stream is byte-identical at any worker count.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-struct Shared {
-    queues: Vec<Mutex<VecDeque<Job>>>,
-    /// Pairs with `signal` so sleeping workers wake on new work.
-    pending: Mutex<usize>,
-    signal: Condvar,
-    shutdown: AtomicBool,
-    next: AtomicUsize,
+/// The queue and the shutdown flag share one lock, so a worker checks
+/// both under the lock it sleeps on and cannot miss the wakeup for either.
+struct Queue {
+    jobs: VecDeque<Job>,
+    shutdown: bool,
 }
 
-/// A fixed pool of worker threads with per-worker deques and stealing.
-pub struct Scheduler {
+struct Shared {
+    queue: Mutex<Queue>,
+    ready: Condvar,
+}
+
+/// A fixed pool of worker threads draining one FIFO job queue.
+pub(crate) struct Scheduler {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Scheduler {
-    /// Spawns `workers` threads (minimum 1).
-    pub fn new(workers: usize) -> Self {
-        Self::with_spawn_counter(workers, &Arc::new(AtomicU64::new(0)))
-    }
-
-    /// Like [`Scheduler::new`], but ticks `spawned` once per thread the
-    /// pool creates. The server threads its global spawn counter through
-    /// here so the zero-per-connection-threads property is testable: the
+    /// Spawns `workers` threads (minimum 1) and ticks `spawned` once per
+    /// thread. The server threads its global spawn counter through here
+    /// so the zero-per-connection-threads property is testable: the
     /// counter must stay flat however many connections arrive.
-    pub fn with_spawn_counter(workers: usize, spawned: &Arc<AtomicU64>) -> Self {
-        let workers = workers.max(1);
+    pub(crate) fn new(workers: usize, spawned: &AtomicU64) -> Self {
         let shared = Arc::new(Shared {
-            queues: (0..workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: Mutex::new(0),
-            signal: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            next: AtomicUsize::new(0),
+            queue: Mutex::new(Queue {
+                jobs: VecDeque::new(),
+                shutdown: false,
+            }),
+            ready: Condvar::new(),
         });
-        let handles = (0..workers)
+        let workers = (0..workers.max(1))
             .map(|id| {
                 let shared = Arc::clone(&shared);
                 spawned.fetch_add(1, Ordering::SeqCst);
                 std::thread::Builder::new()
                     .name(format!("arbodomd-worker-{id}"))
-                    .spawn(move || worker_loop(&shared, id))
+                    .spawn(move || worker_loop(&shared))
                     .expect("spawn scheduler worker")
             })
             .collect();
-        Scheduler {
-            shared,
-            workers: handles,
-        }
+        Scheduler { shared, workers }
     }
 
     /// Number of worker threads.
-    pub fn worker_count(&self) -> usize {
-        self.shared.queues.len()
+    pub(crate) fn worker_count(&self) -> usize {
+        self.workers.len()
     }
 
-    /// Enqueues one job. Round-robin placement; an idle worker will steal
-    /// it regardless of which deque it lands on.
-    ///
-    /// `pending` is counted up *before* the job is published, so a worker
-    /// can only pop — and count down — a job that is already counted: the
-    /// count cannot underflow, it is back at 0 once every job has been
-    /// taken, and idle workers then sleep.
-    pub fn spawn(&self, job: impl FnOnce() + Send + 'static) {
-        *self.shared.pending.lock().expect("pending poisoned") += 1;
-        let slot = self.shared.next.fetch_add(1, Ordering::Relaxed) % self.shared.queues.len();
-        self.shared.queues[slot]
+    /// Enqueues one job at the back of the queue and wakes one worker.
+    pub(crate) fn spawn(&self, job: impl FnOnce() + Send + 'static) {
+        self.shared
+            .queue
             .lock()
             .expect("scheduler queue poisoned")
+            .jobs
             .push_back(Box::new(job));
-        self.shared.signal.notify_all();
+        self.shared.ready.notify_one();
     }
 }
 
 impl Drop for Scheduler {
+    /// Runs every job still queued, then joins the workers.
     fn drop(&mut self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.shared.signal.notify_all();
+        // Every update under this lock leaves the queue valid, so a
+        // poisoned guard is safe to use, and `drop` must not panic.
+        self.shared
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .shutdown = true;
+        self.shared.ready.notify_all();
         for handle in self.workers.drain(..) {
             let _ = handle.join();
         }
     }
 }
 
-fn worker_loop(shared: &Shared, id: usize) {
-    let n = shared.queues.len();
+fn worker_loop(shared: &Shared) {
     loop {
-        // Own deque first (front), then steal (back) round-robin from the
-        // others, starting just after our own slot to spread pressure.
-        let mut job = shared.queues[id]
-            .lock()
-            .expect("scheduler queue poisoned")
-            .pop_front();
-        if job.is_none() {
-            for offset in 1..n {
-                let victim = (id + offset) % n;
-                job = shared.queues[victim]
-                    .lock()
-                    .expect("scheduler queue poisoned")
-                    .pop_back();
-                if job.is_some() {
-                    break;
+        let job = {
+            let mut queue = shared.queue.lock().expect("scheduler queue poisoned");
+            loop {
+                if let Some(job) = queue.jobs.pop_front() {
+                    break job;
                 }
-            }
-        }
-        match job {
-            Some(job) => {
-                *shared.pending.lock().expect("pending poisoned") -= 1;
-                // A panicking job must not kill the worker: the pool is
-                // fixed-size and never respawns, so an unwinding closure
-                // would permanently shrink the daemon's capacity.
-                let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
-            }
-            None => {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if queue.shutdown {
                     return;
                 }
-                let pending = shared.pending.lock().expect("pending poisoned");
-                if *pending == 0 {
-                    // Timed wait so a missed notification can never hang a
-                    // worker across a shutdown.
-                    let _unused = shared
-                        .signal
-                        .wait_timeout(pending, Duration::from_millis(20))
-                        .expect("pending poisoned");
-                }
+                queue = shared.ready.wait(queue).expect("scheduler queue poisoned");
             }
-        }
+        };
+        // A panicking job must not kill the worker: the pool is
+        // fixed-size and never respawns, so an unwinding closure would
+        // permanently shrink the daemon's capacity.
+        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(job));
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::AtomicU8;
     use std::sync::mpsc;
+    use std::time::Duration;
+
+    fn pool(workers: usize) -> Scheduler {
+        Scheduler::new(workers, &AtomicU64::new(0))
+    }
 
     #[test]
     fn runs_every_job_exactly_once() {
-        let scheduler = Scheduler::new(4);
+        let scheduler = pool(4);
         let counter = Arc::new(AtomicU64::new(0));
         let (tx, rx) = mpsc::channel();
         for i in 0..200u64 {
@@ -181,8 +152,8 @@ mod tests {
     #[test]
     fn one_slow_job_does_not_strand_the_rest() {
         // With 2 workers and a long job enqueued first, the other worker
-        // must steal through the backlog while the long job runs.
-        let scheduler = Scheduler::new(2);
+        // must drain the backlog while the long job runs.
+        let scheduler = pool(2);
         let (tx, rx) = mpsc::channel();
         let gate = Arc::new(Mutex::new(()));
         let hold = gate.lock().unwrap();
@@ -207,7 +178,7 @@ mod tests {
 
     #[test]
     fn panicking_job_does_not_kill_its_worker() {
-        let scheduler = Scheduler::new(1); // one worker: a dead worker hangs everything
+        let scheduler = pool(1); // one worker: a dead worker hangs everything
         let (tx, rx) = mpsc::channel();
         scheduler.spawn(|| panic!("job exploded"));
         for _ in 0..5 {
@@ -220,28 +191,104 @@ mod tests {
         }
     }
 
-    /// Every job is counted up before any worker can pop it, so once all
-    /// jobs have run the counter is back at zero and idle workers sleep
-    /// instead of rescanning empty deques.
     #[test]
-    fn pending_returns_to_zero_after_many_single_spawns() {
-        let scheduler = Scheduler::new(2);
-        let (tx, rx) = mpsc::channel();
+    fn many_single_spawns_run_once_each_and_leave_the_queue_empty() {
+        let scheduler = pool(2);
         let jobs = 100_000;
-        for _ in 0..jobs {
+        let runs: Arc<Vec<AtomicU8>> = Arc::new((0..jobs).map(|_| AtomicU8::new(0)).collect());
+        let (tx, rx) = mpsc::channel();
+        for i in 0..jobs {
+            let runs = Arc::clone(&runs);
             let tx = tx.clone();
-            scheduler.spawn(move || tx.send(()).unwrap());
+            scheduler.spawn(move || {
+                runs[i].fetch_add(1, Ordering::Relaxed);
+                tx.send(()).unwrap();
+            });
         }
         for _ in 0..jobs {
             rx.recv_timeout(Duration::from_secs(10)).unwrap();
         }
-        let pending = *scheduler.shared.pending.lock().unwrap();
-        assert_eq!(pending, 0, "pending drifted with every deque empty");
+        assert!(scheduler.shared.queue.lock().unwrap().jobs.is_empty());
+        drop(scheduler); // joins the workers: no job can still be running
+        assert!(rx.try_recv().is_err(), "a job reported twice");
+        let counts: Vec<u8> = runs.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+        assert!(counts.iter().all(|&c| c == 1), "a job ran other than once");
+    }
+
+    /// With both workers parked on gated jobs, one opened gate leaves one
+    /// worker to take the whole backlog: it must start the jobs in the
+    /// order they were queued.
+    #[test]
+    fn jobs_start_in_submission_order() {
+        let scheduler = pool(2);
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let mut gates = Vec::new();
+        for _ in 0..2 {
+            let (gate_tx, gate_rx) = mpsc::channel::<()>();
+            let parked_tx = parked_tx.clone();
+            scheduler.spawn(move || {
+                parked_tx.send(()).unwrap();
+                // Also returns when the sender drops, so a failing
+                // assertion below cannot hang the scheduler's drop.
+                let _ = gate_rx.recv();
+            });
+            gates.push(gate_tx);
+        }
+        for _ in 0..2 {
+            parked_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        }
+        let started = Arc::new(Mutex::new(Vec::new()));
+        let (done_tx, done_rx) = mpsc::channel();
+        for i in 0..20 {
+            let started = Arc::clone(&started);
+            let done_tx = done_tx.clone();
+            scheduler.spawn(move || {
+                started.lock().unwrap().push(i);
+                done_tx.send(()).unwrap();
+            });
+        }
+        gates[0].send(()).unwrap();
+        for _ in 0..20 {
+            done_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        }
+        assert_eq!(*started.lock().unwrap(), (0..20).collect::<Vec<_>>());
+        gates[1].send(()).unwrap();
+    }
+
+    /// The server's shutdown path relies on `Drop` finishing the queue:
+    /// jobs still queued when the drop begins must all run before it
+    /// returns.
+    #[test]
+    fn drop_runs_every_queued_job_before_returning() {
+        let scheduler = pool(1);
+        let (gate_tx, gate_rx) = mpsc::channel::<()>();
+        scheduler.spawn(move || {
+            let _ = gate_rx.recv();
+        });
+        let ran = Arc::new(AtomicU64::new(0));
+        for _ in 0..10 {
+            let ran = Arc::clone(&ran);
+            scheduler.spawn(move || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            });
+        }
+        // Open the gate only once the drop has flagged shutdown, so the
+        // ten jobs are still queued when it begins.
+        let shared = Arc::clone(&scheduler.shared);
+        let opener = std::thread::spawn(move || {
+            while !shared.queue.lock().unwrap().shutdown {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            gate_tx.send(()).unwrap();
+        });
+        drop(scheduler);
+        assert_eq!(ran.load(Ordering::SeqCst), 10);
+        opener.join().unwrap();
     }
 
     #[test]
     fn drop_joins_workers_without_pending_work() {
-        let scheduler = Scheduler::new(3);
+        let scheduler = pool(3);
         assert_eq!(scheduler.worker_count(), 3);
         drop(scheduler); // must not hang
     }

@@ -8,7 +8,7 @@
 //! through a per-connection buffer with partial-write continuation, and
 //! complete requests are queued per connection and processed strictly
 //! in arrival order. Heavy requests (batches and session operations)
-//! are dispatched onto the shared work-stealing [`Scheduler`]; their
+//! are dispatched onto the shared FIFO [`Scheduler`]; their
 //! completions come back over a channel (plus a reactor wakeup) and are
 //! reassembled **in submission order** before hitting the write buffer,
 //! so the response stream stays byte-deterministic at any worker count.
@@ -157,7 +157,7 @@ struct Admission {
 
 /// Shared state of a running daemon. The reactor holds an `Arc` of
 /// this; job closures deliberately get only the [`ExecContext`] slice
-/// of it (see [`Scheduler`] for why).
+/// of it (see [`ExecContext`] for why).
 struct ServerState {
     exec: ExecContext,
     scheduler: Scheduler,
@@ -168,7 +168,7 @@ struct ServerState {
     /// requests both go through here.
     waker: Arc<Waker>,
     admission: Admission,
-    threads_spawned: Arc<AtomicU64>,
+    threads_spawned: AtomicU64,
 }
 
 impl ServerState {
@@ -241,7 +241,8 @@ impl Server {
         let local = listener.local_addr()?;
         let (waker, wake_rx) = wake_pair()?;
         let registry = Registry::new();
-        let threads_spawned = Arc::new(AtomicU64::new(0));
+        let threads_spawned = AtomicU64::new(0);
+        let scheduler = Scheduler::new(cfg.workers, &threads_spawned);
         let state = Arc::new(ServerState {
             exec: ExecContext {
                 cache: Arc::new(Mutex::new(GraphCache::new(cfg.cache_bytes))),
@@ -254,7 +255,7 @@ impl Server {
                 obs: ServiceObs::new(&registry),
                 sim_obs: cfg.sim_obs.then(|| SimObs::new(&registry)),
             },
-            scheduler: Scheduler::with_spawn_counter(cfg.workers, &threads_spawned),
+            scheduler,
             shutdown: AtomicBool::new(false),
             addr: local,
             registry,
@@ -265,10 +266,10 @@ impl Server {
                 per_conn_inflight: cfg.per_conn_inflight.max(1),
                 idle_timeout: cfg.idle_timeout,
             },
-            threads_spawned: Arc::clone(&threads_spawned),
+            threads_spawned,
         });
         let reactor_state = Arc::clone(&state);
-        threads_spawned.fetch_add(1, Ordering::SeqCst);
+        state.threads_spawned.fetch_add(1, Ordering::SeqCst);
         let reactor = std::thread::Builder::new()
             .name("arbodomd-reactor".into())
             .spawn(move || Reactor::new(listener, wake_rx, reactor_state).run())?;
@@ -289,10 +290,13 @@ impl Server {
         self.state.server_limits()
     }
 
-    /// Total threads this server has ever spawned: one reactor plus the
-    /// scheduler workers. The count is flat for the daemon's lifetime —
-    /// connections never get threads — which the overload e2e tests
-    /// pin.
+    /// Threads the server itself spawned: one reactor plus the
+    /// scheduler workers, all at [`Server::bind`]. The count is flat for
+    /// the daemon's lifetime — connections never get threads — which the
+    /// overload e2e tests pin. It does not count simulator threads: with
+    /// [`ServerConfig::sim_threads`] > 1, every job on a graph of 128 or
+    /// more nodes builds and joins its own worker pool inside
+    /// [`arbodom_scenarios::Algorithm::execute`].
     pub fn threads_spawned(&self) -> u64 {
         self.state.threads_spawned.load(Ordering::SeqCst)
     }
@@ -897,51 +901,28 @@ impl Reactor {
     ) {
         let dispatch_id = self.next_dispatch;
         self.next_dispatch += 1;
-        let obs = self.obs().clone();
-        obs.requests_admitted.inc();
-        let state = &self.state;
-        let spawn_control = |op: Box<dyn FnOnce(&ExecContext) -> Response + Send>| {
-            let exec = state.exec.clone();
-            let waker = Arc::clone(&state.waker);
-            let tx = self.completions_tx.clone();
-            let queued = Stopwatch::start();
-            state.scheduler.spawn(move || {
-                exec.obs.queue_wait.observe(queued.elapsed_nanos());
-                let reply = op(&exec);
-                let _ = tx.send(Completion::Control {
-                    dispatch: dispatch_id,
-                    reply,
-                });
-                waker.wake();
-            });
-        };
+        self.obs().requests_admitted.inc();
         let (jobs_left, bytes, reply) = match request {
             Request::Batch(jobs) => {
                 let total = jobs.len() as u32;
                 for (index, job) in jobs.into_iter().enumerate() {
-                    let exec = state.exec.clone();
-                    let waker = Arc::clone(&state.waker);
-                    let tx = self.completions_tx.clone();
-                    let queued = Stopwatch::start();
-                    state.scheduler.spawn(move || {
-                        exec.obs.queue_wait.observe(queued.elapsed_nanos());
+                    self.submit(move |exec| {
                         // Every job sends exactly one reply, even if it
                         // panics — otherwise the in-order reassembly
                         // would stall forever on the missing index. The
                         // message is fixed (not the panic payload) to
                         // keep the response stream deterministic.
-                        let outcome = catch_unwind(AssertUnwindSafe(|| execute_job(&exec, &job)))
+                        let outcome = catch_unwind(AssertUnwindSafe(|| execute_job(exec, &job)))
                             .unwrap_or_else(|_| {
                                 exec.obs.panics.inc();
                                 exec.obs.job_errors.inc();
                                 Err("job panicked inside the worker".to_string())
                             });
-                        let _ = tx.send(Completion::Job {
+                        Completion::Job {
                             dispatch: dispatch_id,
                             index: index as u32,
                             outcome,
-                        });
-                        waker.wake();
+                        }
                     });
                 }
                 (
@@ -955,7 +936,7 @@ impl Reactor {
                 )
             }
             Request::Open(spec) => {
-                spawn_control(Box::new(move |exec| {
+                self.submit(move |exec| {
                     let (id, outcome) =
                         match guarded(&exec.obs.panics, || open_session(exec, &spec)) {
                             Ok((id, result)) => {
@@ -964,8 +945,11 @@ impl Reactor {
                             }
                             Err(e) => (0, Err(e)),
                         };
-                    Response::Session { id, outcome }
-                }));
+                    Completion::Control {
+                        dispatch: dispatch_id,
+                        reply: Response::Session { id, outcome },
+                    }
+                });
                 (1, payload_len as u64, DispatchReply::Control)
             }
             Request::Mutate {
@@ -973,31 +957,37 @@ impl Reactor {
                 delta,
                 policy,
             } => {
-                spawn_control(Box::new(move |exec| {
+                self.submit(move |exec| {
                     let outcome = guarded(&exec.obs.panics, || {
                         mutate_session(exec, session, &delta, policy)
                     });
                     if let Ok(update) = &outcome {
                         exec.obs.record_repair(update.repair.repaired);
                     }
-                    Response::Mutated {
-                        id: session,
-                        outcome,
+                    Completion::Control {
+                        dispatch: dispatch_id,
+                        reply: Response::Mutated {
+                            id: session,
+                            outcome,
+                        },
                     }
-                }));
+                });
                 (1, payload_len as u64, DispatchReply::Control)
             }
             Request::Resolve { session } => {
-                spawn_control(Box::new(move |exec| {
+                self.submit(move |exec| {
                     let outcome = guarded(&exec.obs.panics, || resolve_session(exec, session));
                     if outcome.is_ok() {
                         exec.obs.record_repair(false);
                     }
-                    Response::Mutated {
-                        id: session,
-                        outcome,
+                    Completion::Control {
+                        dispatch: dispatch_id,
+                        reply: Response::Mutated {
+                            id: session,
+                            outcome,
+                        },
                     }
-                }));
+                });
                 (1, payload_len as u64, DispatchReply::Control)
             }
             other => unreachable!("non-heavy request {other:?} reached dispatch"),
@@ -1019,6 +1009,21 @@ impl Reactor {
         if let Some(conn) = self.conns.get_mut(&conn_id) {
             conn.busy = true;
         }
+    }
+
+    /// Queues `op` on the scheduler: the one submission path of batch
+    /// jobs and session operations alike. The worker records the queue
+    /// wait, runs `op`, sends its completion and wakes the reactor.
+    fn submit(&self, op: impl FnOnce(&ExecContext) -> Completion + Send + 'static) {
+        let exec = self.state.exec.clone();
+        let waker = Arc::clone(&self.state.waker);
+        let tx = self.completions_tx.clone();
+        let queued = Stopwatch::start();
+        self.state.scheduler.spawn(move || {
+            exec.obs.queue_wait.observe(queued.elapsed_nanos());
+            let _ = tx.send(op(&exec));
+            waker.wake();
+        });
     }
 
     fn drain_completions(&mut self) {

@@ -57,6 +57,28 @@ fn measured_alpha(g: &Graph) -> usize {
     orientation::degeneracy_order(g).1.max(1)
 }
 
+/// The full re-solve every session path hands its maintainer:
+/// `algorithm` on the current graph at its measured α. The run's
+/// telemetry lands in `telemetry`, for the reply.
+fn solver(
+    algorithm: Algorithm,
+    seed: u64,
+    sim_threads: usize,
+    telemetry: &RefCell<Option<Telemetry>>,
+) -> impl Fn(&Graph) -> arbodom_core::Result<DsResult> + '_ {
+    move |g| {
+        let (sol, tel) = algorithm.execute(
+            g,
+            measured_alpha(g),
+            seed,
+            &RunOptions::default(),
+            sim_threads,
+        )?;
+        *telemetry.borrow_mut() = Some(tel);
+        Ok(sol)
+    }
+}
+
 /// One open session: the maintainer plus how its solves run.
 #[derive(Debug)]
 pub struct Session {
@@ -123,40 +145,17 @@ impl Session {
     ) -> Result<(JobResult, RepairStats), String> {
         let delta = GraphDelta::new(delta.inserts.iter().copied(), delta.deletes.iter().copied())
             .map_err(|e| format!("invalid delta: {e}"))?;
-        let algorithm = self.algorithm;
-        let seed = self.seed;
-        let telemetry: RefCell<Option<Telemetry>> = RefCell::new(None);
-        let solve = |g: &Graph| {
-            let (sol, tel) = algorithm.execute(
-                g,
-                measured_alpha(g),
-                seed,
-                &RunOptions::default(),
-                sim_threads,
-            )?;
-            *telemetry.borrow_mut() = Some(tel);
-            Ok(sol)
-        };
+        let telemetry = RefCell::new(None);
+        let solve = solver(self.algorithm, self.seed, sim_threads, &telemetry);
         let mut outcome = self
             .maintainer
-            .apply(&delta, solve)
+            .apply(&delta, &solve)
             .map_err(|e| format!("mutate failed: {e}"))?;
         if policy == SessionPolicy::Resolve && outcome.repaired {
             // The drift bound did not trip, but the client asked for a
             // certified batch: run the fallback anyway.
-            let solve = |g: &Graph| {
-                let (sol, tel) = algorithm.execute(
-                    g,
-                    measured_alpha(g),
-                    seed,
-                    &RunOptions::default(),
-                    sim_threads,
-                )?;
-                *telemetry.borrow_mut() = Some(tel);
-                Ok(sol)
-            };
             self.maintainer
-                .resolve_with(solve)
+                .resolve_with(&solve)
                 .map_err(|e| format!("re-solve failed: {e}"))?;
             outcome.repaired = false;
             outcome.added.clear();
@@ -174,7 +173,7 @@ impl Session {
             batches_since_solve: self.maintainer.batches_since_solve() as u64,
             chain: self.maintainer.chain(),
         };
-        Ok((self.result_snapshot(telemetry.into_inner()), repair))
+        Ok((self.result_snapshot(telemetry.take()), repair))
     }
 
     /// Forces a certified full re-solve on the current graph.
@@ -183,22 +182,9 @@ impl Session {
     ///
     /// A job-level message when the solve fails.
     pub fn resolve(&mut self, sim_threads: usize) -> Result<(JobResult, RepairStats), String> {
-        let algorithm = self.algorithm;
-        let seed = self.seed;
-        let telemetry: RefCell<Option<Telemetry>> = RefCell::new(None);
-        let solve = |g: &Graph| {
-            let (sol, tel) = algorithm.execute(
-                g,
-                measured_alpha(g),
-                seed,
-                &RunOptions::default(),
-                sim_threads,
-            )?;
-            *telemetry.borrow_mut() = Some(tel);
-            Ok(sol)
-        };
+        let telemetry = RefCell::new(None);
         self.maintainer
-            .resolve_with(solve)
+            .resolve_with(solver(self.algorithm, self.seed, sim_threads, &telemetry))
             .map_err(|e| format!("re-solve failed: {e}"))?;
         self.alpha = measured_alpha(self.maintainer.graph());
         let repair = RepairStats {
