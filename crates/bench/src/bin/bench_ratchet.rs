@@ -3,20 +3,20 @@
 //! is (and deliberately is not) gated.
 //!
 //! ```text
-//! bench_ratchet [--kind sim|scenarios|service] --current CUR.json --baseline BASE.json
+//! bench_ratchet [--kind sim|scenarios] --current CUR.json --baseline BASE.json
 //! ```
 //!
 //! `--kind` picks the structure gate (default `sim` for
-//! `BENCH_sim.json`; `scenarios` for `BENCH_scenarios.json`; `service`
-//! for `BENCH_service.json`). Prints the markdown summary to stdout (CI
-//! appends it to `$GITHUB_STEP_SUMMARY`), violations to stderr, and
-//! exits nonzero on any violation.
+//! `BENCH_sim.json`; `scenarios` for `BENCH_scenarios.json`). Prints
+//! the markdown summary to stdout (CI appends it to
+//! `$GITHUB_STEP_SUMMARY`), violations to stderr, and exits nonzero on
+//! any violation.
 
 use arbodom_bench::ratchet;
 use arbodom_scenarios::json::JsonValue;
 
 fn usage() -> ! {
-    eprintln!("usage: bench_ratchet [--kind sim|scenarios|service] --current PATH --baseline PATH");
+    eprintln!("usage: bench_ratchet [--kind sim|scenarios] --current PATH --baseline PATH");
     std::process::exit(2);
 }
 
@@ -29,7 +29,7 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg {
             "--kind" => match it.next() {
-                Some(k @ ("sim" | "scenarios" | "service")) => kind = k,
+                Some(k @ ("sim" | "scenarios")) => kind = k,
                 Some(other) => {
                     eprintln!("unknown artifact kind: {other}");
                     usage();
@@ -59,7 +59,6 @@ fn main() {
     };
     let check = match kind {
         "scenarios" => ratchet::check_scenarios,
-        "service" => ratchet::check_service,
         _ => ratchet::check,
     };
     let report = check(&read("current", current), &read("baseline", baseline));

@@ -1,4 +1,4 @@
-//! Regenerates experiment tables for `ablation`; see DESIGN.md.
+//! Regenerates experiment tables for `ablation`.
 fn main() {
     arbodom_bench::experiment_main(arbodom_bench::experiments::ablation::run);
 }

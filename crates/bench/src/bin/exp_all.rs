@@ -1,4 +1,4 @@
-//! Runs every experiment and prints all tables (EXPERIMENTS.md source).
+//! Runs every experiment and prints all tables.
 fn main() {
     arbodom_bench::experiment_main(arbodom_bench::experiments::all);
 }

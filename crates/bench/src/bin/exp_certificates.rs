@@ -1,4 +1,4 @@
-//! Regenerates experiment tables for `certificates`; see DESIGN.md.
+//! Regenerates experiment tables for `certificates`.
 fn main() {
     arbodom_bench::experiment_main(arbodom_bench::experiments::certificates::run);
 }

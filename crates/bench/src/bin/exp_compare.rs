@@ -1,4 +1,4 @@
-//! Regenerates experiment tables for `compare`; see DESIGN.md.
+//! Regenerates experiment tables for `compare`.
 fn main() {
     arbodom_bench::experiment_main(arbodom_bench::experiments::compare::run);
 }

@@ -1,4 +1,4 @@
-//! Regenerates experiment tables for `faults`; see DESIGN.md.
+//! Regenerates experiment tables for `faults`.
 fn main() {
     arbodom_bench::experiment_main(arbodom_bench::experiments::faults::run);
 }

@@ -1,4 +1,4 @@
-//! Regenerates experiment tables for `remarks`; see DESIGN.md.
+//! Regenerates experiment tables for `remarks`.
 fn main() {
     arbodom_bench::experiment_main(arbodom_bench::experiments::remarks::run);
 }

@@ -1,4 +1,4 @@
-//! Regenerates experiment tables for `scaling`; see DESIGN.md.
+//! Regenerates experiment tables for `scaling`.
 fn main() {
     arbodom_bench::experiment_main(arbodom_bench::experiments::scaling::run);
 }

@@ -1,4 +1,4 @@
-//! Regenerates experiment tables for `thm11`; see DESIGN.md.
+//! Regenerates experiment tables for `thm11`.
 fn main() {
     arbodom_bench::experiment_main(arbodom_bench::experiments::thm11::run);
 }

@@ -1,4 +1,4 @@
-//! Regenerates experiment tables for `thm12`; see DESIGN.md.
+//! Regenerates experiment tables for `thm12`.
 fn main() {
     arbodom_bench::experiment_main(arbodom_bench::experiments::thm12::run);
 }

@@ -1,4 +1,4 @@
-//! Regenerates experiment tables for `trees`; see DESIGN.md.
+//! Regenerates experiment tables for `trees`.
 fn main() {
     arbodom_bench::experiment_main(arbodom_bench::experiments::trees::run);
 }

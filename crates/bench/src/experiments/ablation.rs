@@ -1,4 +1,4 @@
-//! E-ABL — design-choice ablations DESIGN.md calls out:
+//! E-ABL — design-choice ablations:
 //!
 //! 1. the ε knob: rounds scale as `1/ε`, the guarantee as `(1+ε)` — the
 //!    trade-off a deployment actually tunes;

@@ -1,4 +1,5 @@
-//! One module per reproduced claim; see `DESIGN.md` for the index.
+//! One module per reproduced claim; the `exp_<module>` binary prints
+//! its tables.
 
 pub mod ablation;
 pub mod certificates;
@@ -17,7 +18,8 @@ pub mod trees;
 use crate::report::Table;
 use crate::Scale;
 
-/// Runs every experiment and returns the tables in EXPERIMENTS.md order.
+/// Runs every experiment and returns the tables in the order `exp_all`
+/// prints them.
 pub fn all(scale: Scale) -> Vec<Table> {
     let mut tables = Vec::new();
     tables.extend(thm31::run(scale));

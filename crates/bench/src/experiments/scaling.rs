@@ -19,7 +19,7 @@ use arbodom_congest::{
 use arbodom_core::{distributed, weighted};
 use arbodom_graph::{generators, weights::WeightModel, Graph};
 use arbodom_obs::Registry;
-use arbodom_scenarios::json::{fmt_num, JsonObj};
+use arbodom_scenarios::json::JsonObj;
 use std::time::Instant;
 
 /// Runs the experiment.
@@ -105,25 +105,6 @@ const TEN_MILLION_FULL_N: usize = 10_000_000;
 /// CI / quick scale of the 10⁷ tier: same code path
 /// (`Graph::from_edge_stream` + direct Theorem 1.1 solve), CI-sized.
 const TEN_MILLION_QUICK_N: usize = 100_000;
-
-/// Pre-rework throughput baseline (messages/second), measured at the
-/// commit before the arena-mailbox simulator core landed
-/// (`92bbb82`, 50k-node workload, best of 3). Kept so `BENCH_sim.json`
-/// always records the before/after pair and future regressions have a
-/// fixed reference point. The sequential `thm11_*` baselines were taken
-/// through the `run_weighted` wrapper (raw runner + a few ms of result
-/// assembly at 50k nodes); current rows time the raw runner in all
-/// cases.
-const PRE_PR_BASELINE: &[(&str, f64)] = &[
-    ("flood_measure_seq", 6_780_170.0),
-    ("flood_off_seq", 10_039_709.0),
-    ("flood_strict_seq", 6_103_245.0),
-    ("flood_measure_par4", 8_602_180.0),
-    ("thm11_measure_seq", 3_821_953.0),
-    ("thm11_off_seq", 5_533_580.0),
-    ("thm11_strict_seq", 3_780_261.0),
-    ("thm11_measure_par4", 5_782_912.0),
-];
 
 struct SimBenchRow {
     name: &'static str,
@@ -472,47 +453,27 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
             ]),
     );
 
-    let baseline = |name: &str| -> Option<f64> {
-        PRE_PR_BASELINE
-            .iter()
-            .find(|(b, _)| *b == name)
-            .map(|&(_, v)| v)
-    };
     let mut table = Table::new(
         "E-SCALE-c",
         format!("simulator throughput, n = {n} forest union (α = 3)"),
-        &[
-            "workload",
-            "rounds",
-            "messages",
-            "wall ms",
-            "Mmsg/s",
-            "vs pre-PR",
-        ],
+        &["workload", "rounds", "messages", "wall ms", "Mmsg/s"],
     );
     for r in rows.iter() {
-        // The recorded baseline is the 50k-node workload; comparing the
-        // quick (downscaled) run against it would be meaningless.
-        let vs = match (scale, baseline(r.name)) {
-            (Scale::Full, Some(b)) => format!("{:.2}x", r.msgs_per_sec() / b),
-            _ => "—".into(),
-        };
         table.row(vec![
             r.name.to_string(),
             r.rounds.to_string(),
             r.messages.to_string(),
             f2(r.wall_s * 1e3),
             f2(r.msgs_per_sec() / 1e6),
-            vs,
         ]);
     }
     table.note(format!(
-        "written to BENCH_sim.json (baseline: pre-arena core at 92bbb82, \
-         n = {SIM_BENCH_FULL_N}); flood = {FLOOD_ROUNDS}-round u64 broadcast, \
-         thm11 = the Theorem 1.1 node program end to end. par4 rows pay \
-         4-thread pool construction inside the timed window (one-shot \
-         caller); pool4 rows reuse one pre-built persistent pool across \
-         runs (server steady state, zero spawns in the window)."
+        "written to BENCH_sim.json (full scale is n = {SIM_BENCH_FULL_N}); \
+         flood = {FLOOD_ROUNDS}-round u64 broadcast, thm11 = the Theorem \
+         1.1 node program end to end. par4 rows pay 4-thread pool \
+         construction inside the timed window (one-shot caller); pool4 \
+         rows reuse one pre-built persistent pool across runs (server \
+         steady state, zero spawns in the window)."
     ));
 
     let mut huge_table = Table::new(
@@ -584,17 +545,6 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
         )
     };
     let current = JsonObj::new().entries(rows.iter().map(row_json));
-    let speedups = JsonObj::new().entries(rows.iter().filter_map(|r| {
-        if scale != Scale::Full {
-            return None;
-        }
-        baseline(r.name).map(|b| {
-            (
-                r.name.to_string(),
-                fmt_num((r.msgs_per_sec() / b * 100.0).round() / 100.0),
-            )
-        })
-    }));
     let huge_current = JsonObj::new().entries(huge_rows.iter().map(row_json));
     let huge_json = JsonObj::new()
         .raw(
@@ -662,25 +612,7 @@ fn sim_bench(scale: Scale) -> Vec<Table> {
                 .int("reps_best_of", reps)
                 .render(),
         )
-        .raw(
-            "baseline_pre_pr",
-            JsonObj::new()
-                .str("commit", "92bbb82")
-                .int("n", SIM_BENCH_FULL_N)
-                .raw(
-                    "msgs_per_sec",
-                    JsonObj::new()
-                        .entries(
-                            PRE_PR_BASELINE
-                                .iter()
-                                .map(|&(k, v)| (k.to_string(), fmt_num(v))),
-                        )
-                        .render(),
-                )
-                .render(),
-        )
         .raw("current", current.render())
-        .raw("speedup_vs_pre_pr", speedups.render())
         .raw("phase_breakdown", phase_json.render())
         .raw("coverage", coverage_json.render())
         .raw("huge", huge_json.render())

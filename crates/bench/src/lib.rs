@@ -5,7 +5,7 @@
 //! regenerates the empirical counterpart of one of them — measured
 //! approximation ratios against certified lower bounds, measured round
 //! counts against the stated complexities — and prints a markdown table.
-//! `EXPERIMENTS.md` at the workspace root records a full run.
+//! README "Experiments and benches" shows how to run them.
 //!
 //! Run one experiment:
 //!
@@ -13,7 +13,7 @@
 //! cargo run --release -p arbodom-bench --bin exp_thm11
 //! ```
 //!
-//! or everything (writes the tables EXPERIMENTS.md embeds):
+//! or everything (prints every table in turn):
 //!
 //! ```text
 //! cargo run --release -p arbodom-bench --bin exp_all
@@ -28,7 +28,6 @@
 pub mod experiments;
 pub mod ratchet;
 pub mod report;
-pub mod service_load;
 pub mod workloads;
 
 /// Workload scale shared by all experiments: the scenario engine's, so
@@ -62,7 +61,7 @@ pub fn write_artifact(scale: Scale, name: &str, json: &str) {
 
 /// The shared `main` of every `exp_*` binary: read the scale from the
 /// environment, run the experiment, print its tables. Keeps the binaries
-/// at one line each instead of thirteen copies of the same ritual.
+/// at one line each instead of a copy of the same ritual in each.
 pub fn experiment_main(run: fn(Scale) -> Vec<report::Table>) {
     let scale = Scale::from_env();
     for table in run(scale) {

@@ -1,7 +1,7 @@
 //! Tiny shared argument helpers for the workspace's service binaries
-//! (`arbodomd`, `arbodom-client`, `svc_load`): value-or-exit parsing
-//! with one error-message format and exit code (2, the usage-error
-//! convention of the `scenarios` CLI).
+//! (`arbodomd` and `arbodom-client`): value-or-exit parsing with one
+//! error-message format and exit code (2, the usage-error convention
+//! of the `scenarios` CLI).
 
 /// Returns the flag's value or exits with status 2.
 pub fn required<'a>(value: Option<&'a str>, flag: &str) -> &'a str {

@@ -39,10 +39,13 @@ fn tree_job(n: u32, seed: u64) -> JobSpec {
     })
 }
 
+/// Scrapes one sample. Every scrape must also pass histogram validation
+/// (cumulative buckets, `+Inf == _count`), overload or not.
 fn metric(server_addr: std::net::SocketAddr, name: &str) -> f64 {
     let mut client = Client::connect(server_addr).expect("metrics client");
     let text = client.metrics().expect("metrics scrape");
     let exp = prom::parse(&text).expect("scrape parses");
+    exp.validate_histograms().expect("valid histograms");
     exp.value(name).unwrap_or_else(|| panic!("missing {name}"))
 }
 
@@ -117,6 +120,8 @@ fn pipelined_requests_past_the_per_conn_cap_shed_deterministically() {
     assert_eq!(metric(addr, "arbodom_requests_shed_total"), 8.0);
     assert_eq!(metric(addr, "arbodom_requests_admitted_total"), 2.0);
     assert_eq!(metric(addr, "arbodom_job_errors_total"), 0.0);
+    // One queue wait per admitted job: shed requests never queue.
+    assert_eq!(metric(addr, "arbodom_queue_wait_nanos_count"), 2.0);
     server.shutdown();
 }
 

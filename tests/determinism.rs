@@ -73,7 +73,7 @@ fn congest_runs_are_deterministic() {
 #[test]
 fn counter_rng_is_stable_across_releases() {
     // These constants pin the det_rand stream; changing the mixer would
-    // silently re-randomize every experiment in EXPERIMENTS.md, so any
+    // silently re-randomize every table the `exp_*` binaries print, so any
     // intentional change must update both.
     assert_eq!(det_rand::mix64(0), 16294208416658607535);
     assert_eq!(det_rand::stream(42, &[1, 2, 3]), 10399575839878339911);
