@@ -1,7 +1,7 @@
 //! Node programs used as benchmark workloads by the `BENCH_sim.json`
 //! throughput trajectory.
 
-use arbodom_congest::{Inbox, NodeCtx, NodeProgram, Outgoing, Step};
+use arbodom_congest::{Inbox, NodeCtx, NodeProgram, Outbox};
 
 /// Pure simulator throughput: every node broadcasts a `u64` for a fixed
 /// number of rounds and sums what it hears. No algorithm compute, so the
@@ -28,13 +28,20 @@ impl NodeProgram for Flood {
     type PortState = ();
     type Output = u64;
 
-    fn round(&mut self, ctx: &NodeCtx<'_>, inbox: Inbox<'_, u64>, _ports: &mut [()]) -> Step<u64> {
+    fn round(
+        &mut self,
+        ctx: &NodeCtx<'_>,
+        inbox: Inbox<'_, u64>,
+        _ports: &mut [()],
+        out: &mut Outbox<u64>,
+    ) -> bool {
         self.seen += inbox.iter().map(|(_, &m)| m).sum::<u64>();
         if self.rounds_left == 0 {
-            return Step::halt();
+            return true;
         }
         self.rounds_left -= 1;
-        Step::continue_with(vec![Outgoing::broadcast(u64::from(ctx.id.get()))])
+        out.broadcast(u64::from(ctx.id.get()));
+        false
     }
 
     fn output(&self) -> u64 {

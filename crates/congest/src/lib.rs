@@ -41,13 +41,16 @@
 //!   allocation of their own — at 10⁶ nodes, per-node mirror `Vec`s
 //!   would be millions of allocations to build and free — and programs
 //!   without per-port state declare `()`, which takes no memory.
-//! * **Encode-once metering.** Each [`Outgoing`] is encoded at most once
-//!   per round into a reusable scratch buffer — a broadcast to `d`
-//!   neighbors is metered once and fanned out as `d` in-memory clones.
+//! * **Encode-once metering.** A node sends through an [`Outbox`], and
+//!   each of its send calls is encoded at most once per round into a
+//!   reusable scratch buffer — a broadcast to `d` neighbors is metered
+//!   once and fanned out as `d` in-memory clones. The outbox and the
+//!   scratch buffer are one per worker, reused for every node, so
+//!   sending allocates nothing per node.
 //!   [`MeterMode::Measure`] encodes to count bits; [`MeterMode::Strict`]
 //!   additionally decodes and delivers the round-tripped value;
 //!   [`MeterMode::Off`] never touches an encoder and reports zero bits.
-//! * **CSR fan-out.** [`Recipients::Broadcast`] and port sends expand
+//! * **CSR fan-out.** [`Outbox::broadcast`] and [`Outbox::send`] expand
 //!   through the graph's flat CSR arrays ([`arbodom_graph::Graph::csr`])
 //!   and a flat reverse-port table sharing the same offsets, so fan-out
 //!   walks contiguous memory. The round loop builds that table before
@@ -144,7 +147,7 @@
 //! programs that need none declare `type PortState = ()`).
 //!
 //! ```
-//! use arbodom_congest::{run, Globals, Inbox, NodeCtx, NodeProgram, Outgoing, RunOptions, Step};
+//! use arbodom_congest::{run, Globals, Inbox, NodeCtx, NodeProgram, Outbox, RunOptions};
 //! use arbodom_graph::generators;
 //!
 //! struct CountNeighbors { heard: usize }
@@ -158,15 +161,17 @@
 //!         ctx: &NodeCtx<'_>,
 //!         inbox: Inbox<'_, u32>,
 //!         ports: &mut [Option<u32>],
-//!     ) -> Step<u32> {
+//!         out: &mut Outbox<u32>,
+//!     ) -> bool {
 //!         if ctx.round == 0 {
-//!             return Step::continue_with(vec![Outgoing::broadcast(ctx.id.get())]);
+//!             out.broadcast(ctx.id.get());
+//!             return false; // keep running
 //!         }
 //!         for (port, &id) in inbox {
 //!             ports[port] = Some(id);
 //!         }
 //!         self.heard = ports.iter().flatten().count();
-//!         Step::halt()
+//!         true // halt
 //!     }
 //!     fn output(&self) -> usize { self.heard }
 //! }
@@ -199,7 +204,7 @@ pub use error::{SimError, WireError};
 pub use mailbox::{Inbox, InboxIter};
 pub use obs::SimObs;
 pub use pool::WorkerPool;
-pub use program::{Globals, NodeCtx, NodeProgram, Outgoing, Recipients, Step};
+pub use program::{Globals, NodeCtx, NodeProgram, Outbox};
 pub use sim::{run, run_parallel, run_parallel_in, LossModel, MeterMode, RunOptions, RunResult};
 pub use telemetry::{RoundStats, Telemetry};
 pub use wire::{

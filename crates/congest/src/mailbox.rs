@@ -40,7 +40,7 @@ pub(crate) struct Delivery<M> {
 ///
 /// Iteration yields `(port, &message)` pairs in deterministic arrival
 /// order — senders in ascending node id, and within a sender, the order
-/// its [`crate::Outgoing`] entries expanded (ports ascending for a
+/// of its [`crate::Outbox`] send calls (ports ascending for a
 /// broadcast). The port identifies which incident edge delivered the
 /// message, exactly as in [`crate::NodeCtx::neighbors`] indexing.
 #[derive(Debug)]

@@ -86,88 +86,34 @@ impl NodeCtx<'_> {
     }
 }
 
-/// Where a message goes.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Recipients {
-    /// One copy along every incident edge.
-    Broadcast,
-    /// Along the edge at one port index.
-    Port(usize),
-    /// Along the edges at several port indices.
-    Ports(Vec<usize>),
-}
-
-/// A message together with its recipients.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Outgoing<M> {
-    /// Destination edge(s).
-    pub to: Recipients,
-    /// Payload.
-    pub msg: M,
-}
-
-impl<M> Outgoing<M> {
-    /// Sends `msg` along every incident edge.
-    pub fn broadcast(msg: M) -> Self {
-        Outgoing {
-            to: Recipients::Broadcast,
-            msg,
-        }
-    }
-
-    /// Sends `msg` along the edge at `port`.
-    pub fn to_port(port: usize, msg: M) -> Self {
-        Outgoing {
-            to: Recipients::Port(port),
-            msg,
-        }
-    }
-}
-
-/// The result of one local round: messages to send, and whether this node
-/// has halted.
+/// What one node sends in one round, in call order: a node either
+/// broadcasts a message along every incident edge or sends one along the
+/// edge at one port.
 ///
-/// A halted node sends nothing, ignores late messages, and is never stepped
-/// again; the simulation ends when every node has halted.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Step<M> {
-    /// Messages to deliver at the start of the next round.
-    pub outgoing: Vec<Outgoing<M>>,
-    /// Whether this node is done.
-    pub done: bool,
+/// The round loop hands every node the same reusable buffer (one per
+/// worker, cleared before each node), so sending allocates nothing per
+/// node. Each call is metered once, however many edges it fans out to.
+#[derive(Debug)]
+pub struct Outbox<M> {
+    /// `(None, msg)` goes along every incident edge, ports ascending;
+    /// `(Some(port), msg)` along the edge at `port`.
+    pub(crate) sends: Vec<(Option<usize>, M)>,
 }
 
-impl<M> Step<M> {
-    /// Continue running, sending nothing.
-    pub fn idle() -> Self {
-        Step {
-            outgoing: Vec::new(),
-            done: false,
-        }
+impl<M> Outbox<M> {
+    pub(crate) fn new() -> Self {
+        Outbox { sends: Vec::new() }
     }
 
-    /// Continue running and send `outgoing`.
-    pub fn continue_with(outgoing: Vec<Outgoing<M>>) -> Self {
-        Step {
-            outgoing,
-            done: false,
-        }
+    /// Sends `msg` along every incident edge.
+    pub fn broadcast(&mut self, msg: M) {
+        self.sends.push((None, msg));
     }
 
-    /// Halt without sending.
-    pub fn halt() -> Self {
-        Step {
-            outgoing: Vec::new(),
-            done: true,
-        }
-    }
-
-    /// Send `outgoing`, then halt (messages are still delivered).
-    pub fn halt_with(outgoing: Vec<Outgoing<M>>) -> Self {
-        Step {
-            outgoing,
-            done: true,
-        }
+    /// Sends `msg` along the edge at `port`. A port outside
+    /// `0..ctx.degree()` fails the run with [`crate::SimError::BadPort`].
+    pub fn send(&mut self, port: usize, msg: M) {
+        self.sends.push((Some(port), msg));
     }
 }
 
@@ -208,13 +154,19 @@ pub trait NodeProgram: Send {
 
     /// Executes one synchronous round. `ports` is this node's per-port
     /// state: `ports.len() == ctx.degree()`, and `ports[p]` belongs to the
-    /// edge at port `p`.
+    /// edge at port `p`. Messages put into `out` arrive at the start of
+    /// the next round.
+    ///
+    /// Returns whether this node halts. A halted node's sends from its
+    /// last round are still delivered, but it is never stepped again and
+    /// ignores later messages; the run ends when every node has halted.
     fn round(
         &mut self,
         ctx: &NodeCtx<'_>,
         inbox: Inbox<'_, Self::Message>,
         ports: &mut [Self::PortState],
-    ) -> Step<Self::Message>;
+        out: &mut Outbox<Self::Message>,
+    ) -> bool;
 
     /// This node's part of the global output.
     fn output(&self) -> Self::Output;
@@ -239,15 +191,5 @@ mod tests {
         let g = generators::cycle(5);
         let globals = Globals::new(&g, 1).with_arboricity(2);
         assert_eq!(globals.arboricity, Some(2));
-    }
-
-    #[test]
-    fn step_constructors() {
-        let s: Step<u32> = Step::idle();
-        assert!(!s.done && s.outgoing.is_empty());
-        let s: Step<u32> = Step::halt();
-        assert!(s.done);
-        let s = Step::halt_with(vec![Outgoing::broadcast(1u32)]);
-        assert!(s.done && s.outgoing.len() == 1);
     }
 }

@@ -16,7 +16,7 @@ use crate::mailbox::{Delivery, MailArena};
 use crate::obs::SimObs;
 use crate::pool::WorkerPool;
 use crate::telemetry::SendStats;
-use crate::{Globals, NodeCtx, NodeProgram, Outgoing, Recipients, SimError, Telemetry, Wire};
+use crate::{Globals, NodeCtx, NodeProgram, Outbox, SimError, Telemetry, Wire};
 use arbodom_obs::{SpanAcc, Stopwatch};
 
 /// How thoroughly messages are serialized for metering.
@@ -155,42 +155,43 @@ struct Router<'a> {
 }
 
 impl Router<'_> {
-    /// Expands one node's [`crate::Step`] output into staged deliveries.
-    /// `ctx` is the context the node just stepped with, and `first_port`
-    /// the flat CSR index of its port 0.
+    /// Expands the sends one node just put into its [`Outbox`] into
+    /// staged deliveries. `ctx` is the context the node stepped with, and
+    /// `first_port` the flat CSR index of its port 0.
     ///
-    /// Each `Outgoing` is metered **once** — encoded into `scratch` in
+    /// Each send call is metered **once** — encoded into `scratch` in
     /// `Measure`/`Strict` modes, skipped entirely in `Off` — then fanned
-    /// out to its recipients through the CSR adjacency slice. Dropped
-    /// messages (fault injection) are metered as sent but never staged.
-    /// Surviving deliveries are handed to `stage` in deterministic order
-    /// (the round loop appends each to its destination shard's bucket).
+    /// out through the CSR adjacency slice, a broadcast's ports
+    /// ascending. Dropped messages (fault injection) are metered as sent
+    /// but never staged. Surviving deliveries are handed to `stage` in
+    /// call order (the round loop appends each to its destination
+    /// shard's bucket).
     fn expand<M: Wire + Clone>(
         &self,
         ctx: &NodeCtx<'_>,
         first_port: usize,
-        outgoing: Vec<Outgoing<M>>,
+        outbox: &Outbox<M>,
         scratch: &mut BytesMut,
         stats: &mut SendStats,
         mut stage: impl FnMut(Delivery<M>),
     ) -> Result<(), SimError> {
-        if outgoing.is_empty() {
+        if outbox.sends.is_empty() {
             return Ok(());
         }
         let (v, round, nbrs) = (ctx.id, ctx.round, ctx.neighbors);
         let deg = nbrs.len();
         let rev = &self.rev[first_port..first_port + deg];
-        for out in outgoing {
+        for (to, msg) in &outbox.sends {
             let (bits, roundtripped) = match self.opts.meter {
                 MeterMode::Off => (0, None),
                 MeterMode::Measure => {
                     scratch.clear();
-                    out.msg.encode(scratch);
+                    msg.encode(scratch);
                     (scratch.len() * 8, None)
                 }
                 MeterMode::Strict => {
                     scratch.clear();
-                    out.msg.encode(scratch);
+                    msg.encode(scratch);
                     let bits = scratch.len() * 8;
                     let mut slice: &[u8] = scratch;
                     let decoded = M::decode(&mut slice)?;
@@ -204,7 +205,7 @@ impl Router<'_> {
             };
             // Strict mode delivers the round-tripped value, proving the
             // decoded bytes — not the in-memory original — drive the run.
-            let payload = roundtripped.as_ref().unwrap_or(&out.msg);
+            let payload = roundtripped.as_ref().unwrap_or(msg);
             let mut send_one = |port: usize, stats: &mut SendStats| -> Result<(), SimError> {
                 if port >= deg {
                     return Err(SimError::BadPort {
@@ -232,21 +233,16 @@ impl Router<'_> {
                 Ok(())
             };
             let sent_before = stats.messages;
-            match out.to {
-                Recipients::Broadcast => {
+            match *to {
+                None => {
                     for port in 0..deg {
                         send_one(port, stats)?;
                     }
                 }
-                Recipients::Port(port) => send_one(port, stats)?,
-                Recipients::Ports(ports) => {
-                    for port in ports {
-                        send_one(port, stats)?;
-                    }
-                }
+                Some(port) => send_one(port, stats)?,
             }
             // Message-size side channel: one histogram entry per
-            // delivered message, paid as a single atomic per `Outgoing`
+            // delivered message, paid as a single atomic per send call
             // (the fan-out shares one encoding). Off-mode runs never
             // compute sizes, so there is nothing truthful to record.
             if let Some(obs) = &self.opts.obs {
@@ -322,12 +318,13 @@ impl<P: NodeProgram> Shard<'_, P> {
     /// apart, the per-node loop compiles as tightly at one whole-graph
     /// shard as at many small ones. Each node's CSR range is read once
     /// and serves its neighbor slice, its port-state slice and its
-    /// fan-out.
+    /// fan-out. Every node sends through the worker's one outbox, cleared
+    /// before the node steps.
     fn step(
         &mut self,
         router: &Router<'_>,
         round: usize,
-        scratch: &mut BytesMut,
+        slot: &mut WorkerSlot<P::Message>,
         stats: &mut SendStats,
         mut stage: impl FnMut(Delivery<P::Message>),
     ) -> Result<usize, SimError> {
@@ -350,23 +347,25 @@ impl<P: NodeProgram> Shard<'_, P> {
                 round,
             };
             let ports = &mut self.ports[start - port_base..end - port_base];
-            let step = node.round(&ctx, self.arena.inbox(i), ports);
-            if step.done {
+            let out = &mut slot.outbox;
+            out.sends.clear();
+            if node.round(&ctx, self.arena.inbox(i), ports, out) {
                 *active = false;
                 halted += 1;
             }
-            router.expand(&ctx, start, step.outgoing, scratch, stats, &mut stage)?;
+            router.expand(&ctx, start, out, &mut slot.scratch, stats, &mut stage)?;
         }
         Ok(halted)
     }
 }
 
 /// One worker's state that persists across rounds: its encode scratch,
-/// and on a pool its (dispatch, busy) nanos for the running round, read
-/// back by the caller to derive the barrier-wait residue.
-#[derive(Default)]
-struct WorkerSlot {
+/// the outbox every node it steps sends through, and on a pool its
+/// (dispatch, busy) nanos for the running round, read back by the caller
+/// to derive the barrier-wait residue.
+struct WorkerSlot<M> {
     scratch: BytesMut,
+    outbox: Outbox<M>,
     dispatch: u64,
     busy: u64,
 }
@@ -546,7 +545,16 @@ fn run_rounds<P: NodeProgram>(
     // Per-worker state, persistent across rounds and indexed by worker
     // id, so each slot is used by exactly one worker per epoch. Built
     // whether or not the run is observed, so observing allocates nothing.
-    let slots: Vec<Mutex<WorkerSlot>> = (0..workers).map(|_| Mutex::default()).collect();
+    let slots: Vec<Mutex<WorkerSlot<P::Message>>> = (0..workers)
+        .map(|_| {
+            Mutex::new(WorkerSlot {
+                scratch: BytesMut::new(),
+                outbox: Outbox::new(),
+                dispatch: 0,
+                busy: 0,
+            })
+        })
+        .collect();
     // Decentralized halting: the only shared halt state is this counter;
     // the flags live in the shards that own them.
     let active_count = AtomicUsize::new(n);
@@ -622,7 +630,7 @@ fn run_rounds<P: NodeProgram>(
                     bucket.clear();
                 }
                 let staged = out.as_mut_slice();
-                let stepped = shard.step(&router, round, &mut slot.scratch, &mut stats, move |d| {
+                let stepped = shard.step(&router, round, &mut slot, &mut stats, move |d| {
                     staged[(d.dest as usize) >> shard_shift].push(d)
                 });
                 std::mem::swap(&mut shard.own, &mut out[s]);
@@ -711,7 +719,7 @@ fn run_rounds<P: NodeProgram>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{det_rand, Inbox, Step};
+    use crate::{det_rand, Inbox};
     use arbodom_graph::generators;
 
     /// Each node floods its id once; everyone halts after hearing neighbors.
@@ -728,12 +736,16 @@ mod tests {
             ctx: &NodeCtx<'_>,
             inbox: Inbox<'_, u32>,
             _ports: &mut [()],
-        ) -> Step<u32> {
+            out: &mut Outbox<u32>,
+        ) -> bool {
             match ctx.round {
-                0 => Step::continue_with(vec![Outgoing::broadcast(ctx.id.get())]),
+                0 => {
+                    out.broadcast(ctx.id.get());
+                    false
+                }
                 _ => {
                     self.sum = inbox.iter().map(|(_, &m)| u64::from(m)).sum();
-                    Step::halt()
+                    true
                 }
             }
         }
@@ -825,8 +837,9 @@ mod tests {
             _ctx: &NodeCtx<'_>,
             _inbox: Inbox<'_, bool>,
             _ports: &mut [()],
-        ) -> Step<bool> {
-            Step::idle()
+            _out: &mut Outbox<bool>,
+        ) -> bool {
+            false
         }
         fn output(&self) {}
     }
@@ -868,12 +881,9 @@ mod tests {
             ctx: &NodeCtx<'_>,
             _inbox: Inbox<'_, bool>,
             _ports: &mut [()],
-        ) -> Step<bool> {
-            if ctx.round + 1 == self.total {
-                Step::halt()
-            } else {
-                Step::idle()
-            }
+            _out: &mut Outbox<bool>,
+        ) -> bool {
+            ctx.round + 1 == self.total
         }
         fn output(&self) {}
     }
@@ -963,12 +973,9 @@ mod tests {
             ctx: &NodeCtx<'_>,
             _inbox: Inbox<'_, bool>,
             _ports: &mut [()],
-        ) -> Step<bool> {
-            if self.halts && ctx.round + 1 == self.total {
-                Step::halt()
-            } else {
-                Step::idle()
-            }
+            _out: &mut Outbox<bool>,
+        ) -> bool {
+            self.halts && ctx.round + 1 == self.total
         }
         fn output(&self) {}
     }
@@ -1074,8 +1081,10 @@ mod tests {
             _ctx: &NodeCtx<'_>,
             _inbox: Inbox<'_, bool>,
             _ports: &mut [()],
-        ) -> Step<bool> {
-            Step::halt_with(vec![Outgoing::to_port(99, true)])
+            out: &mut Outbox<bool>,
+        ) -> bool {
+            out.send(99, true);
+            true
         }
         fn output(&self) {}
     }
@@ -1101,12 +1110,12 @@ mod tests {
             _ctx: &NodeCtx<'_>,
             _inbox: Inbox<'_, bool>,
             _ports: &mut [()],
-        ) -> Step<bool> {
+            out: &mut Outbox<bool>,
+        ) -> bool {
             if self.faulty {
-                Step::continue_with(vec![Outgoing::to_port(99, true)])
-            } else {
-                Step::idle()
+                out.send(99, true);
             }
+            false
         }
         fn output(&self) {}
     }
@@ -1149,23 +1158,21 @@ mod tests {
             ctx: &NodeCtx<'_>,
             inbox: Inbox<'_, u64>,
             _ports: &mut [()],
-        ) -> Step<u64> {
+            out: &mut Outbox<u64>,
+        ) -> bool {
             if ctx.round == 0 && self.is_source {
-                return Step::halt_with(vec![Outgoing::to_port(0, 1)]);
+                out.send(0, 1);
+                return true;
             }
             if let Some((from, &v)) = inbox.first() {
                 self.value = v;
-                if self.is_sink {
-                    return Step::halt();
+                if !self.is_sink {
+                    // forward out the other port
+                    out.send(1 - from, v + 1);
                 }
-                // forward out the other port
-                let other = 1 - from;
-                return Step::halt_with(vec![Outgoing::to_port(other, v + 1)]);
+                return true;
             }
-            if ctx.round > 0 && self.is_source {
-                return Step::halt();
-            }
-            Step::idle()
+            ctx.round > 0 && self.is_source
         }
         fn output(&self) -> u64 {
             self.value
@@ -1413,9 +1420,10 @@ mod tests {
 
     /// An independent reference for the round loop, sharing nothing with
     /// it but the program interface: one `Vec` inbox per node, filled by
-    /// walking senders in ascending id and each `Outgoing` in order. Each
-    /// `Outgoing` is encoded once to meter it (as [`MeterMode::Measure`]
-    /// does), and the loss coin is keyed as [`Router::expand`] keys it.
+    /// walking senders in ascending id and each node's sends in call
+    /// order. Each send call is encoded once to meter it (as
+    /// [`MeterMode::Measure`] does), and the loss coin is keyed as
+    /// [`Router::expand`] keys it.
     fn reference<P: NodeProgram>(
         g: &Graph,
         globals: &Globals,
@@ -1446,15 +1454,15 @@ mod tests {
                     globals,
                     round,
                 };
-                let step = nodes[vi].round(&ctx, Inbox::new(&inboxes[vi]), &mut ports[vi]);
-                active[vi] = !step.done;
-                for out in step.outgoing {
+                let mut out = Outbox::new();
+                let inbox = Inbox::new(&inboxes[vi]);
+                active[vi] = !nodes[vi].round(&ctx, inbox, &mut ports[vi], &mut out);
+                for (to, msg) in out.sends {
                     let mut encoded = BytesMut::new();
-                    out.msg.encode(&mut encoded);
-                    let to: Vec<usize> = match out.to {
-                        Recipients::Broadcast => (0..nbrs.len()).collect(),
-                        Recipients::Port(port) => vec![port],
-                        Recipients::Ports(ports) => ports,
+                    msg.encode(&mut encoded);
+                    let to: Vec<usize> = match to {
+                        None => (0..nbrs.len()).collect(),
+                        Some(port) => vec![port],
                     };
                     for port in to {
                         let (node, degree) = (v.get(), nbrs.len());
@@ -1471,7 +1479,7 @@ mod tests {
                             continue;
                         }
                         let back = g.neighbors(u).binary_search(&v).expect("symmetric");
-                        let (dest, port, msg) = (u.get(), back as u32, out.msg.clone());
+                        let (dest, port, msg) = (u.get(), back as u32, msg.clone());
                         next[u.index()].push(Delivery { dest, port, msg });
                     }
                 }
@@ -1534,6 +1542,13 @@ mod tests {
     struct Digest {
         hash: u64,
     }
+    impl Digest {
+        fn fold(&mut self, inbox: Inbox<'_, u64>) {
+            for (port, &m) in inbox {
+                self.hash = self.hash.wrapping_mul(1_000_003) ^ (port as u64) << 32 ^ m;
+            }
+        }
+    }
     impl NodeProgram for Digest {
         type Message = u64;
         type PortState = ();
@@ -1543,26 +1558,56 @@ mod tests {
             ctx: &NodeCtx<'_>,
             inbox: Inbox<'_, u64>,
             _ports: &mut [()],
-        ) -> Step<u64> {
-            for (port, &m) in inbox {
-                self.hash = self.hash.wrapping_mul(1_000_003) ^ (port as u64) << 32 ^ m;
+            out: &mut Outbox<u64>,
+        ) -> bool {
+            self.fold(inbox);
+            if ctx.round == 3 {
+                return true;
             }
-            match ctx.round {
-                3 => Step::halt(),
-                r => Step::continue_with(vec![Outgoing::broadcast(
-                    u64::from(ctx.id.get()) * 4 + r as u64,
-                )]),
-            }
+            out.broadcast(u64::from(ctx.id.get()) * 4 + ctx.round as u64);
+            false
         }
         fn output(&self) -> u64 {
             self.hash
         }
     }
 
+    /// [`Digest`] with three sends a round: one on port 0, one broadcast,
+    /// then one on the last port, each with its own payload. Its output
+    /// changes if a sender's sends arrive out of call order.
+    struct MultiSend(Digest);
+    impl NodeProgram for MultiSend {
+        type Message = u64;
+        type PortState = ();
+        type Output = u64;
+        fn round(
+            &mut self,
+            ctx: &NodeCtx<'_>,
+            inbox: Inbox<'_, u64>,
+            _ports: &mut [()],
+            out: &mut Outbox<u64>,
+        ) -> bool {
+            self.0.fold(inbox);
+            if ctx.round == 3 {
+                return true;
+            }
+            let tag = (u64::from(ctx.id.get()) * 4 + ctx.round as u64) * 3;
+            if let Some(last) = ctx.degree().checked_sub(1) {
+                out.send(0, tag);
+                out.broadcast(tag + 1);
+                out.send(last, tag + 2);
+            }
+            false
+        }
+        fn output(&self) -> u64 {
+            self.0.hash
+        }
+    }
+
     /// The round loop agrees with the naive reference on every program —
-    /// plain, order-sensitive, lossy, faulting and round-limited — over
-    /// paths, grids, stars, a hub graph and forest unions, at every
-    /// worker count and shard size.
+    /// plain, order-sensitive, several sends a round, lossy, faulting and
+    /// round-limited — over paths, grids, stars, a hub graph and forest
+    /// unions, at every worker count and shard size.
     #[test]
     fn the_round_loop_matches_a_naive_reference() {
         use rand::rngs::StdRng;
@@ -1608,6 +1653,9 @@ mod tests {
             let digest = |_: NodeId, _: &Graph| Digest { hash: 0 };
             assert_matches_reference(name, &pools, g, digest, &plain);
             assert_matches_reference(name, &pools, g, digest, &lossy);
+            let multi = |_: NodeId, _: &Graph| MultiSend(Digest { hash: 0 });
+            assert_matches_reference(name, &pools, g, multi, &plain);
+            assert_matches_reference(name, &pools, g, multi, &lossy);
             let fault = move |v: NodeId, _: &Graph| FaultAt {
                 faulty: [n / 5, n / 2, n - 1].contains(&v.index()),
             };

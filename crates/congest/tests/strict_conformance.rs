@@ -5,8 +5,8 @@
 //! silently wrong run.
 
 use arbodom_congest::{
-    assert_wire_conformance, run, Globals, Inbox, MeterMode, NodeCtx, NodeProgram, Outgoing,
-    RunOptions, SimError, Step, Wire, WireError,
+    assert_wire_conformance, run, Globals, Inbox, MeterMode, NodeCtx, NodeProgram, Outbox,
+    RunOptions, SimError, Wire, WireError,
 };
 use arbodom_graph::generators;
 use bytes::{BufMut, BytesMut};
@@ -27,12 +27,17 @@ impl<M: Wire + Clone + std::fmt::Debug + Send + Sync> NodeProgram for SendOnce<M
     type Message = M;
     type PortState = ();
     type Output = usize;
-    fn round(&mut self, _ctx: &NodeCtx<'_>, inbox: Inbox<'_, M>, _ports: &mut [()]) -> Step<M> {
+    fn round(
+        &mut self,
+        _ctx: &NodeCtx<'_>,
+        inbox: Inbox<'_, M>,
+        _ports: &mut [()],
+        out: &mut Outbox<M>,
+    ) -> bool {
         if inbox.is_empty() {
-            Step::halt_with(vec![Outgoing::broadcast(self.msg.clone())])
-        } else {
-            Step::halt()
+            out.broadcast(self.msg.clone());
         }
+        true
     }
     fn output(&self) -> usize {
         0
@@ -141,12 +146,14 @@ fn strict_mode_delivers_the_roundtripped_value() {
             _ctx: &NodeCtx<'_>,
             inbox: Inbox<'_, Lossy>,
             _ports: &mut [()],
-        ) -> Step<Lossy> {
+            out: &mut Outbox<Lossy>,
+        ) -> bool {
             if let Some((_, m)) = inbox.first() {
                 self.got = Some(m.0);
-                return Step::halt();
+                return true;
             }
-            Step::continue_with(vec![Outgoing::broadcast(Lossy(9))])
+            out.broadcast(Lossy(9));
+            false
         }
         fn output(&self) -> Option<u32> {
             self.got

@@ -21,8 +21,7 @@
 //! allocates nothing.
 
 use arbodom_congest::{
-    det_rand, run_parallel, Globals, Inbox, NodeCtx, NodeProgram, Outgoing, RunOptions, Step,
-    Telemetry,
+    det_rand, run_parallel, Globals, Inbox, NodeCtx, NodeProgram, Outbox, RunOptions, Telemetry,
 };
 use arbodom_graph::{Graph, NodeId};
 
@@ -181,7 +180,8 @@ impl RandomizedProgram {
         &mut self,
         inbox: Inbox<'_, ProtocolMsg>,
         ports: &mut [RandomizedPort],
-    ) -> Vec<Outgoing<ProtocolMsg>> {
+        out: &mut Outbox<ProtocolMsg>,
+    ) {
         let mut heard_join = false;
         for (port, &msg) in inbox {
             if msg == ProtocolMsg::Joined {
@@ -194,9 +194,8 @@ impl RandomizedProgram {
         }
         if self.dominated && !self.announced {
             self.announced = true;
-            return vec![Outgoing::broadcast(ProtocolMsg::Dominated)];
+            out.broadcast(ProtocolMsg::Dominated);
         }
-        Vec::new()
     }
 }
 
@@ -210,12 +209,14 @@ impl NodeProgram for RandomizedProgram {
         ctx: &NodeCtx<'_>,
         inbox: Inbox<'_, ProtocolMsg>,
         ports: &mut [RandomizedPort],
-    ) -> Step<ProtocolMsg> {
+        out: &mut Outbox<ProtocolMsg>,
+    ) -> bool {
         let rd = ctx.round;
         match rd {
             0 => {
                 self.weight = ctx.weight;
-                Step::continue_with(vec![Outgoing::broadcast(ProtocolMsg::Weight(self.weight))])
+                out.broadcast(ProtocolMsg::Weight(self.weight));
+                false
             }
             1 => {
                 for (port, &msg) in inbox {
@@ -229,7 +230,8 @@ impl NodeProgram for RandomizedProgram {
                     .chain(std::iter::once(self.weight))
                     .min()
                     .expect("nonempty");
-                Step::continue_with(vec![Outgoing::broadcast(ProtocolMsg::Tau(self.tau))])
+                out.broadcast(ProtocolMsg::Tau(self.tau));
+                false
             }
             _ => {
                 if rd == 2 {
@@ -279,15 +281,13 @@ impl NodeProgram for RandomizedProgram {
                                 self.in_s = true;
                                 self.dominated = true;
                                 self.announced = true;
-                                return Step::continue_with(vec![Outgoing::broadcast(
-                                    ProtocolMsg::Joined,
-                                )]);
+                                out.broadcast(ProtocolMsg::Joined);
                             }
                         }
-                        Step::idle()
                     } else {
-                        Step::continue_with(self.part_b(inbox, ports))
+                        self.part_b(inbox, ports, out);
                     }
+                    false
                 } else if rd < fallback_round {
                     // ---- Lemma 4.6 phase ----
                     let j = (rd - base) / 2;
@@ -325,38 +325,31 @@ impl NodeProgram for RandomizedProgram {
                                     self.in_s_prime = true;
                                     self.dominated = true;
                                     self.announced = true;
-                                    return Step::continue_with(vec![Outgoing::broadcast(
-                                        ProtocolMsg::Joined,
-                                    )]);
+                                    out.broadcast(ProtocolMsg::Joined);
                                 }
                             }
                         }
-                        Step::idle()
                     } else {
-                        Step::continue_with(self.part_b(inbox, ports))
+                        self.part_b(inbox, ports, out);
                     }
+                    false
                 } else if rd == fallback_round {
                     Self::apply_dominated_events(inbox, ports);
                     if self.r1 == 0 && self.t_phases * self.r_iters == 0 {
                         self.x_certificate = self.x;
                     }
-                    if self.dominated {
-                        return Step::idle();
-                    }
-                    match self.cheapest_dominator(ctx, ports) {
-                        None => {
-                            self.in_s_prime = true;
-                            Step::idle()
-                        }
-                        Some(port) => {
-                            Step::continue_with(vec![Outgoing::to_port(port, ProtocolMsg::Elect)])
+                    if !self.dominated {
+                        match self.cheapest_dominator(ctx, ports) {
+                            None => self.in_s_prime = true,
+                            Some(port) => out.send(port, ProtocolMsg::Elect),
                         }
                     }
+                    false
                 } else {
                     if inbox.iter().any(|(_, &m)| m == ProtocolMsg::Elect) {
                         self.in_s_prime = true;
                     }
-                    Step::halt()
+                    true
                 }
             }
         }

@@ -5,9 +5,7 @@
 //! and in a `K₂` component the smaller id joins (see [`crate::trees`] for
 //! why the boundary cases matter).
 
-use arbodom_congest::{
-    run, Globals, Inbox, NodeCtx, NodeProgram, Outgoing, RunOptions, Step, Telemetry,
-};
+use arbodom_congest::{run, Globals, Inbox, NodeCtx, NodeProgram, Outbox, RunOptions, Telemetry};
 use arbodom_graph::Graph;
 
 use super::msg::ProtocolMsg;
@@ -29,20 +27,22 @@ impl NodeProgram for TreeProgram {
         ctx: &NodeCtx<'_>,
         inbox: Inbox<'_, ProtocolMsg>,
         _ports: &mut [()],
-    ) -> Step<ProtocolMsg> {
+        out: &mut Outbox<ProtocolMsg>,
+    ) -> bool {
         match ctx.round {
             0 => {
                 let deg = ctx.degree() as u64;
                 if deg == 0 {
                     self.in_ds = true;
-                    return Step::halt();
+                    return true;
                 }
                 if deg >= 2 {
                     self.in_ds = true;
                 }
                 // Leaves still need their neighbor's degree for the K₂ rule;
                 // non-leaves broadcast so those leaves can decide.
-                Step::continue_with(vec![Outgoing::broadcast(ProtocolMsg::Degree(deg))])
+                out.broadcast(ProtocolMsg::Degree(deg));
+                false
             }
             _ => {
                 if ctx.degree() == 1 && !self.in_ds {
@@ -56,7 +56,7 @@ impl NodeProgram for TreeProgram {
                     let nbr = ctx.neighbors[0];
                     self.in_ds = nbr_deg == 1 && ctx.id < nbr;
                 }
-                Step::halt()
+                true
             }
         }
     }

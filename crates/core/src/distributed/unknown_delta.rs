@@ -22,7 +22,7 @@
 //! so the program itself allocates nothing.
 
 use arbodom_congest::{
-    run_parallel, Globals, Inbox, NodeCtx, NodeProgram, Outgoing, RunOptions, Step, Telemetry,
+    run_parallel, Globals, Inbox, NodeCtx, NodeProgram, Outbox, RunOptions, Telemetry,
 };
 use arbodom_graph::{Graph, NodeId};
 
@@ -136,20 +136,20 @@ impl UnknownDeltaProgram {
         heard_join
     }
 
-    fn announce_if_fresh(&mut self, out: &mut Vec<Outgoing<ProtocolMsg>>) {
+    fn announce_if_fresh(&mut self, out: &mut Outbox<ProtocolMsg>) {
         if self.dominated && !self.announced_dominated {
             self.announced_dominated = true;
-            out.push(Outgoing::broadcast(ProtocolMsg::Dominated));
+            out.broadcast(ProtocolMsg::Dominated);
         }
     }
 
     /// First `Joined` broadcast: marks both announcement flags.
-    fn broadcast_joined(&mut self, out: &mut Vec<Outgoing<ProtocolMsg>>) {
+    fn broadcast_joined(&mut self, out: &mut Outbox<ProtocolMsg>) {
         debug_assert!(!self.announced_joined);
         self.announced_joined = true;
         self.announced_dominated = true;
         self.dominated = true;
-        out.push(Outgoing::broadcast(ProtocolMsg::Joined));
+        out.broadcast(ProtocolMsg::Joined);
     }
 
     fn stabilized(&self, ports: &[UnknownDeltaPort]) -> bool {
@@ -167,12 +167,14 @@ impl NodeProgram for UnknownDeltaProgram {
         ctx: &NodeCtx<'_>,
         inbox: Inbox<'_, ProtocolMsg>,
         ports: &mut [UnknownDeltaPort],
-    ) -> Step<ProtocolMsg> {
+        out: &mut Outbox<ProtocolMsg>,
+    ) -> bool {
         let rd = ctx.round;
         match rd {
             0 => {
                 self.weight = ctx.weight;
-                Step::continue_with(vec![Outgoing::broadcast(ProtocolMsg::Weight(self.weight))])
+                out.broadcast(ProtocolMsg::Weight(self.weight));
+                false
             }
             1 => {
                 for (port, &msg) in inbox {
@@ -186,7 +188,8 @@ impl NodeProgram for UnknownDeltaProgram {
                     .chain(std::iter::once(self.weight))
                     .min()
                     .expect("nonempty");
-                Step::continue_with(vec![Outgoing::broadcast(ProtocolMsg::Tau(self.tau))])
+                out.broadcast(ProtocolMsg::Tau(self.tau));
+                false
             }
             2 => {
                 // Second setup round: exchange closed-neighborhood sizes so
@@ -197,9 +200,8 @@ impl NodeProgram for UnknownDeltaProgram {
                         ports[port].tau = t;
                     }
                 }
-                Step::continue_with(vec![Outgoing::broadcast(ProtocolMsg::Degree(
-                    ctx.degree() as u64 + 1,
-                ))])
+                out.broadcast(ProtocolMsg::Degree(ctx.degree() as u64 + 1));
+                false
             }
             _ => {
                 if rd == 3 {
@@ -217,9 +219,8 @@ impl NodeProgram for UnknownDeltaProgram {
                     // Mirrors need neighbors' normalizers too; they are a
                     // function of *their* neighborhoods, which we cannot
                     // see. Send our normalizer so mirrors can initialize.
-                    return Step::continue_with(vec![Outgoing::broadcast(ProtocolMsg::Weight(
-                        max_closed,
-                    ))]);
+                    out.broadcast(ProtocolMsg::Weight(max_closed));
+                    return false;
                 }
                 if rd == 4 {
                     for (port, &msg) in inbox {
@@ -236,7 +237,6 @@ impl NodeProgram for UnknownDeltaProgram {
                 match phase {
                     0 => {
                         // ---- sub-round A ----
-                        let mut out = Vec::new();
                         if iteration > 0 {
                             self.digest(inbox, ports);
                             // Raise every still-undominated packing value:
@@ -251,7 +251,7 @@ impl NodeProgram for UnknownDeltaProgram {
                             }
                             if self.stabilized(ports) {
                                 self.stabilized_at = iteration;
-                                return Step::halt();
+                                return true;
                             }
                         }
                         // Election (start-of-iteration snapshot).
@@ -259,11 +259,9 @@ impl NodeProgram for UnknownDeltaProgram {
                             match self.cheapest_dominator(ctx, ports) {
                                 None => {
                                     self.in_s_prime = true;
-                                    self.broadcast_joined(&mut out);
+                                    self.broadcast_joined(out);
                                 }
-                                Some(port) => {
-                                    out.push(Outgoing::to_port(port, ProtocolMsg::Elect));
-                                }
+                                Some(port) => out.send(port, ProtocolMsg::Elect),
                             }
                         }
                         // Join (start-of-iteration snapshot; only useful
@@ -276,13 +274,12 @@ impl NodeProgram for UnknownDeltaProgram {
                             && self.x_sum(ports) >= self.weight as f64 / one_plus_eps
                         {
                             self.in_s = true;
-                            self.broadcast_joined(&mut out);
+                            self.broadcast_joined(out);
                         }
-                        Step::continue_with(out)
+                        false
                     }
                     1 => {
                         // ---- sub-round B ----
-                        let mut out = Vec::new();
                         self.digest(inbox, ports);
                         if inbox.iter().any(|(_, &m)| m == ProtocolMsg::Elect) {
                             self.in_s_prime = true;
@@ -290,17 +287,16 @@ impl NodeProgram for UnknownDeltaProgram {
                                 // Announce membership — even if a plain
                                 // `Dominated` was sent before, the elector
                                 // needs to learn it is now dominated.
-                                self.broadcast_joined(&mut out);
+                                self.broadcast_joined(out);
                             }
                         }
-                        Step::continue_with(out)
+                        false
                     }
                     _ => {
                         // ---- sub-round C ----
-                        let mut out = Vec::new();
                         self.digest(inbox, ports);
-                        self.announce_if_fresh(&mut out);
-                        Step::continue_with(out)
+                        self.announce_if_fresh(out);
+                        false
                     }
                 }
             }

@@ -23,7 +23,7 @@
 //! nothing.
 
 use arbodom_congest::{
-    run_parallel, Globals, Inbox, NodeCtx, NodeProgram, Outgoing, RunOptions, Step, Telemetry,
+    run_parallel, Globals, Inbox, NodeCtx, NodeProgram, Outbox, RunOptions, Telemetry,
 };
 use arbodom_graph::{Graph, NodeId};
 
@@ -137,17 +137,16 @@ impl WeightedProgram {
     }
 
     /// Part A of an iteration: threshold test and join.
-    fn part_a(&mut self, ports: &[WeightedPort]) -> Vec<Outgoing<ProtocolMsg>> {
+    fn part_a(&mut self, ports: &[WeightedPort], out: &mut Outbox<ProtocolMsg>) {
         if !self.in_s {
             let threshold = self.weight as f64 / (1.0 + self.cfg.epsilon);
             if self.x_sum(ports) >= threshold {
                 self.in_s = true;
                 self.dominated = true;
                 self.announced = true; // Joined broadcast implies domination
-                return vec![Outgoing::broadcast(ProtocolMsg::Joined)];
+                out.broadcast(ProtocolMsg::Joined);
             }
         }
-        Vec::new()
     }
 
     /// Part B of an iteration: digest joins, announce fresh domination.
@@ -155,7 +154,8 @@ impl WeightedProgram {
         &mut self,
         inbox: Inbox<'_, ProtocolMsg>,
         ports: &mut [WeightedPort],
-    ) -> Vec<Outgoing<ProtocolMsg>> {
+        out: &mut Outbox<ProtocolMsg>,
+    ) {
         let mut heard_join = false;
         for (port, &msg) in inbox {
             if msg == ProtocolMsg::Joined {
@@ -168,9 +168,8 @@ impl WeightedProgram {
         }
         if self.dominated && !self.announced {
             self.announced = true;
-            return vec![Outgoing::broadcast(ProtocolMsg::Dominated)];
+            out.broadcast(ProtocolMsg::Dominated);
         }
-        Vec::new()
     }
 }
 
@@ -184,12 +183,14 @@ impl NodeProgram for WeightedProgram {
         ctx: &NodeCtx<'_>,
         inbox: Inbox<'_, ProtocolMsg>,
         ports: &mut [WeightedPort],
-    ) -> Step<ProtocolMsg> {
+        out: &mut Outbox<ProtocolMsg>,
+    ) -> bool {
         let rd = ctx.round;
         match rd {
             0 => {
                 self.weight = ctx.weight;
-                Step::continue_with(vec![Outgoing::broadcast(ProtocolMsg::Weight(self.weight))])
+                out.broadcast(ProtocolMsg::Weight(self.weight));
+                false
             }
             1 => {
                 for (port, &msg) in inbox {
@@ -203,7 +204,8 @@ impl NodeProgram for WeightedProgram {
                     .chain(std::iter::once(self.weight))
                     .min()
                     .expect("nonempty");
-                Step::continue_with(vec![Outgoing::broadcast(ProtocolMsg::Tau(self.tau))])
+                out.broadcast(ProtocolMsg::Tau(self.tau));
+                false
             }
             _ => {
                 if rd == 2 {
@@ -229,34 +231,30 @@ impl NodeProgram for WeightedProgram {
                             Self::apply_dominated_events(inbox, ports);
                             self.raise_undominated(ports);
                         }
-                        Step::continue_with(self.part_a(ports))
+                        self.part_a(ports, out);
                     } else {
-                        Step::continue_with(self.part_b(inbox, ports))
+                        self.part_b(inbox, ports, out);
                     }
+                    false
                 } else if rd == completion_round {
                     // Final bookkeeping of iteration r−1, then elections.
                     if self.r > 0 {
                         Self::apply_dominated_events(inbox, ports);
                         self.raise_undominated(ports);
                     }
-                    if self.dominated {
-                        return Step::idle();
-                    }
-                    match self.cheapest_dominator(ctx, ports) {
-                        None => {
-                            self.in_s_prime = true;
-                            Step::idle()
-                        }
-                        Some(port) => {
-                            Step::continue_with(vec![Outgoing::to_port(port, ProtocolMsg::Elect)])
+                    if !self.dominated {
+                        match self.cheapest_dominator(ctx, ports) {
+                            None => self.in_s_prime = true,
+                            Some(port) => out.send(port, ProtocolMsg::Elect),
                         }
                     }
+                    false
                 } else {
                     // completion_round + 1: receive elections, halt.
                     if inbox.iter().any(|(_, &m)| m == ProtocolMsg::Elect) {
                         self.in_s_prime = true;
                     }
-                    Step::halt()
+                    true
                 }
             }
         }

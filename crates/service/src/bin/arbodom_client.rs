@@ -27,7 +27,9 @@
 //!
 //! `run` retries server sheds with exponential backoff (honoring the
 //! server's `retry_after_ms` hint); `--retries 0` surfaces the first
-//! shed as an error.
+//! shed as an error. It prints the reply and exits 1 when the job failed
+//! or its reply is flagged (see `exit_code`), so a script can check an
+//! answer by the exit status alone.
 //!
 //! `FAMILY` ∈ `random-tree | forest-union:<α> | gnp:<avg-degree> |
 //! planar:<p> | ktree:<k>`; `SPEC` ∈ `weighted:<ε> | unknown-delta:<ε> |
@@ -35,7 +37,7 @@
 
 use arbodom_scenarios::{Algorithm, Family};
 use arbodom_service::cliargs::{parsed, required};
-use arbodom_service::{Client, GraphSource, JobSpec};
+use arbodom_service::{Client, GraphSource, JobResult, JobSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -364,8 +366,17 @@ fn run(args: &[String]) {
                     ms.iter().map(u32::to_string).collect::<Vec<_>>().join(" ")
                 );
             }
+            std::process::exit(exit_code(r));
         }
     }
+}
+
+/// `run`'s exit status for a job that came back: 1 when the reply is
+/// flagged, else 0. On a loss-free run `flagged` already covers an
+/// invalid set; on a lossy scenario cell a degraded answer is data and
+/// never raises `flagged`, so it exits 0.
+fn exit_code(r: &JobResult) -> i32 {
+    i32::from(r.flagged)
 }
 
 fn inline_from_file(path: &str) -> GraphSource {
@@ -463,4 +474,49 @@ fn usage(code: i32) -> ! {
          The default address is 127.0.0.1:4310 (override with --addr or ARBODOMD_ADDR)."
     );
     std::process::exit(code)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use arbodom_scenarios::quality::RefKind;
+
+    fn reply(valid: bool, flagged: bool, dropped_messages: u64) -> JobResult {
+        JobResult {
+            n: 4,
+            m: 3,
+            max_degree: 3,
+            alpha: 1,
+            graph_digest: 0,
+            ds_size: 1,
+            ds_weight: 1,
+            valid,
+            undominated: u64::from(!valid),
+            reference: RefKind::Exact,
+            opt_estimate: 1.0,
+            ratio: 1.0,
+            guarantee: 3.0,
+            within_guarantee: true,
+            flagged,
+            rounds: 2,
+            round_budget: 2,
+            messages: 6,
+            total_bits: 48,
+            max_message_bits: 8,
+            budget_violations: 0,
+            dropped_messages,
+            members: None,
+        }
+    }
+
+    #[test]
+    fn run_exits_1_only_on_a_flagged_reply() {
+        assert_eq!(exit_code(&reply(false, true, 0)), 1, "flagged");
+        assert_eq!(exit_code(&reply(true, false, 0)), 0, "clean");
+        assert_eq!(
+            exit_code(&reply(false, false, 2)),
+            0,
+            "lossy, invalid, unflagged"
+        );
+    }
 }
