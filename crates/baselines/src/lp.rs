@@ -7,9 +7,9 @@
 //!
 //! * [`maximal_packing`] — a greedy *maximal* feasible packing, an OPT
 //!   lower bound computed independently of the paper's algorithms (used to
-//!   cross-check their certificates). It costs one `O(n + m)` pass that
-//!   computes every `τ_v`, one `O(n log n)` sort of the `(τ_v, id)` keys
-//!   and one `O(n + m)` greedy pass;
+//!   cross-check their certificates). It costs one `O(n + m)` greedy
+//!   pass, and on a weighted graph also one `O(n + m)` pass that computes
+//!   every `τ_v` and one `O(n log n)` sort of the `(τ_v, id)` keys;
 //! * [`fractional_mwu`] — a primal solution via the classic
 //!   Plotkin–Shmoys–Tardos multiplicative-weights scheme with a
 //!   best-single-node oracle, repaired to exact feasibility by scaling.
@@ -25,30 +25,52 @@ use arbodom_graph::{Graph, NodeId};
 /// The result is maximal: no single `y_v` can be raised further. By
 /// Lemma 2.1 its total is a lower bound on OPT.
 ///
-/// Cost: one `O(n + m)` pass computes every `τ_v` once, one `O(n log n)`
-/// sort orders the `(τ_v, id)` keys (linear when they already come in id
-/// order, as with unit weights), and one `O(n + m)` greedy pass walks each
-/// closed neighborhood at most twice. The tests pin the order and every
-/// `f64` operation bit for bit against a reference that re-derives `τ` on
-/// every comparison.
+/// Cost: one `O(n + m)` greedy pass that walks each closed neighborhood
+/// at most twice, straight over the CSR arrays. On a unit-weight graph
+/// ([`Graph::is_unit_weighted`]) every `τ_v` is 1, so the `(τ_v, id)`
+/// order is id order and the greedy pass is all there is. A weighted
+/// graph first pays one `O(n + m)` pass that computes every `τ_v` once
+/// and one `O(n log n)` sort of the `(τ_v, id)` keys. The tests pin the
+/// order and every `f64` operation bit for bit, on both paths, against a
+/// reference that re-derives `τ` on every comparison.
 pub fn maximal_packing(g: &Graph) -> PackingCertificate {
     let n = g.n();
-    let mut order: Vec<NodeId> = g.nodes().collect();
-    // Cached, so τ scans each closed neighborhood once, not per comparison.
-    order.sort_by_cached_key(|&v| (g.tau(v), v));
+    let (offsets, neighbors) = g.csr();
+    let open = |v: usize| &neighbors[offsets[v] as usize..offsets[v + 1] as usize];
+    // `None` on a unit-weight graph.
+    let weights = g.explicit_weights();
     // Remaining slack of each constraint u: w_u − Σ_{v∈N⁺(u)} y_v.
-    let mut slack: Vec<f64> = g.nodes().map(|u| g.weight(u) as f64).collect();
+    let mut slack: Vec<f64> = match weights {
+        None => vec![1.0; n],
+        Some(w) => w.iter().map(|&w| w as f64).collect(),
+    };
     let mut y = vec![0.0f64; n];
-    for v in order {
-        let room = g
-            .closed_neighbors(v)
+    let mut raise = |v: usize| {
+        let adj = open(v);
+        let room = adj
+            .iter()
             .map(|u| slack[u.index()])
-            .fold(f64::INFINITY, f64::min);
+            .fold(slack[v], f64::min);
         if room > 0.0 {
-            y[v.index()] = room;
-            for u in g.closed_neighbors(v) {
+            y[v] = room;
+            slack[v] -= room;
+            for u in adj {
                 slack[u.index()] -= room;
             }
+        }
+    };
+    match weights {
+        None => (0..n).for_each(raise),
+        Some(w) => {
+            let mut keys: Vec<(u64, u32)> = (0..n)
+                .map(|v| {
+                    let tau = open(v).iter().map(|u| w[u.index()]).fold(w[v], u64::min);
+                    (tau, v as u32)
+                })
+                .collect();
+            // Ids make every key distinct, so an unstable sort is exact.
+            keys.sort_unstable();
+            keys.into_iter().for_each(|(_, v)| raise(v as usize));
         }
     }
     PackingCertificate::new(y)

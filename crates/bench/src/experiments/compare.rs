@@ -58,7 +58,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
         let alpha = spec
             .family
             .alpha_bound()
-            .unwrap_or_else(|| orientation::degeneracy_order(g).1.max(1));
+            .unwrap_or_else(|| orientation::degeneracy(g).max(1));
 
         let lb = cell.opt_estimate.max(1.0);
         let mut table = Table::new(

@@ -63,10 +63,7 @@ pub fn solve(g: &Graph, cfg: &AutoConfig) -> Result<AutoOutcome> {
             true,
         )
     } else {
-        (
-            arbodom_graph::orientation::degeneracy_order(g).1.max(1),
-            false,
-        )
+        (arbodom_graph::orientation::degeneracy(g).max(1), false)
     };
     let det_base = (2 * alpha + 1) as f64;
     match cfg.target_ratio {

@@ -169,6 +169,38 @@ pub fn shrink_step(g: &Graph, in_ds: &mut [bool], seeds: &[NodeId]) -> Vec<NodeI
     removed
 }
 
+/// Counts the nodes of `g` that `in_ds` leaves undominated after a
+/// repaired batch, checking only where the batch can change domination:
+/// the `touched` vertices, whose closed neighborhoods changed, and the
+/// closed neighborhoods of the members the batch `added` or `removed`.
+///
+/// Equals `verify::undominated_nodes(g, in_ds).len()` whenever `in_ds`
+/// dominated the graph before the batch and the batch changed membership
+/// only at `added` and `removed`, at `O(Σ deg)` over those nodes instead
+/// of `O(n + m)`. After a full re-solve every node may have changed, so
+/// count over the whole graph there.
+pub fn undominated_after_batch(
+    g: &Graph,
+    in_ds: &[bool],
+    touched: &[NodeId],
+    added: &[NodeId],
+    removed: &[NodeId],
+) -> usize {
+    assert_eq!(in_ds.len(), g.n(), "flag vector must cover all nodes");
+    let mut region: Vec<NodeId> = added
+        .iter()
+        .chain(removed)
+        .flat_map(|&u| g.closed_neighbors(u))
+        .chain(touched.iter().copied())
+        .collect();
+    region.sort_unstable();
+    region.dedup();
+    region
+        .into_iter()
+        .filter(|&v| !g.closed_neighbors(v).any(|u| in_ds[u.index()]))
+        .count()
+}
+
 /// Owned solve state for one dynamic instance: the current graph, the
 /// maintained dominating set, the drift anchor, and the digest chain of
 /// the mutation history. This is the state an `arbodomd` session holds.
@@ -387,6 +419,68 @@ mod tests {
         let added = repair_step(&g2, &mut in_ds, &d.touched());
         assert!(verify::is_dominating_set(&g2, &in_ds));
         assert_eq!(added, vec![NodeId::new(4)], "isolated node self-elects");
+    }
+
+    #[test]
+    fn batch_local_count_sees_a_touched_node_that_lost_its_dominator() {
+        // Path 0-1-2-3-4 dominated by {1, 3}; delete (3, 4) and skip the
+        // repair: node 4 is undominated, and it is only a touched node.
+        let g = generators::path(5);
+        let in_ds = vec![false, true, false, true, false];
+        let d = GraphDelta::new([], [(3, 4)]).unwrap();
+        let g2 = d.apply(&g).unwrap();
+        assert_eq!(
+            undominated_after_batch(&g2, &in_ds, &d.touched(), &[], &[]),
+            1
+        );
+        assert_eq!(verify::undominated_nodes(&g2, &in_ds).len(), 1);
+    }
+
+    /// The batch-local count equals the whole-graph count after every kept
+    /// repair of random streams: balanced churn under the default bound,
+    /// and deletion-heavy churn under a bound so tight that some batches
+    /// fall back. Clearing a needed member that the batch added, by hand,
+    /// must raise both counts alike.
+    #[test]
+    fn batch_local_count_matches_the_whole_graph() {
+        let mut broken_sets = 0;
+        for (seed, max_drift, dels, inss) in [(41, 0.25, 4, 4), (43, 0.0, 8, 2)] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = generators::forest_union(300, 2, &mut rng);
+            let sol = solver(2)(&g).unwrap();
+            let cfg = RepairConfig {
+                max_drift,
+                max_batches: 0,
+            };
+            let mut state = Maintainer::new(g, &sol, cfg);
+            let (mut kept, mut fell_back) = (0, 0);
+            for batch in 0..40 {
+                let delta = churn(state.graph(), 100 * seed + batch, dels, inss);
+                let out = state.apply(&delta, solver(3)).unwrap();
+                if !out.repaired {
+                    fell_back += 1;
+                    continue;
+                }
+                kept += 1;
+                let (g, in_ds) = (state.graph(), state.in_ds());
+                let local = |flags: &[bool]| {
+                    undominated_after_batch(g, flags, &delta.touched(), &out.added, &out.removed)
+                };
+                assert_eq!(local(in_ds), verify::undominated_nodes(g, in_ds).len());
+                for &d in out.added.iter().filter(|d| in_ds[d.index()]) {
+                    let mut broken = in_ds.to_vec();
+                    broken[d.index()] = false;
+                    let whole = verify::undominated_nodes(g, &broken).len();
+                    assert_eq!(local(&broken), whole, "batch {batch}, member {d} cleared");
+                    broken_sets += usize::from(whole > 0);
+                }
+            }
+            assert!(kept > 0, "seed {seed}: no batch kept its repair");
+            if max_drift == 0.0 {
+                assert!(fell_back > 0, "seed {seed}: the tight bound never tripped");
+            }
+        }
+        assert!(broken_sets > 0, "no batch added a needed member");
     }
 
     #[test]

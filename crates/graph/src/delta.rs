@@ -11,9 +11,9 @@
 //! * [`GraphDelta::apply_rebuild`] — the reference path: re-run
 //!   [`GraphBuilder`] over the full surviving edge list. `O(n + m log m)`.
 //! * [`GraphDelta::apply`] — the overlay path: merge each touched node's
-//!   sorted adjacency with its sorted patch list directly into fresh CSR
-//!   arrays, copying untouched ranges wholesale.
-//!   `O(n + m + |δ| log |δ|)`, no global sort.
+//!   sorted adjacency with its run of one sorted patch list directly into
+//!   fresh CSR arrays, copying untouched ranges wholesale.
+//!   `O(n + m + |δ| log |δ|)`, no global sort and no per-node lists.
 //!
 //! Deltas are *strict*: inserting an edge that is already present, or
 //! deleting one that is absent, is an [`GraphError::EdgeConflict`] — not
@@ -155,21 +155,22 @@ impl GraphDelta {
     /// [`GraphBuilder::add_edge`].
     pub fn apply_rebuild(&self, g: &Graph) -> Result<Graph> {
         self.check_range(g)?;
-        for &(u, v) in &self.inserts {
-            if g.has_edge(u, v) {
-                return Err(GraphError::EdgeConflict {
-                    u,
-                    v,
-                    present: true,
-                });
-            }
-        }
+        // Absent deletes first, as `apply` reports them.
         for &(u, v) in &self.deletes {
             if !g.has_edge(u, v) {
                 return Err(GraphError::EdgeConflict {
                     u,
                     v,
                     present: false,
+                });
+            }
+        }
+        for &(u, v) in &self.inserts {
+            if g.has_edge(u, v) {
+                return Err(GraphError::EdgeConflict {
+                    u,
+                    v,
+                    present: true,
                 });
             }
         }
@@ -192,41 +193,25 @@ impl GraphDelta {
         })
     }
 
-    /// Overlay apply: merges each touched node's sorted base adjacency
-    /// with its sorted patch list straight into fresh CSR arrays, copying
-    /// untouched adjacency ranges wholesale. Produces a graph
-    /// byte-identical to [`GraphDelta::apply_rebuild`] without a global
-    /// edge sort.
+    /// Overlay apply: sorts one patch list over the touched nodes only
+    /// (`2|δ|` entries, no per-node lists), merges each touched node's
+    /// sorted base adjacency with its run of patches straight into fresh
+    /// CSR arrays, and copies the untouched ranges between touched nodes
+    /// wholesale. Produces a graph byte-identical to
+    /// [`GraphDelta::apply_rebuild`] without a global edge sort.
     ///
     /// # Errors
     ///
     /// Same contract as [`GraphDelta::apply_rebuild`], including
-    /// [`GraphError::TooManyEdges`] (checked before the `u32` offset prefix
-    /// sum) when the result would exceed `u32::MAX / 2` edges.
+    /// [`GraphError::TooManyEdges`] (checked before any CSR array is
+    /// filled) when the result would exceed `u32::MAX / 2` edges. When a
+    /// batch has several faults, the first in this order is reported: an
+    /// out-of-range endpoint, an absent delete in list order, the edge
+    /// count, a present insert in canonical order.
     pub fn apply(&self, g: &Graph) -> Result<Graph> {
         self.check_range(g)?;
-        let n = g.n();
-        // Per-node patch lists. Each undirected mutation lands on both
-        // endpoints; inserts and deletes stay separately sorted (the
-        // canonical lists are sorted on (min, max), so pushing the `max`
-        // side in order keeps per-node lists sorted — but the `min` side
-        // interleaves, so sort per node below).
-        let mut ins: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        let mut del: Vec<Vec<NodeId>> = vec![Vec::new(); n];
-        for &(u, v) in &self.inserts {
-            ins[u.index()].push(v);
-            ins[v.index()].push(u);
-        }
-        for &(u, v) in &self.deletes {
-            del[u.index()].push(v);
-            del[v.index()].push(u);
-        }
-        for list in ins.iter_mut().chain(del.iter_mut()) {
-            list.sort_unstable();
-        }
-        // Deletes must exist in the base graph *before* the degree
-        // arithmetic below (a phantom delete would underflow a degree).
-        // Insert conflicts surface naturally during the merge.
+        // Deletes must exist in the base graph before the merge drops
+        // them. Insert conflicts surface during the merge.
         for &(u, v) in &self.deletes {
             if !g.has_edge(u, v) {
                 return Err(GraphError::EdgeConflict {
@@ -238,53 +223,74 @@ impl GraphDelta {
         }
         // Deletes are distinct present edges, so this is the result's edge
         // count, unless an insert conflicts, which the merge rejects anyway.
-        check_edge_count(g.m() - self.deletes.len() + self.inserts.len())?;
+        let m = g.m() - self.deletes.len() + self.inserts.len();
+        check_edge_count(m)?;
 
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u32);
-        let mut acc = 0u32;
-        for v in 0..n {
-            let deg = g.degree(NodeId::from_index(v)) + ins[v].len() - del[v].len();
-            acc += deg as u32;
-            offsets.push(acc);
-        }
-        let mut neighbors = Vec::with_capacity(acc as usize);
-        for v in 0..n {
-            let vid = NodeId::from_index(v);
-            let base = g.neighbors(vid);
-            let (add, drop) = (&ins[v], &del[v]);
-            if add.is_empty() && drop.is_empty() {
-                neighbors.extend_from_slice(base);
-                continue;
+        // One patch per mutated edge end, `(node, neighbor, is_insert)`,
+        // sorted by node and then neighbor: each touched node's patches
+        // form one sorted run. The lists are disjoint, so no two patches
+        // share a `(node, neighbor)` pair.
+        let mut patches: Vec<(NodeId, NodeId, bool)> = Vec::with_capacity(2 * self.len());
+        for (list, insert) in [(&self.inserts, true), (&self.deletes, false)] {
+            for &(u, v) in list {
+                patches.push((u, v, insert));
+                patches.push((v, u, insert));
             }
-            // Three-way merge: walk the sorted base list, skipping nodes
-            // scheduled for deletion, weaving in sorted insertions.
-            let (mut bi, mut ai, mut di) = (0, 0, 0);
-            while bi < base.len() || ai < add.len() {
-                let take_add = ai < add.len() && (bi >= base.len() || add[ai] < base[bi]);
-                if take_add {
-                    neighbors.push(add[ai]);
-                    ai += 1;
-                    continue;
-                }
-                let x = base[bi];
-                if ai < add.len() && add[ai] == x {
-                    return Err(GraphError::EdgeConflict {
-                        u: vid.min(x),
-                        v: vid.max(x),
-                        present: true,
-                    });
-                }
-                if di < drop.len() && drop[di] == x {
+        }
+        patches.sort_unstable();
+
+        let (base_offsets, base) = g.csr();
+        let mut offsets: Vec<u32> = Vec::with_capacity(g.n() + 1);
+        let mut neighbors: Vec<NodeId> = Vec::with_capacity(2 * m);
+        // Copies the adjacency of the untouched nodes `from..to` wholesale,
+        // shifting their offsets by what the touched nodes below them
+        // gained or lost.
+        let copy_untouched =
+            |offsets: &mut Vec<u32>, neighbors: &mut Vec<NodeId>, from: usize, to: usize| {
+                let (lo, hi) = (base_offsets[from], base_offsets[to]);
+                let shift = (neighbors.len() as u32).wrapping_sub(lo);
+                offsets.extend(
+                    base_offsets[from..to]
+                        .iter()
+                        .map(|&o| o.wrapping_add(shift)),
+                );
+                neighbors.extend_from_slice(&base[lo as usize..hi as usize]);
+            };
+        let mut done = 0;
+        for run in patches.chunk_by(|a, b| a.0 == b.0) {
+            let node = run[0].0;
+            let v = node.index();
+            copy_untouched(&mut offsets, &mut neighbors, done, v);
+            offsets.push(neighbors.len() as u32);
+            // Merge: copy the base list up to each patched neighbor, then
+            // weave the insert in or skip the deleted entry.
+            let adj = g.neighbors(node);
+            let mut bi = 0;
+            for &(_, x, insert) in run {
+                let below = bi + adj[bi..].partition_point(|&b| b < x);
+                neighbors.extend_from_slice(&adj[bi..below]);
+                bi = below;
+                let present = adj.get(bi) == Some(&x);
+                if insert {
+                    if present {
+                        return Err(GraphError::EdgeConflict {
+                            u: node.min(x),
+                            v: node.max(x),
+                            present: true,
+                        });
+                    }
+                    neighbors.push(x);
+                } else {
+                    debug_assert!(present, "pre-validated delete ({node}, {x}) is present");
                     bi += 1;
-                    di += 1;
-                    continue;
                 }
-                neighbors.push(x);
-                bi += 1;
             }
-            debug_assert_eq!(di, drop.len(), "pre-validated deletes all consumed");
+            neighbors.extend_from_slice(&adj[bi..]);
+            done = v + 1;
         }
+        copy_untouched(&mut offsets, &mut neighbors, done, g.n());
+        offsets.push(neighbors.len() as u32);
+        debug_assert_eq!(neighbors.len(), 2 * m);
         Ok(Graph {
             offsets,
             neighbors,
@@ -341,7 +347,8 @@ mod tests {
         let g = Graph::from_edges(3, [(0, 1)]).unwrap();
         let dup = GraphDelta::new([(0, 1)], []).unwrap();
         let gone = GraphDelta::new([], [(1, 2)]).unwrap();
-        for d in [&dup, &gone] {
+        let both = GraphDelta::new([(0, 1)], [(1, 2)]).unwrap();
+        for d in [&dup, &gone, &both] {
             let (a, b) = (d.apply(&g).unwrap_err(), d.apply_rebuild(&g).unwrap_err());
             assert!(matches!(a, GraphError::EdgeConflict { .. }), "{a:?}");
             assert_eq!(a, b, "both paths must report the same conflict");
@@ -351,6 +358,65 @@ mod tests {
             oob.apply(&g).unwrap_err(),
             GraphError::NodeOutOfRange { .. }
         ));
+    }
+
+    /// With several faults in one batch, `apply` reports the first in its
+    /// documented order. The error string is the job-level error a session
+    /// client gets back, so the choice is pinned.
+    #[test]
+    fn batches_with_several_conflicts_report_the_first() {
+        // Path 0-1-2-3-4-5.
+        let g = generators::path(6);
+        let conflict = |u: u32, v: u32, present| GraphError::EdgeConflict {
+            u: NodeId::new(u),
+            v: NodeId::new(v),
+            present,
+        };
+        // An absent delete wins over a present insert, even one that comes
+        // first in node order.
+        let both = GraphDelta::new([(0, 1)], [(2, 5)]).unwrap();
+        assert_eq!(both.apply(&g).unwrap_err(), conflict(2, 5, false));
+        // Absent deletes in list order.
+        let deletes = GraphDelta::new([], [(1, 3), (0, 4)]).unwrap();
+        assert_eq!(deletes.apply(&g).unwrap_err(), conflict(0, 4, false));
+        // Two present inserts, given in reverse: the first in canonical
+        // order.
+        let inserts = GraphDelta::new([(4, 3), (2, 1)], []).unwrap();
+        assert_eq!(inserts.apply(&g).unwrap_err(), conflict(1, 2, true));
+        // An absent insert on a smaller node does not hide the conflict.
+        let mixed = GraphDelta::new([(0, 5), (3, 4), (1, 2)], []).unwrap();
+        assert_eq!(mixed.apply(&g).unwrap_err(), conflict(1, 2, true));
+        // Out of range beats everything.
+        let range = GraphDelta::new([(0, 1)], [(2, 9)]).unwrap();
+        assert!(matches!(
+            range.apply(&g).unwrap_err(),
+            GraphError::NodeOutOfRange { .. }
+        ));
+    }
+
+    /// A delta that touches only the first and the last node leaves one
+    /// untouched range between them, copied wholesale, and none outside.
+    #[test]
+    fn delta_on_the_first_and_last_node_matches_rebuild() {
+        let mut rng = StdRng::seed_from_u64(29);
+        let g = generators::forest_union(50, 2, &mut rng);
+        let last = (g.n() - 1) as u32;
+        let d = if g.has_edge(NodeId::new(0), NodeId::new(last)) {
+            GraphDelta::new([], [(0, last)]).unwrap()
+        } else {
+            GraphDelta::new([(0, last)], []).unwrap()
+        };
+        let touched: Vec<u32> = d.touched().iter().map(|v| v.get()).collect();
+        assert_eq!(touched, vec![0, last]);
+        let fast = d.apply(&g).unwrap();
+        assert_eq!(csr_bytes(&fast), csr_bytes(&d.apply_rebuild(&g).unwrap()));
+        // And back: the inverse restores the base bytes.
+        let inverse = GraphDelta::new(
+            d.deletes().iter().map(|&(u, v)| (u.get(), v.get())),
+            d.inserts().iter().map(|&(u, v)| (u.get(), v.get())),
+        )
+        .unwrap();
+        assert_eq!(csr_bytes(&inverse.apply(&fast).unwrap()), csr_bytes(&g));
     }
 
     #[test]

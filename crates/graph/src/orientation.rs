@@ -151,6 +151,71 @@ pub fn degeneracy_order(g: &Graph) -> (Vec<NodeId>, usize) {
     (order, degeneracy)
 }
 
+/// The degeneracy of `g` alone: the number [`degeneracy_order`] returns,
+/// without the order.
+///
+/// A Batagelj–Zaversnik core peel ("An O(m) Algorithm for Cores
+/// Decomposition of Networks", 2003) over four flat `u32` arrays: nodes
+/// sit in one array sorted by current degree, and removing a node moves
+/// each higher-degree neighbor down one bin by a swap, with no bucket
+/// lists and no stale entries. `O(n + m)`. The degeneracy is the largest
+/// core number, a graph invariant, so it equals `degeneracy_order(g).1`
+/// even though the two peels remove nodes in different orders.
+pub fn degeneracy(g: &Graph) -> usize {
+    let (offsets, neighbors) = g.csr();
+    let n = g.n();
+    let mut deg: Vec<u32> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
+    let max_deg = deg.iter().copied().max().unwrap_or(0) as usize;
+    // Counting sort of the nodes by degree into `vert`; `pos` inverts it
+    // and bin[d] ends up at the first slot of the degree-d nodes.
+    let mut bin = vec![0u32; max_deg + 1];
+    for &d in &deg {
+        bin[d as usize] += 1;
+    }
+    let mut start = 0;
+    for b in &mut bin {
+        let count = *b;
+        *b = start;
+        start += count;
+    }
+    let mut pos = vec![0u32; n];
+    let mut vert = vec![0u32; n];
+    for (v, &d) in deg.iter().enumerate() {
+        let slot = &mut bin[d as usize];
+        pos[v] = *slot;
+        vert[*slot as usize] = v as u32;
+        *slot += 1;
+    }
+    // Filling moved each bin's start to its end, the next bin's start.
+    bin.copy_within(..max_deg, 1);
+    bin[0] = 0;
+    let mut degeneracy = 0;
+    for i in 0..n {
+        let v = vert[i] as usize;
+        let dv = deg[v];
+        degeneracy = degeneracy.max(dv);
+        for &u in &neighbors[offsets[v] as usize..offsets[v + 1] as usize] {
+            let u = u.index();
+            let du = deg[u];
+            if du > dv {
+                // Swap u with the first node of its bin, then move the
+                // bin's start past it: u is now in bin du − 1.
+                let (pu, pw) = (pos[u], bin[du as usize]);
+                let w = vert[pw as usize];
+                if u as u32 != w {
+                    pos[u] = pw;
+                    pos[w as usize] = pu;
+                    vert[pu as usize] = w;
+                    vert[pw as usize] = u as u32;
+                }
+                bin[du as usize] += 1;
+                deg[u] = du - 1;
+            }
+        }
+    }
+    degeneracy as usize
+}
+
 /// Orients `g` along a degeneracy ordering; the out-degree of every node is
 /// at most the degeneracy (≤ 2α − 1).
 pub fn degeneracy_orientation(g: &Graph) -> Orientation {
@@ -236,5 +301,25 @@ mod tests {
         let (order, d) = degeneracy_order(&g);
         assert!(order.is_empty());
         assert_eq!(d, 0);
+    }
+
+    #[test]
+    fn flat_peel_on_known_graphs() {
+        let mut rng = StdRng::seed_from_u64(24);
+        let edgeless = |n| crate::Graph::from_edges(n, []).unwrap();
+        let cases = [
+            (edgeless(0), 0),
+            (edgeless(1), 0),
+            (edgeless(5), 0),
+            (generators::path(2), 1),
+            (generators::random_tree(200, &mut rng), 1),
+            (generators::star(40), 1),
+            (generators::cycle(50), 2),
+            (generators::complete(7), 6),
+        ];
+        for (g, expected) in cases {
+            assert_eq!(degeneracy(&g), expected, "n = {}, m = {}", g.n(), g.m());
+            assert_eq!(degeneracy_order(&g).1, expected);
+        }
     }
 }

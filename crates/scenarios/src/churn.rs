@@ -445,7 +445,7 @@ impl ChurnReport {
 /// parameterized with the measured degeneracy — always a valid upper
 /// bound on arboricity.
 fn alpha_for(g: &Graph) -> usize {
-    orientation::degeneracy_order(g).1.max(1)
+    orientation::degeneracy(g).max(1)
 }
 
 /// Runs one churn cell: initial solve, then the full batch stream under

@@ -218,7 +218,7 @@ fn run_cell(
     let alpha = spec
         .family
         .alpha_bound()
-        .unwrap_or_else(|| orientation::degeneracy_order(g).1.max(1));
+        .unwrap_or_else(|| orientation::degeneracy(g).max(1));
     let opts = RunOptions {
         meter: spec.meter,
         loss: (drop_p > 0.0).then_some(LossModel {

@@ -474,7 +474,7 @@ fn finish(
     planted: Option<Vec<NodeId>>,
     alpha_bound: Option<usize>,
 ) -> CachedGraph {
-    let alpha = alpha_bound.unwrap_or_else(|| orientation::degeneracy_order(&graph).1.max(1));
+    let alpha = alpha_bound.unwrap_or_else(|| orientation::degeneracy(&graph).max(1));
     let digest = edge_digest(&graph);
     CachedGraph {
         graph,

@@ -31,9 +31,10 @@
 //! Determinism: a session's replies are a pure function of the open spec
 //! and the mutation history. Repairs run no simulation at all; fallback
 //! solves run the same thread-count-independent simulator entry points
-//! batch jobs use. The graph's α is re-measured (degeneracy) after every
-//! batch — churn can push an instance out of its family's constructive
-//! bound, and the accounting must say so rather than inherit a stale α.
+//! batch jobs use. The graph's α is re-measured (degeneracy) once per
+//! batch, by the batch's re-solve when one runs — churn can push an
+//! instance out of its family's constructive bound, and the accounting
+//! must say so rather than inherit a stale α.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -43,7 +44,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use arbodom_congest::{RunOptions, Telemetry};
-use arbodom_core::repair::{Maintainer, RepairConfig};
+use arbodom_core::repair::{self, BatchOutcome, Maintainer, RepairConfig};
 use arbodom_core::{verify, DsResult};
 use arbodom_graph::digest::edge_digest;
 use arbodom_graph::{orientation, Graph, GraphDelta};
@@ -54,27 +55,31 @@ use crate::protocol::{DeltaSpec, JobResult, RepairStats, SessionPolicy};
 /// Measured degeneracy of `g` — the honest α for a mutated graph, which
 /// may have left its family's constructive bound.
 fn measured_alpha(g: &Graph) -> usize {
-    orientation::degeneracy_order(g).1.max(1)
+    orientation::degeneracy(g).max(1)
+}
+
+/// What a session's re-solve ran with: the α it measured on the graph it
+/// solved (the current graph, so the reply reuses it), and the run's
+/// telemetry.
+struct Solved {
+    alpha: usize,
+    telemetry: Telemetry,
 }
 
 /// The full re-solve every session path hands its maintainer:
-/// `algorithm` on the current graph at its measured α. The run's
-/// telemetry lands in `telemetry`, for the reply.
+/// `algorithm` on the current graph at its measured α. What the run
+/// measured and reported lands in `solved`, for the reply.
 fn solver(
     algorithm: Algorithm,
     seed: u64,
     sim_threads: usize,
-    telemetry: &RefCell<Option<Telemetry>>,
+    solved: &RefCell<Option<Solved>>,
 ) -> impl Fn(&Graph) -> arbodom_core::Result<DsResult> + '_ {
     move |g| {
-        let (sol, tel) = algorithm.execute(
-            g,
-            measured_alpha(g),
-            seed,
-            &RunOptions::default(),
-            sim_threads,
-        )?;
-        *telemetry.borrow_mut() = Some(tel);
+        let alpha = measured_alpha(g);
+        let (sol, telemetry) =
+            algorithm.execute(g, alpha, seed, &RunOptions::default(), sim_threads)?;
+        *solved.borrow_mut() = Some(Solved { alpha, telemetry });
         Ok(sol)
     }
 }
@@ -145,8 +150,8 @@ impl Session {
     ) -> Result<(JobResult, RepairStats), String> {
         let delta = GraphDelta::new(delta.inserts.iter().copied(), delta.deletes.iter().copied())
             .map_err(|e| format!("invalid delta: {e}"))?;
-        let telemetry = RefCell::new(None);
-        let solve = solver(self.algorithm, self.seed, sim_threads, &telemetry);
+        let solved = RefCell::new(None);
+        let solve = solver(self.algorithm, self.seed, sim_threads, &solved);
         let mut outcome = self
             .maintainer
             .apply(&delta, &solve)
@@ -163,7 +168,7 @@ impl Session {
             outcome.weight = self.maintainer.weight();
             outcome.drift_estimate = self.maintainer.drift_estimate();
         }
-        self.alpha = measured_alpha(self.maintainer.graph());
+        let undominated = self.undominated(outcome.repaired.then_some((&delta, &outcome)));
         let repair = RepairStats {
             repaired: outcome.repaired,
             added: outcome.added.len() as u64,
@@ -173,7 +178,7 @@ impl Session {
             batches_since_solve: self.maintainer.batches_since_solve() as u64,
             chain: self.maintainer.chain(),
         };
-        Ok((self.result_snapshot(telemetry.take()), repair))
+        Ok((self.reply(solved.take(), undominated), repair))
     }
 
     /// Forces a certified full re-solve on the current graph.
@@ -182,11 +187,11 @@ impl Session {
     ///
     /// A job-level message when the solve fails.
     pub fn resolve(&mut self, sim_threads: usize) -> Result<(JobResult, RepairStats), String> {
-        let telemetry = RefCell::new(None);
+        let solved = RefCell::new(None);
         self.maintainer
-            .resolve_with(solver(self.algorithm, self.seed, sim_threads, &telemetry))
+            .resolve_with(solver(self.algorithm, self.seed, sim_threads, &solved))
             .map_err(|e| format!("re-solve failed: {e}"))?;
-        self.alpha = measured_alpha(self.maintainer.graph());
+        let undominated = self.undominated(None);
         let repair = RepairStats {
             repaired: false,
             added: 0,
@@ -196,27 +201,58 @@ impl Session {
             batches_since_solve: self.maintainer.batches_since_solve() as u64,
             chain: self.maintainer.chain(),
         };
-        Ok((self.result_snapshot(telemetry.into_inner()), repair))
+        Ok((self.reply(solved.into_inner(), undominated), repair))
     }
 
-    /// Quality-accounts the maintained set on the current graph. The
-    /// planted reference (if the instance had one) is stale after any
+    /// Undominated nodes of the maintained set. After a kept repair of
+    /// `batch`, only the batch's region can have changed
+    /// ([`repair::undominated_after_batch`]); debug builds check that
+    /// count against the whole graph. After a re-solve, count over the
+    /// whole graph.
+    fn undominated(&self, batch: Option<(&GraphDelta, &BatchOutcome)>) -> usize {
+        let (g, in_ds) = (self.maintainer.graph(), self.maintainer.in_ds());
+        let Some((delta, outcome)) = batch else {
+            return verify::undominated_nodes(g, in_ds).len();
+        };
+        let local = repair::undominated_after_batch(
+            g,
+            in_ds,
+            &delta.touched(),
+            &outcome.added,
+            &outcome.removed,
+        );
+        debug_assert_eq!(
+            local,
+            verify::undominated_nodes(g, in_ds).len(),
+            "the batch-local undominated count disagrees with the whole graph"
+        );
+        local
+    }
+
+    /// Records the current graph's α and quality-accounts the maintained
+    /// set on it. `solved` is the batch's re-solve, if one ran: it already
+    /// measured α on this graph, so only a kept repair measures it here.
+    /// The planted reference (if the instance had one) is stale after any
     /// mutation, so sessions always account against exact/packing
     /// references; rounds and message counters reflect only what this
     /// batch actually simulated (all zero for a kept local repair).
-    fn result_snapshot(&self, telemetry: Option<Telemetry>) -> JobResult {
+    fn reply(&mut self, solved: Option<Solved>, undominated: usize) -> JobResult {
         let g = self.maintainer.graph();
+        let (alpha, tel) = match solved {
+            Some(Solved { alpha, telemetry }) => (alpha, telemetry),
+            None => (measured_alpha(g), Telemetry::default()),
+        };
+        self.alpha = alpha;
         let sol = DsResult::from_flags(g, self.maintainer.in_ds().to_vec(), 0, None);
-        let undominated = verify::undominated_nodes(g, &sol.in_ds).len();
         let valid = undominated == 0;
-        let guarantee = self.algorithm.guarantee(self.alpha, g.max_degree());
+        let max_degree = g.max_degree();
+        let guarantee = self.algorithm.guarantee(alpha, max_degree);
         let account = quality::account(g, &sol, None, guarantee, valid, false);
-        let tel = telemetry.unwrap_or_default();
         JobResult {
             n: g.n() as u64,
             m: g.m() as u64,
-            max_degree: g.max_degree() as u64,
-            alpha: self.alpha as u64,
+            max_degree: max_degree as u64,
+            alpha: alpha as u64,
             graph_digest: edge_digest(g),
             ds_size: sol.size as u64,
             ds_weight: sol.weight,
@@ -229,7 +265,7 @@ impl Session {
             within_guarantee: account.within_guarantee,
             flagged: account.flagged,
             rounds: tel.rounds as u64,
-            round_budget: self.algorithm.round_budget(self.alpha, g.max_degree()) as u64,
+            round_budget: self.algorithm.round_budget(alpha, max_degree) as u64,
             messages: tel.total_messages as u64,
             total_bits: tel.total_bits as u64,
             max_message_bits: tel.max_message_bits as u64,
@@ -471,12 +507,88 @@ impl SessionTable {
 mod tests {
     use super::*;
     use arbodom_core::weighted;
-    use arbodom_graph::generators;
+    use arbodom_graph::{generators, NodeId};
+    use arbodom_scenarios::churn::churn_delta;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
 
     fn session(n: usize) -> Session {
         let g = generators::path(n);
         let sol = weighted::solve(&g, &weighted::Config::new(1, 0.2).unwrap()).unwrap();
         Session::new(g, &sol, Algorithm::Weighted { eps: 0.2 }, 1, 7)
+    }
+
+    /// A session on a 400-node α = 2 forest union whose maintainer runs
+    /// under `cfg`.
+    fn forest_session(seed: u64, cfg: RepairConfig) -> Session {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = generators::forest_union(400, 2, &mut rng);
+        let algorithm = Algorithm::Weighted { eps: 0.2 };
+        let (sol, _) = algorithm
+            .execute(&g, 2, 7, &RunOptions::default(), 1)
+            .unwrap();
+        Session {
+            maintainer: Maintainer::new(g, &sol, cfg),
+            algorithm,
+            alpha: 2,
+            seed: 7,
+        }
+    }
+
+    /// Every mutate reply counts undominated nodes, and measures α and Δ,
+    /// as the whole-graph functions do: under `Repair`, under `Resolve`,
+    /// and with a drift bound so tight that deletion-heavy batches fall
+    /// back. In debug builds `Session::undominated` also checks each
+    /// batch-local count against the whole graph.
+    #[test]
+    fn mutate_replies_match_the_whole_graph_under_every_policy() {
+        let tight = RepairConfig {
+            max_drift: 0.0,
+            max_batches: 0,
+        };
+        let pairs = |edges: &[(NodeId, NodeId)]| -> Vec<(u32, u32)> {
+            edges.iter().map(|&(u, v)| (u.get(), v.get())).collect()
+        };
+        // (policy, drift bound, deletions per batch, insertions kept).
+        let cases = [
+            (SessionPolicy::Repair, RepairConfig::default(), 4, 4),
+            (SessionPolicy::Resolve, RepairConfig::default(), 4, 4),
+            (SessionPolicy::Repair, tight, 10, 0),
+        ];
+        for (policy, cfg, k, inserts) in cases {
+            let mut s = forest_session(3, cfg);
+            let (mut kept, mut solved) = (0, 0);
+            for batch in 0..48 {
+                let d = churn_delta(s.maintainer.graph(), 500 + batch, k);
+                let spec = DeltaSpec {
+                    inserts: pairs(&d.inserts()[..inserts.min(d.inserts().len())]),
+                    deletes: pairs(d.deletes()),
+                };
+                let (reply, stats) = s.mutate(&spec, policy, 1).unwrap();
+                let g = s.maintainer.graph();
+                let whole = verify::undominated_nodes(g, s.maintainer.in_ds()).len();
+                assert_eq!(reply.undominated as usize, whole, "batch {batch}");
+                assert!(reply.valid);
+                assert_eq!(
+                    reply.alpha as usize,
+                    orientation::degeneracy_order(g).1.max(1)
+                );
+                assert_eq!(s.alpha(), reply.alpha as usize);
+                assert_eq!(reply.max_degree as usize, g.max_degree());
+                if stats.repaired {
+                    kept += 1;
+                } else {
+                    solved += 1;
+                }
+            }
+            match policy {
+                SessionPolicy::Resolve => assert_eq!(kept, 0, "Resolve re-solves every batch"),
+                SessionPolicy::Repair => assert!(kept > 0, "no batch kept its repair"),
+            }
+            if cfg.max_drift == 0.0 {
+                assert!(solved > 0, "the tight drift bound never tripped");
+            }
+        }
     }
 
     fn limits(ttl: Duration, max_sessions: usize) -> SessionLimits {

@@ -1,11 +1,14 @@
 //! Property-based invariants spanning crates: for arbitrary generated
 //! graphs, weights, and parameters, the primal-dual machinery must keep
 //! its Lemma 4.1 invariants, every solver must dominate, and certificates
-//! must stay dual-feasible.
+//! must stay dual-feasible. The flat degeneracy peel must agree with the
+//! ordered one on every family and along churn streams.
 
 use arbodom::core::partial::{partial_dominating_set, PartialConfig};
 use arbodom::core::{general, randomized, verify, weighted, PackingCertificate};
+use arbodom::graph::orientation::{degeneracy, degeneracy_order};
 use arbodom::graph::{generators, weights::WeightModel, Graph};
+use arbodom::scenarios::churn::churn_delta;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -116,5 +119,51 @@ proptest! {
         let recomputed: u64 = sol.members().iter().map(|&v| g.weight(v)).sum();
         prop_assert_eq!(sol.weight, recomputed);
         prop_assert_eq!(sol.size, sol.members().len());
+    }
+}
+
+/// Strategy: a graph for the degeneracy cross-check. Gnp graphs, stars,
+/// complete graphs, forest unions with α = 1..5, a forest union padded
+/// with isolated nodes, and the graphs on zero and one node.
+fn arb_peel_graph() -> impl Strategy<Value = Graph> {
+    (0u64..1_000, 0usize..6, 0usize..120).prop_map(|(seed, family, n)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let alpha = 1 + (seed % 5) as usize;
+        match family {
+            0 => generators::gnp(n, 0.02 + 0.03 * (seed % 10) as f64, &mut rng),
+            1 => generators::star(n),
+            2 => generators::complete(n % 24),
+            3 => generators::forest_union(n.max(1), alpha, &mut rng),
+            4 => {
+                let part = generators::forest_union(n / 2 + 1, alpha, &mut rng);
+                Graph::from_edges(n + 2, part.edges().map(|(u, v)| (u.get(), v.get())))
+                    .expect("the forest's nodes are in range")
+            }
+            _ => Graph::from_edges(n % 2, []).expect("an edgeless graph"),
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn flat_degeneracy_equals_the_ordered_peel(g in arb_peel_graph()) {
+        prop_assert_eq!(degeneracy(&g), degeneracy_order(&g).1);
+    }
+
+    #[test]
+    fn flat_degeneracy_follows_a_churn_stream(seed in 0u64..1_000,
+                                              alpha in 1usize..6,
+                                              k in 1usize..12) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut g = generators::forest_union(120, alpha, &mut rng);
+        for batch in 0..16u64 {
+            prop_assert_eq!(degeneracy(&g), degeneracy_order(&g).1, "batch {}", batch);
+            g = churn_delta(&g, seed.wrapping_mul(31).wrapping_add(batch), k)
+                .apply(&g)
+                .expect("churn deltas apply to the graph they were drawn from");
+        }
+        prop_assert_eq!(degeneracy(&g), degeneracy_order(&g).1);
     }
 }
