@@ -10,10 +10,16 @@
 //!   cross-check their certificates). It costs one `O(n + m)` greedy
 //!   pass, and on a weighted graph also one `O(n + m)` pass that computes
 //!   every `τ_v` and one `O(n log n)` sort of the `(τ_v, id)` keys;
+//! * [`MaintainedPacking`] — the same greedy packing of a unit-weight
+//!   graph, kept current across edge batches at a cost that follows the
+//!   batch rather than the graph;
 //! * [`fractional_mwu`] — a primal solution via the classic
 //!   Plotkin–Shmoys–Tardos multiplicative-weights scheme with a
 //!   best-single-node oracle, repaired to exact feasibility by scaling.
 //!   Input for [`crate::bu_rounding`].
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use arbodom_core::PackingCertificate;
 use arbodom_graph::{Graph, NodeId};
@@ -74,6 +80,145 @@ pub fn maximal_packing(g: &Graph) -> PackingCertificate {
         }
     }
     PackingCertificate::new(y)
+}
+
+/// The [`maximal_packing`] of a unit-weight graph, kept current across
+/// edge batches.
+///
+/// On unit weights every slack of the greedy stays 0.0 or 1.0, so each
+/// `y_v` is 0 or 1: node `v` takes 1 exactly when no node of lower id
+/// within two hops took 1. The packing is therefore the lexicographically
+/// first set of nodes, in id order, whose members are pairwise at least 3
+/// hops apart, and its bound is that set's size.
+///
+/// A batch that changes only edges among its `touched` nodes changes the
+/// two-hop neighborhoods of those nodes and their neighbors, and of no
+/// other node. [`MaintainedPacking::update`] re-decides those nodes in
+/// ascending id order, and every node whose decision flips queues the
+/// higher-id nodes within two hops of it. By induction on id order, a
+/// node that is never queued keeps the greedy's decision. When the
+/// re-decisions read more adjacency entries than one whole greedy pass
+/// would, the update recomputes the whole packing instead. Either
+/// way the result is [`maximal_packing`]'s, bit for bit; the tests pin
+/// both paths against it along churn streams.
+#[derive(Clone, Debug)]
+pub struct MaintainedPacking {
+    /// Whether each node's packing value is 1.
+    in_packing: Vec<bool>,
+    /// Number of nodes whose value is 1.
+    size: usize,
+    /// Nodes left to re-decide, lowest id first. Empty between updates;
+    /// kept for its capacity.
+    queue: BinaryHeap<Reverse<u32>>,
+}
+
+impl MaintainedPacking {
+    /// The packing of `g`, computed by [`maximal_packing`]. `None` when
+    /// `g` has explicit weights: its packing values are not all 0 or 1,
+    /// and only the whole-graph function computes them.
+    pub fn new(g: &Graph) -> Option<Self> {
+        g.is_unit_weighted().then(|| {
+            let in_packing: Vec<bool> = maximal_packing(g)
+                .values()
+                .iter()
+                .map(|&y| y > 0.0)
+                .collect();
+            let size = in_packing.iter().filter(|&&b| b).count();
+            MaintainedPacking {
+                in_packing,
+                size,
+                queue: BinaryHeap::new(),
+            }
+        })
+    }
+
+    /// The packing's total, `Σ_v y_v`, with the bits of
+    /// `maximal_packing(g).lower_bound()`.
+    pub fn lower_bound(&self) -> f64 {
+        match self.size {
+            // A float sum of no terms is −0.0; any other sum of zeros and
+            // ones is exactly the number of ones.
+            0 => std::iter::empty::<f64>().sum(),
+            size => size as f64,
+        }
+    }
+
+    /// Whether each node's packing value is 1 (the packing's support).
+    pub fn in_packing(&self) -> &[bool] {
+        &self.in_packing
+    }
+
+    /// Heap bytes this packing holds: one flag per node and the update
+    /// queue's capacity.
+    pub fn heap_bytes(&self) -> usize {
+        self.in_packing.capacity() + self.queue.capacity() * std::mem::size_of::<Reverse<u32>>()
+    }
+
+    /// Brings the packing up to date after one edge batch. `g` is the
+    /// graph after the batch, the packing must be current for the graph
+    /// before it, and every edge the batch inserted or deleted must join
+    /// two nodes of `touched`.
+    pub fn update(&mut self, g: &Graph, touched: &[NodeId]) {
+        let (offsets, neighbors) = g.csr();
+        if !self.redecide(g, touched, offsets.len() + neighbors.len()) {
+            *self = MaintainedPacking::new(g).expect("edge batches keep a graph unit-weight");
+        }
+    }
+
+    /// Re-decides the batch's region as [`MaintainedPacking::update`]
+    /// describes. Returns `false`, with the packing half-updated, once it
+    /// has read more than `budget` adjacency entries.
+    fn redecide(&mut self, g: &Graph, touched: &[NodeId], budget: usize) -> bool {
+        let (offsets, neighbors) = g.csr();
+        let open = |v: usize| &neighbors[offsets[v] as usize..offsets[v + 1] as usize];
+        let mut read = 0;
+        for &t in touched {
+            let adj = open(t.index());
+            read += 1 + adj.len();
+            self.queue.push(Reverse(t.get()));
+            self.queue.extend(adj.iter().map(|u| Reverse(u.get())));
+        }
+        let mut last = None;
+        while let Some(Reverse(v)) = self.queue.pop() {
+            if read > budget {
+                self.queue.clear();
+                return false;
+            }
+            // Pushes only ever queue ids above the one being decided, so
+            // duplicates pop back to back.
+            if last == Some(v) {
+                continue;
+            }
+            last = Some(v);
+            let vi = v as usize;
+            // The nodes within two hops of v are the neighbors of N⁺[v].
+            // Adjacency lists are sorted, so the lower ids of each list
+            // are a prefix and the higher ids a suffix.
+            let closed = std::iter::once(vi).chain(open(vi).iter().map(|u| u.index()));
+            let below = |w: usize| &open(w)[..open(w).partition_point(|u| u.get() < v)];
+            let above = |w: usize| &open(w)[open(w).partition_point(|u| u.get() <= v)..];
+            let blocked = closed.clone().any(|w| {
+                let lower = below(w);
+                read += 1 + lower.len();
+                lower.iter().any(|u| self.in_packing[u.index()])
+            });
+            if self.in_packing[vi] != blocked {
+                continue;
+            }
+            self.in_packing[vi] = !blocked;
+            if blocked {
+                self.size -= 1;
+            } else {
+                self.size += 1;
+            }
+            for w in closed {
+                let higher = above(w);
+                read += 1 + higher.len();
+                self.queue.extend(higher.iter().map(|u| Reverse(u.get())));
+            }
+        }
+        true
+    }
 }
 
 /// Options for the multiplicative-weights LP solver.
@@ -254,9 +399,9 @@ pub fn minimalize(g: &Graph, x: &mut [f64]) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arbodom_graph::{generators, weights::WeightModel};
+    use arbodom_graph::{generators, weights::WeightModel, GraphDelta};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn maximal_packing_is_feasible() {
@@ -331,6 +476,60 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A random batch against `g`: up to `deletes` present edges and up
+    /// to `inserts` absent pairs.
+    fn random_batch(g: &Graph, deletes: usize, inserts: usize, rng: &mut StdRng) -> GraphDelta {
+        let edges: Vec<(u32, u32)> = g.edges().map(|(u, v)| (u.get(), v.get())).collect();
+        let dels: Vec<(u32, u32)> = (0..deletes.min(edges.len()))
+            .map(|_| edges[rng.random_range(0..edges.len())])
+            .collect();
+        let n = g.n() as u32;
+        let ins: Vec<(u32, u32)> = (0..if n >= 2 { inserts } else { 0 })
+            .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
+            .filter(|&(u, v)| u != v && !g.has_edge(NodeId::new(u), NodeId::new(v)))
+            .collect();
+        GraphDelta::new(ins, dels).expect("present deletes and absent inserts never collide")
+    }
+
+    /// The batch-local path alone, with no budget to fall back on, keeps
+    /// the whole-graph packing's bits and support along balanced,
+    /// insert-only and delete-only streams.
+    #[test]
+    fn maintained_packing_redecides_the_batch_region_exactly() {
+        for seed in 0..15u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = [64, 300, 2000][seed as usize % 3];
+            let mut g = generators::forest_union(n, 1 + seed as usize % 5, &mut rng);
+            let mut packing = MaintainedPacking::new(&g).expect("unit weights");
+            for batch in 0..24 {
+                let (deletes, inserts) = [(4, 4), (0, 8), (8, 0)][batch % 3];
+                let delta = random_batch(&g, deletes, inserts, &mut rng);
+                g = delta.apply(&g).expect("the batch was drawn against g");
+                assert!(packing.redecide(&g, &delta.touched(), usize::MAX));
+                let whole = maximal_packing(&g);
+                let support: Vec<bool> = whole.values().iter().map(|&y| y > 0.0).collect();
+                assert_eq!(packing.in_packing(), support, "seed {seed}, batch {batch}");
+                assert_eq!(
+                    packing.lower_bound().to_bits(),
+                    whole.lower_bound().to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn maintained_packing_is_unit_weight_only_and_sums_like_the_certificate() {
+        let g = generators::path(4);
+        assert!(MaintainedPacking::new(&g.with_weights(vec![1, 2, 1, 1]).unwrap()).is_none());
+        let empty = Graph::from_edges(0, []).unwrap();
+        let packing = MaintainedPacking::new(&empty).expect("unit weights");
+        assert_eq!(
+            packing.lower_bound().to_bits(),
+            maximal_packing(&empty).lower_bound().to_bits(),
+            "an empty sum is -0.0"
+        );
     }
 
     #[test]

@@ -18,13 +18,33 @@ use crate::{Graph, GraphDelta};
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Folds one little-endian `u64` into an FNV-1a state.
-fn fold(mut h: u64, word: u64) -> u64 {
-    for byte in word.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(FNV_PRIME);
+/// `FNV_PRIME^k` for `k = 0..=8`, in wrapping arithmetic.
+const PRIME_POWERS: [u64; 9] = {
+    let mut powers = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        powers[k] = powers[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
     }
-    h
+    powers
+};
+
+/// Folds one little-endian `u64` into an FNV-1a state.
+///
+/// FNV-1a folds a byte as `h = (h ^ byte)·P`. A zero byte's xor is a
+/// no-op, so the word's zero high bytes fold as one multiply by the
+/// matching power of `P`, which merges into the multiply of the last
+/// nonzero byte; this is exact in wrapping arithmetic. A node id below
+/// 2¹⁶ then costs 2 multiplies instead of 8. The tests pin the result
+/// against the bytewise fold.
+fn fold(mut h: u64, word: u64) -> u64 {
+    // Bytes up to the highest nonzero one; at least one, for the zero word.
+    let len = (8 - word.leading_zeros() / 8).max(1) as usize;
+    let bytes = word.to_le_bytes();
+    for &byte in &bytes[..len - 1] {
+        h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
+    }
+    (h ^ u64::from(bytes[len - 1])).wrapping_mul(PRIME_POWERS[9 - len])
 }
 
 /// A stable 64-bit digest of the graph's structure (and non-unit weights).
@@ -48,9 +68,15 @@ pub fn edge_digest(g: &Graph) -> u64 {
     let mut h = FNV_OFFSET;
     h = fold(h, g.n() as u64);
     h = fold(h, g.m() as u64);
-    for (u, v) in g.edges() {
-        h = fold(h, u.get() as u64);
-        h = fold(h, v.get() as u64);
+    // `Graph::edges` order, straight over the CSR arrays: lists are
+    // sorted, so u's edges to higher ids are a suffix of its list.
+    let (offsets, neighbors) = g.csr();
+    for (u, range) in offsets.windows(2).enumerate() {
+        let adj = &neighbors[range[0] as usize..range[1] as usize];
+        for v in &adj[adj.partition_point(|v| v.index() <= u)..] {
+            h = fold(h, u as u64);
+            h = fold(h, v.get() as u64);
+        }
     }
     if let Some(ws) = g.explicit_weights() {
         for &w in ws {
@@ -101,8 +127,90 @@ pub fn chain_digest(parent: u64, delta: &GraphDelta) -> u64 {
 mod tests {
     use super::*;
     use crate::generators;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The reference fold: FNV-1a over the word's eight little-endian
+    /// bytes, one xor and one multiply each.
+    fn bytewise_fold(mut h: u64, word: u64) -> u64 {
+        for byte in word.to_le_bytes() {
+            h ^= u64::from(byte);
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
+    /// [`edge_digest`] over the same byte stream with the reference fold.
+    fn bytewise_edge_digest(g: &crate::Graph) -> u64 {
+        let mut h = FNV_OFFSET;
+        h = bytewise_fold(h, g.n() as u64);
+        h = bytewise_fold(h, g.m() as u64);
+        for (u, v) in g.edges() {
+            h = bytewise_fold(h, u.get() as u64);
+            h = bytewise_fold(h, v.get() as u64);
+        }
+        if let Some(ws) = g.explicit_weights() {
+            for &w in ws {
+                h = bytewise_fold(h, w);
+            }
+        }
+        h
+    }
+
+    /// Strategy: graphs whose node ids pass 2⁸ or 2¹⁶, with unit weights
+    /// or with weights of every byte length, and the graphs on zero and
+    /// one node.
+    fn arb_digest_graph() -> impl Strategy<Value = crate::Graph> {
+        (0u64..1_000, 0usize..3, prop::bool::ANY).prop_map(|(seed, size, weighted)| {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = match size {
+                0 => (seed % 2) as u32,
+                1 => 257 + (seed % 700) as u32,
+                _ => 65_537 + (seed % 3_000) as u32,
+            };
+            let edges: Vec<(u32, u32)> = (0..if n > 1 { 120 } else { 0 })
+                .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
+                .filter(|&(u, v)| u != v)
+                .collect();
+            let g = crate::Graph::from_edges(n as usize, edges).expect("edges are in range");
+            if !weighted {
+                return g;
+            }
+            let weights = (0..n)
+                .map(|_| (rng.random::<u64>() >> rng.random_range(0..64u32)).max(1))
+                .collect();
+            g.with_weights(weights).expect("weights are positive")
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn fold_matches_the_bytewise_fold(h: u64, word: u64, shift in 0u32..64) {
+            // Shifting covers every byte length, down to the zero word.
+            for w in [word, word >> shift, 0] {
+                prop_assert_eq!(fold(h, w), bytewise_fold(h, w));
+            }
+        }
+
+        #[test]
+        fn edge_digest_matches_the_bytewise_fold(g in arb_digest_graph()) {
+            prop_assert_eq!(edge_digest(&g), bytewise_edge_digest(&g));
+        }
+    }
+
+    #[test]
+    fn edge_digest_matches_the_bytewise_fold_past_2_pow_24() {
+        let top = 1u32 << 24;
+        let g = crate::Graph::from_edges(
+            top as usize + 2,
+            [(0, top + 1), (300, top), (70_000, top + 1), (top, top + 1)],
+        )
+        .expect("edges are in range");
+        assert_eq!(edge_digest(&g), bytewise_edge_digest(&g));
+    }
 
     #[test]
     fn digest_is_structure_sensitive() {

@@ -1,15 +1,33 @@
 //! Approximation-ratio accounting against the best available reference.
 //!
-//! Every cell of the matrix reports `ratio = w(DS) / reference`, where the
-//! reference is selected by a strict preference order:
+//! Accounting takes two steps. The first, [`reference()`], depends on the
+//! graph state alone (and, on planted instances, on the planted set). It
+//! selects the reference by a strict preference order:
 //!
 //! 1. **exact optimum** — the forest DP (any size, forests only) or the
 //!    branch-and-bound solver (`n ≤ 64`): the true OPT;
 //! 2. **planted optimum** — on [`arbodom_graph::generators::planted_ds`]-style instances
 //!    the planted set's weight, a certified *upper* bound on OPT;
-//! 3. **packing lower bound** — the larger of the run's own dual
-//!    certificate and an independent greedy maximal packing (both are
-//!    certified *lower* bounds on OPT by Lemma 2.1).
+//! 3. **packing lower bound** — an independent greedy maximal packing
+//!    ([`maximal_packing`]), a certified *lower* bound on OPT by
+//!    Lemma 2.1.
+//!
+//! The second, [`Reference::account`], combines that reference with one
+//! run's weight and dual certificate. Against a packing bound it measures
+//! the larger of the packing and the run's own certificate, since both
+//! are ≤ OPT. [`account`] is the composition of the two steps.
+//!
+//! Since the reference is a property of the graph state, it is computed
+//! once per state:
+//! - the scenario runner accounts one run per graph, so it calls
+//!   [`account`];
+//! - `arbodomd`'s graph cache computes the reference once, when it builds
+//!   an instance, and every job on that cached instance is accounted
+//!   against it;
+//! - an `arbodomd` session selects it again after every mutate, through
+//!   [`reference_with_packing`]. On a unit-weight graph the packing bound
+//!   comes from a [`MaintainedPacking`] that the session updates with
+//!   each batch, so no whole-graph packing pass runs per mutate.
 //!
 //! The accounting is deliberately incapable of under-reporting: the ratio
 //! is the plain quotient of the measured weight — never clamped, never
@@ -20,9 +38,13 @@
 //! "solution" beat the optimum, i.e. it is not actually dominating or the
 //! weights disagree.
 
-use arbodom_baselines::{exact, lp, tree_dp};
-use arbodom_core::DsResult;
+use arbodom_baselines::{exact, tree_dp};
+use arbodom_core::{DsResult, PackingCertificate};
 use arbodom_graph::{Graph, NodeId};
+
+/// The packing behind [`RefKind::PackingLb`], for callers that keep it
+/// current themselves and pass its bound to [`reference_with_packing`].
+pub use arbodom_baselines::lp::{maximal_packing, MaintainedPacking};
 
 use crate::spec::Guarantee;
 
@@ -72,14 +94,100 @@ const TOL: f64 = 1e-9;
 /// Upper size limit for the branch-and-bound exact reference.
 const EXACT_MAX_N: usize = 64;
 
+/// The graph half of the accounting: what a run's weight is measured
+/// against on one graph state.
+#[derive(Clone, Copy, Debug)]
+pub struct Reference {
+    /// Which reference this is.
+    pub kind: RefKind,
+    /// The exact optimum, the planted set's weight, or the greedy
+    /// packing's lower bound.
+    pub value: f64,
+}
+
+/// Selects the reference of `g` by the preference order of the module
+/// docs. `planted` is the planted optimum when the generator provides
+/// one.
+pub fn reference(g: &Graph, planted: Option<&[NodeId]>) -> Reference {
+    reference_with_packing(g, planted, || maximal_packing(g).lower_bound())
+}
+
+/// [`reference()`], with the packing lower bound supplied by `packing`,
+/// which runs only when neither an exact nor a planted reference applies.
+/// `packing` must return `maximal_packing(g).lower_bound()`; a caller
+/// that keeps that bound current across mutations passes it here instead
+/// of recomputing it.
+pub fn reference_with_packing(
+    g: &Graph,
+    planted: Option<&[NodeId]>,
+    packing: impl FnOnce() -> f64,
+) -> Reference {
+    let (kind, value) = if let Some(t) = tree_dp::solve(g) {
+        (RefKind::Exact, t.weight as f64)
+    } else if let Some(e) = (g.n() <= EXACT_MAX_N).then(|| exact::solve(g)).flatten() {
+        (RefKind::Exact, e.weight as f64)
+    } else if let Some(planted) = planted {
+        (
+            RefKind::Planted,
+            g.set_weight(planted.iter().copied()) as f64,
+        )
+    } else {
+        (RefKind::PackingLb, packing())
+    };
+    Reference { kind, value }
+}
+
+impl Reference {
+    /// The per-solution half: accounts a run of total `weight` with dual
+    /// `certificate` against this reference. `valid` is the caller's
+    /// verdict of `verify::is_dominating_set`; `fault_injected` marks
+    /// runs under message loss — their outputs may degrade arbitrarily
+    /// (invalid sets, bounds exceeded, partial sets "beating" OPT), so
+    /// *that degradation is the measurement* and never raises `flagged`.
+    /// The ratio itself is accounted identically either way.
+    pub fn account(
+        self,
+        weight: u64,
+        certificate: Option<&PackingCertificate>,
+        guarantee: Guarantee,
+        valid: bool,
+        fault_injected: bool,
+    ) -> RatioAccount {
+        let opt_estimate = match self.kind {
+            // Independent maximal packing vs the run's own dual
+            // certificate: both are ≤ OPT, so the larger is the sharper
+            // reference.
+            RefKind::PackingLb => {
+                let cert = certificate.map(|c| c.lower_bound()).unwrap_or(0.0);
+                self.value.max(cert).max(1.0)
+            }
+            RefKind::Exact | RefKind::Planted => self.value,
+        };
+        let ratio = weight as f64 / opt_estimate.max(f64::MIN_POSITIVE);
+        let within_guarantee = ratio <= guarantee.bound * (1.0 + TOL);
+        // An invalid solution is always flagged. A certified bound
+        // violation flags deterministic algorithms (for randomized ones
+        // the bound holds in expectation, so a single cell above it is
+        // data, not an error). Beating an *exact* optimum flags too: a
+        // genuine dominating set cannot weigh less than OPT, so it can
+        // only mean broken accounting.
+        let beats_exact = self.kind == RefKind::Exact && ratio < 1.0 - TOL;
+        let flagged = !fault_injected
+            && (!valid || beats_exact || (guarantee.deterministic && !within_guarantee));
+        RatioAccount {
+            reference: self.kind,
+            opt_estimate,
+            ratio,
+            guarantee: guarantee.bound,
+            within_guarantee,
+            flagged,
+        }
+    }
+}
+
 /// Selects the best available reference and accounts the ratio of `sol`
-/// on `g`. `planted` is the planted optimum when the generator provides
-/// one; `valid` is the caller's verdict of `verify::is_dominating_set`;
-/// `fault_injected` marks cells run under message loss — their outputs
-/// may degrade arbitrarily (invalid sets, bounds exceeded, partial sets
-/// "beating" OPT), so *that degradation is the measurement* and never
-/// raises `flagged`. The ratio itself is accounted identically either
-/// way.
+/// on `g`: [`reference()`] followed by [`Reference::account`], whose docs
+/// describe `valid` and `fault_injected`.
 pub fn account(
     g: &Graph,
     sol: &DsResult,
@@ -88,52 +196,13 @@ pub fn account(
     valid: bool,
     fault_injected: bool,
 ) -> RatioAccount {
-    let (reference, opt_estimate) = select_reference(g, sol, planted);
-    let ratio = sol.weight as f64 / opt_estimate.max(f64::MIN_POSITIVE);
-    let within_guarantee = ratio <= guarantee.bound * (1.0 + TOL);
-    // An invalid solution is always flagged. A certified bound violation
-    // flags deterministic algorithms (for randomized ones the bound holds
-    // in expectation, so a single cell above it is data, not an error).
-    // Beating an *exact* optimum flags too: a genuine dominating set
-    // cannot weigh less than OPT, so it can only mean broken accounting.
-    let beats_exact = reference == RefKind::Exact && ratio < 1.0 - TOL;
-    let flagged = !fault_injected
-        && (!valid || beats_exact || (guarantee.deterministic && !within_guarantee));
-    RatioAccount {
-        reference,
-        opt_estimate,
-        ratio,
-        guarantee: guarantee.bound,
-        within_guarantee,
-        flagged,
-    }
-}
-
-/// The preference order of the module docs.
-fn select_reference(g: &Graph, sol: &DsResult, planted: Option<&[NodeId]>) -> (RefKind, f64) {
-    if let Some(t) = tree_dp::solve(g) {
-        return (RefKind::Exact, t.weight as f64);
-    }
-    if g.n() <= EXACT_MAX_N {
-        if let Some(e) = exact::solve(g) {
-            return (RefKind::Exact, e.weight as f64);
-        }
-    }
-    if let Some(planted) = planted {
-        return (
-            RefKind::Planted,
-            g.set_weight(planted.iter().copied()) as f64,
-        );
-    }
-    // Independent maximal packing vs the run's own dual certificate:
-    // both are ≤ OPT, so the larger is the sharper reference.
-    let packing = lp::maximal_packing(g).lower_bound();
-    let cert = sol
-        .certificate
-        .as_ref()
-        .map(|c| c.lower_bound())
-        .unwrap_or(0.0);
-    (RefKind::PackingLb, packing.max(cert).max(1.0))
+    reference(g, planted).account(
+        sol.weight,
+        sol.certificate.as_ref(),
+        guarantee,
+        valid,
+        fault_injected,
+    )
 }
 
 #[cfg(test)]

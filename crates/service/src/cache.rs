@@ -4,7 +4,10 @@
 //!
 //! Building a graph (generator run, weight assignment, CSR freeze,
 //! degeneracy ordering for the α fallback) dominates the cost of small
-//! queries, so the daemon caches whole built instances. Two maps make a
+//! queries, so the daemon caches whole built instances, each with its
+//! quality reference ([`quality::reference`]: the forest DP, the
+//! branch-and-bound optimum, the planted weight or the packing bound),
+//! which depends only on the graph and its planted set. Two maps make a
 //! lookup cheap for every source kind:
 //!
 //! * `by_instance` — the canonical store,
@@ -38,6 +41,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use arbodom_graph::{Graph, NodeId};
+use arbodom_scenarios::quality;
 
 use crate::protocol::CacheStats;
 
@@ -54,6 +58,10 @@ pub struct CachedGraph {
     /// The instance's edge digest — the structural half of its cache
     /// identity (α and the planted set are the other half).
     pub digest: u64,
+    /// The quality reference of the graph and its planted set, computed
+    /// once when the instance is built; every job on the instance is
+    /// accounted against it.
+    pub reference: quality::Reference,
 }
 
 impl CachedGraph {
@@ -259,12 +267,12 @@ mod tests {
 
     fn cached(n: usize) -> CachedGraph {
         let g = generators::path(n);
-        let digest = edge_digest(&g);
         CachedGraph {
+            digest: edge_digest(&g),
+            reference: quality::reference(&g, None),
             graph: g,
             planted: None,
             alpha: 1,
-            digest,
         }
     }
 
@@ -345,6 +353,7 @@ mod tests {
         let big = generators::path(3 + 4);
         let big = CachedGraph {
             digest: edge_digest(&big),
+            reference: quality::reference(&big, None),
             graph: big,
             planted: None,
             alpha: 1,
@@ -410,6 +419,7 @@ mod tests {
             planted: None,
             alpha: 1,
             digest: unit.digest,
+            reference: unit.reference,
         };
         assert_eq!(
             weighted.cost_bytes(),

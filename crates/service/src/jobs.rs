@@ -1,6 +1,7 @@
 //! Job execution: resolve a [`GraphSource`] to a (cached) instance, run
 //! the requested algorithm through the thread-parallel CONGEST runner,
-//! and account the result with the scenario engine's quality machinery.
+//! and account the result with the scenario engine's quality machinery,
+//! against the reference the instance computed once when it was built.
 //!
 //! Everything here is deterministic: instances are rebuilt from seeds
 //! (or shipped inline), algorithm runs are seeded, and the quality
@@ -174,10 +175,9 @@ fn solve_on(
     let undominated = verify::undominated_nodes(g, &sol.in_ds).len();
     let valid = undominated == 0;
     let guarantee = run.algorithm.guarantee(instance.alpha, g.max_degree());
-    let account = quality::account(
-        g,
-        &sol,
-        instance.planted.as_deref(),
+    let account = instance.reference.account(
+        sol.weight,
+        sol.certificate.as_ref(),
         guarantee,
         valid,
         run.drop_p > 0.0,
@@ -319,6 +319,7 @@ fn resolve_instance(ctx: &ExecContext, source: &GraphSource) -> Result<Arc<Cache
         let guard = session.lock().expect("session poisoned");
         let graph = guard.graph_snapshot();
         let alpha = guard.alpha();
+        let reference = guard.reference();
         drop(guard);
         let digest = edge_digest(&graph);
         return Ok(Arc::new(CachedGraph {
@@ -326,6 +327,7 @@ fn resolve_instance(ctx: &ExecContext, source: &GraphSource) -> Result<Arc<Cache
             planted: None,
             alpha,
             digest,
+            reference,
         }));
     }
     let bytes = source_bytes(source, ctx.scale);
@@ -467,8 +469,9 @@ fn build_instance(source: &GraphSource, scale: Scale) -> Result<CachedGraph, Str
     }
 }
 
-/// Stamps digest and α (the constructive bound when the family promises
-/// one, the measured degeneracy otherwise — the matrix runner's rule).
+/// Stamps digest, α (the constructive bound when the family promises
+/// one, the measured degeneracy otherwise — the matrix runner's rule) and
+/// the quality reference.
 fn finish(
     graph: arbodom_graph::Graph,
     planted: Option<Vec<NodeId>>,
@@ -476,11 +479,13 @@ fn finish(
 ) -> CachedGraph {
     let alpha = alpha_bound.unwrap_or_else(|| orientation::degeneracy(&graph).max(1));
     let digest = edge_digest(&graph);
+    let reference = quality::reference(&graph, planted.as_deref());
     CachedGraph {
         graph,
         planted,
         alpha,
         digest,
+        reference,
     }
 }
 
@@ -524,21 +529,68 @@ mod tests {
         assert_eq!(result.graph_digest, edge_digest(&g));
     }
 
+    /// A cold job (a cache miss, which computes the instance's quality
+    /// reference) and a warm one (a hit, which reuses it) give the same
+    /// reply, and both account as the whole-graph `quality::account` does:
+    /// on a forest (exact reference), a planted instance (planted
+    /// reference) and a forest union (packing bound).
     #[test]
     fn repeated_source_hits_the_cache_with_identical_results() {
+        use arbodom_scenarios::quality::RefKind;
+        use arbodom_scenarios::Family;
         let ctx = ctx();
-        let spec = JobSpec::new(GraphSource::Generator {
-            family: arbodom_scenarios::Family::RandomTree,
-            n: 80,
-            weights: WeightModel::Unit,
-            seed: 7,
-        });
-        let first = execute_job(&ctx, &spec).unwrap();
-        let second = execute_job(&ctx, &spec).unwrap();
-        assert_eq!(first, second);
-        let stats = ctx.cache.lock().unwrap().stats();
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
+        let sources = [
+            (Family::RandomTree, RefKind::Exact),
+            (
+                Family::PlantedDs {
+                    k_per_mille: 50,
+                    extra_per_node: 2,
+                },
+                RefKind::Planted,
+            ),
+            (
+                Family::ForestUnion {
+                    alpha: 3,
+                    keep: 1.0,
+                },
+                RefKind::PackingLb,
+            ),
+        ];
+        for (i, (family, kind)) in sources.into_iter().enumerate() {
+            let source = GraphSource::Generator {
+                family,
+                n: 300,
+                weights: WeightModel::Uniform { lo: 1, hi: 9 },
+                seed: 7,
+            };
+            let mut spec = JobSpec::new(source.clone());
+            spec.return_members = true;
+            let cold = execute_job(&ctx, &spec).unwrap();
+            let warm = execute_job(&ctx, &spec).unwrap();
+            assert_eq!(cold, warm, "{kind:?}");
+            let stats = ctx.cache.lock().unwrap().stats();
+            assert_eq!((stats.hits, stats.misses), (i as u64 + 1, i as u64 + 1));
+            assert_eq!(cold.reference, kind);
+            // The same run, accounted afresh over the whole graph.
+            let built = build_instance(&source, ctx.scale).unwrap();
+            let g = &built.graph;
+            let (sol, _) = DEFAULT_ALGORITHM
+                .execute(g, built.alpha, spec.seed, &RunOptions::default(), 1)
+                .unwrap();
+            assert_eq!(
+                cold.members,
+                Some(sol.members().iter().map(|v| v.get()).collect())
+            );
+            let guarantee = DEFAULT_ALGORITHM.guarantee(built.alpha, g.max_degree());
+            let whole = quality::account(g, &sol, built.planted.as_deref(), guarantee, true, false);
+            assert_eq!(cold.reference, whole.reference);
+            assert_eq!(cold.opt_estimate.to_bits(), whole.opt_estimate.to_bits());
+            assert_eq!(cold.ratio.to_bits(), whole.ratio.to_bits());
+            assert_eq!(
+                (cold.within_guarantee, cold.flagged),
+                (whole.within_guarantee, whole.flagged)
+            );
+        }
     }
 
     #[test]

@@ -35,6 +35,12 @@
 //! batch, by the batch's re-solve when one runs — churn can push an
 //! instance out of its family's constructive bound, and the accounting
 //! must say so rather than inherit a stale α.
+//!
+//! Cost: every reply restates the quality reference of the current graph
+//! ([`arbodom_scenarios::quality`]). On a unit-weight graph the session
+//! keeps the greedy packing behind the packing lower bound current with
+//! each batch ([`MaintainedPacking`]), so that reference costs what the
+//! batch costs; a weighted session recomputes it over the whole graph.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -47,8 +53,9 @@ use arbodom_congest::{RunOptions, Telemetry};
 use arbodom_core::repair::{self, BatchOutcome, Maintainer, RepairConfig};
 use arbodom_core::{verify, DsResult};
 use arbodom_graph::digest::edge_digest;
-use arbodom_graph::{orientation, Graph, GraphDelta};
-use arbodom_scenarios::{quality, Algorithm};
+use arbodom_graph::{orientation, Graph, GraphDelta, NodeId};
+use arbodom_scenarios::quality::{self, maximal_packing, MaintainedPacking};
+use arbodom_scenarios::Algorithm;
 
 use crate::protocol::{DeltaSpec, JobResult, RepairStats, SessionPolicy};
 
@@ -88,6 +95,9 @@ fn solver(
 #[derive(Debug)]
 pub struct Session {
     maintainer: Maintainer,
+    /// The greedy packing of the maintainer's graph, current after every
+    /// batch; `None` on a weighted graph.
+    packing: Option<MaintainedPacking>,
     algorithm: Algorithm,
     alpha: usize,
     seed: u64,
@@ -104,6 +114,7 @@ impl Session {
         seed: u64,
     ) -> Self {
         Session {
+            packing: MaintainedPacking::new(&graph),
             maintainer: Maintainer::new(graph, solution, RepairConfig::default()),
             algorithm,
             alpha,
@@ -129,10 +140,28 @@ impl Session {
     }
 
     /// Resident bytes this session charges against the daemon's session
-    /// accounting: the owned graph's footprint plus the membership flags
-    /// (the counterpart of the graph cache's per-entry cost).
+    /// accounting: the owned graph's footprint, the membership flags and
+    /// the maintained packing (the counterpart of the graph cache's
+    /// per-entry cost).
     pub fn cost_bytes(&self) -> u64 {
-        (self.maintainer.graph().memory_footprint().total() + self.maintainer.in_ds().len()) as u64
+        let packing = self
+            .packing
+            .as_ref()
+            .map_or(0, MaintainedPacking::heap_bytes);
+        (self.maintainer.graph().memory_footprint().total()
+            + self.maintainer.in_ds().len()
+            + packing) as u64
+    }
+
+    /// The quality reference of the current graph. A planted reference
+    /// (if the instance had one) is stale after any mutation, so sessions
+    /// account against exact and packing references only.
+    pub(crate) fn reference(&self) -> quality::Reference {
+        let g = self.maintainer.graph();
+        quality::reference_with_packing(g, None, || match &self.packing {
+            Some(packing) => packing.lower_bound(),
+            None => maximal_packing(g).lower_bound(),
+        })
     }
 
     /// Applies one edge-delta batch under `policy`.
@@ -150,12 +179,12 @@ impl Session {
     ) -> Result<(JobResult, RepairStats), String> {
         let delta = GraphDelta::new(delta.inserts.iter().copied(), delta.deletes.iter().copied())
             .map_err(|e| format!("invalid delta: {e}"))?;
+        let touched = delta.touched();
         let solved = RefCell::new(None);
         let solve = solver(self.algorithm, self.seed, sim_threads, &solved);
-        let mut outcome = self
-            .maintainer
-            .apply(&delta, &solve)
-            .map_err(|e| format!("mutate failed: {e}"))?;
+        let applied = self.maintainer.apply(&delta, &solve);
+        self.follow_packing(applied.is_ok().then_some(touched.as_slice()));
+        let mut outcome = applied.map_err(|e| format!("mutate failed: {e}"))?;
         if policy == SessionPolicy::Resolve && outcome.repaired {
             // The drift bound did not trip, but the client asked for a
             // certified batch: run the fallback anyway.
@@ -168,7 +197,7 @@ impl Session {
             outcome.weight = self.maintainer.weight();
             outcome.drift_estimate = self.maintainer.drift_estimate();
         }
-        let undominated = self.undominated(outcome.repaired.then_some((&delta, &outcome)));
+        let undominated = self.undominated(outcome.repaired.then_some((&touched, &outcome)));
         let repair = RepairStats {
             repaired: outcome.repaired,
             added: outcome.added.len() as u64,
@@ -204,23 +233,42 @@ impl Session {
         Ok((self.reply(solved.into_inner(), undominated), repair))
     }
 
-    /// Undominated nodes of the maintained set. After a kept repair of
-    /// `batch`, only the batch's region can have changed
-    /// ([`repair::undominated_after_batch`]); debug builds check that
-    /// count against the whole graph. After a re-solve, count over the
-    /// whole graph.
-    fn undominated(&self, batch: Option<(&GraphDelta, &BatchOutcome)>) -> usize {
+    /// Brings the maintained packing to the maintainer's graph. After an
+    /// applied batch that touched `touched`, only the batch's region is
+    /// re-decided; debug builds check the result against the whole graph.
+    /// After a failed one (`None`) it is recomputed: a conflicting batch
+    /// left the graph as it was, but a failed fallback solve left the
+    /// batch applied.
+    fn follow_packing(&mut self, touched: Option<&[NodeId]>) {
+        let g = self.maintainer.graph();
+        let Some(packing) = &mut self.packing else {
+            return;
+        };
+        match touched {
+            Some(touched) => packing.update(g, touched),
+            None => {
+                *packing = MaintainedPacking::new(g).expect("edge batches keep a graph unit-weight")
+            }
+        }
+        debug_assert_eq!(
+            packing.lower_bound().to_bits(),
+            maximal_packing(g).lower_bound().to_bits(),
+            "the maintained packing bound disagrees with the whole graph"
+        );
+    }
+
+    /// Undominated nodes of the maintained set. After a kept repair of a
+    /// batch that touched `touched`, only the batch's region can have
+    /// changed ([`repair::undominated_after_batch`]); debug builds check
+    /// that count against the whole graph. After a re-solve, count over
+    /// the whole graph.
+    fn undominated(&self, batch: Option<(&[NodeId], &BatchOutcome)>) -> usize {
         let (g, in_ds) = (self.maintainer.graph(), self.maintainer.in_ds());
-        let Some((delta, outcome)) = batch else {
+        let Some((touched, outcome)) = batch else {
             return verify::undominated_nodes(g, in_ds).len();
         };
-        let local = repair::undominated_after_batch(
-            g,
-            in_ds,
-            &delta.touched(),
-            &outcome.added,
-            &outcome.removed,
-        );
+        let local =
+            repair::undominated_after_batch(g, in_ds, touched, &outcome.added, &outcome.removed);
         debug_assert_eq!(
             local,
             verify::undominated_nodes(g, in_ds).len(),
@@ -230,11 +278,10 @@ impl Session {
     }
 
     /// Records the current graph's α and quality-accounts the maintained
-    /// set on it. `solved` is the batch's re-solve, if one ran: it already
-    /// measured α on this graph, so only a kept repair measures it here.
-    /// The planted reference (if the instance had one) is stale after any
-    /// mutation, so sessions always account against exact/packing
-    /// references; rounds and message counters reflect only what this
+    /// set on it against [`Session::reference`]. `solved` is the batch's
+    /// re-solve, if one ran: it already measured α on this graph, so only
+    /// a kept repair measures it here. The maintained set carries no dual
+    /// certificate. Rounds and message counters reflect only what this
     /// batch actually simulated (all zero for a kept local repair).
     fn reply(&mut self, solved: Option<Solved>, undominated: usize) -> JobResult {
         let g = self.maintainer.graph();
@@ -243,19 +290,21 @@ impl Session {
             None => (measured_alpha(g), Telemetry::default()),
         };
         self.alpha = alpha;
-        let sol = DsResult::from_flags(g, self.maintainer.in_ds().to_vec(), 0, None);
+        let weight = self.maintainer.weight();
         let valid = undominated == 0;
         let max_degree = g.max_degree();
         let guarantee = self.algorithm.guarantee(alpha, max_degree);
-        let account = quality::account(g, &sol, None, guarantee, valid, false);
+        let account = self
+            .reference()
+            .account(weight, None, guarantee, valid, false);
         JobResult {
             n: g.n() as u64,
             m: g.m() as u64,
             max_degree: max_degree as u64,
             alpha: alpha as u64,
             graph_digest: edge_digest(g),
-            ds_size: sol.size as u64,
-            ds_weight: sol.weight,
+            ds_size: self.maintainer.in_ds().iter().filter(|&&b| b).count() as u64,
+            ds_weight: weight,
             valid,
             undominated: undominated as u64,
             reference: account.reference,
@@ -507,7 +556,8 @@ impl SessionTable {
 mod tests {
     use super::*;
     use arbodom_core::weighted;
-    use arbodom_graph::{generators, NodeId};
+    use arbodom_graph::generators;
+    use arbodom_graph::weights::WeightModel;
     use arbodom_scenarios::churn::churn_delta;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -518,45 +568,105 @@ mod tests {
         Session::new(g, &sol, Algorithm::Weighted { eps: 0.2 }, 1, 7)
     }
 
-    /// A session on a 400-node α = 2 forest union whose maintainer runs
-    /// under `cfg`.
-    fn forest_session(seed: u64, cfg: RepairConfig) -> Session {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let g = generators::forest_union(400, 2, &mut rng);
+    /// A session on `g` at `alpha` whose maintainer runs under `cfg`.
+    fn session_on(g: Graph, alpha: usize, cfg: RepairConfig) -> Session {
         let algorithm = Algorithm::Weighted { eps: 0.2 };
         let (sol, _) = algorithm
-            .execute(&g, 2, 7, &RunOptions::default(), 1)
+            .execute(&g, alpha, 7, &RunOptions::default(), 1)
             .unwrap();
         Session {
+            packing: MaintainedPacking::new(&g),
             maintainer: Maintainer::new(g, &sol, cfg),
             algorithm,
-            alpha: 2,
+            alpha,
             seed: 7,
         }
     }
 
-    /// Every mutate reply counts undominated nodes, and measures α and Δ,
-    /// as the whole-graph functions do: under `Repair`, under `Resolve`,
-    /// and with a drift bound so tight that deletion-heavy batches fall
-    /// back. In debug builds `Session::undominated` also checks each
-    /// batch-local count against the whole graph.
+    /// A session on a 400-node α = 2 forest union whose maintainer runs
+    /// under `cfg`, with unit weights or, if `weights` says so, others.
+    fn forest_session(seed: u64, weights: WeightModel, cfg: RepairConfig) -> Session {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let g = generators::forest_union(400, 2, &mut rng);
+        session_on(weights.assign(&g, &mut rng), 2, cfg)
+    }
+
+    fn pairs(edges: &[(NodeId, NodeId)]) -> Vec<(u32, u32)> {
+        edges.iter().map(|&(u, v)| (u.get(), v.get())).collect()
+    }
+
+    /// Asserts that a reply says what the whole-graph functions say about
+    /// the session's current state: undominated count, α, Δ, digest, the
+    /// set's size and weight, and every field of `quality::account`.
+    fn assert_reply_matches_the_whole_graph(s: &Session, reply: &JobResult, context: &str) {
+        let (g, in_ds) = (s.maintainer.graph(), s.maintainer.in_ds());
+        let undominated = verify::undominated_nodes(g, in_ds).len();
+        assert_eq!(reply.undominated as usize, undominated, "{context}");
+        assert_eq!(
+            reply.alpha as usize,
+            orientation::degeneracy_order(g).1.max(1),
+            "{context}"
+        );
+        assert_eq!(s.alpha(), reply.alpha as usize, "{context}");
+        assert_eq!(reply.max_degree as usize, g.max_degree(), "{context}");
+        assert_eq!(reply.graph_digest, edge_digest(g), "{context}");
+        let sol = DsResult::from_flags(g, in_ds.to_vec(), 0, None);
+        assert_eq!(reply.ds_size, sol.size as u64, "{context}");
+        assert_eq!(reply.ds_weight, sol.weight, "{context}");
+        let guarantee = s.algorithm.guarantee(reply.alpha as usize, g.max_degree());
+        let whole = quality::account(g, &sol, None, guarantee, undominated == 0, false);
+        assert_eq!(reply.reference, whole.reference, "{context}");
+        assert_eq!(
+            reply.opt_estimate.to_bits(),
+            whole.opt_estimate.to_bits(),
+            "{context}"
+        );
+        assert_eq!(reply.ratio.to_bits(), whole.ratio.to_bits(), "{context}");
+        assert_eq!(reply.guarantee.to_bits(), whole.guarantee.to_bits());
+        assert_eq!(reply.within_guarantee, whole.within_guarantee, "{context}");
+        assert_eq!(reply.flagged, whole.flagged, "{context}");
+    }
+
+    /// Every mutate reply says what the whole-graph functions say: under
+    /// `Repair`, under `Resolve`, with a drift bound so tight that
+    /// deletion-heavy batches fall back, and on a weighted graph. In debug
+    /// builds the session also checks each batch-local undominated count
+    /// and each maintained packing bound against the whole graph.
     #[test]
     fn mutate_replies_match_the_whole_graph_under_every_policy() {
         let tight = RepairConfig {
             max_drift: 0.0,
             max_batches: 0,
         };
-        let pairs = |edges: &[(NodeId, NodeId)]| -> Vec<(u32, u32)> {
-            edges.iter().map(|&(u, v)| (u.get(), v.get())).collect()
-        };
-        // (policy, drift bound, deletions per batch, insertions kept).
+        let weighted = WeightModel::Uniform { lo: 1, hi: 20 };
+        // (policy, weights, drift bound, deletions per batch, insertions kept).
         let cases = [
-            (SessionPolicy::Repair, RepairConfig::default(), 4, 4),
-            (SessionPolicy::Resolve, RepairConfig::default(), 4, 4),
-            (SessionPolicy::Repair, tight, 10, 0),
+            (
+                SessionPolicy::Repair,
+                WeightModel::Unit,
+                RepairConfig::default(),
+                4,
+                4,
+            ),
+            (
+                SessionPolicy::Resolve,
+                WeightModel::Unit,
+                RepairConfig::default(),
+                4,
+                4,
+            ),
+            (SessionPolicy::Repair, WeightModel::Unit, tight, 10, 0),
+            (
+                SessionPolicy::Repair,
+                weighted,
+                RepairConfig::default(),
+                4,
+                4,
+            ),
         ];
-        for (policy, cfg, k, inserts) in cases {
-            let mut s = forest_session(3, cfg);
+        for (case, (policy, weights, cfg, k, inserts)) in cases.into_iter().enumerate() {
+            let mut s = forest_session(3, weights, cfg);
+            assert_eq!(s.packing.is_some(), weights == WeightModel::Unit);
             let (mut kept, mut solved) = (0, 0);
             for batch in 0..48 {
                 let d = churn_delta(s.maintainer.graph(), 500 + batch, k);
@@ -565,16 +675,12 @@ mod tests {
                     deletes: pairs(d.deletes()),
                 };
                 let (reply, stats) = s.mutate(&spec, policy, 1).unwrap();
-                let g = s.maintainer.graph();
-                let whole = verify::undominated_nodes(g, s.maintainer.in_ds()).len();
-                assert_eq!(reply.undominated as usize, whole, "batch {batch}");
                 assert!(reply.valid);
-                assert_eq!(
-                    reply.alpha as usize,
-                    orientation::degeneracy_order(g).1.max(1)
+                assert_reply_matches_the_whole_graph(
+                    &s,
+                    &reply,
+                    &format!("case {case}, batch {batch}"),
                 );
-                assert_eq!(s.alpha(), reply.alpha as usize);
-                assert_eq!(reply.max_degree as usize, g.max_degree());
                 if stats.repaired {
                     kept += 1;
                 } else {
@@ -589,6 +695,76 @@ mod tests {
                 assert!(solved > 0, "the tight drift bound never tripped");
             }
         }
+    }
+
+    /// A session whose graph becomes a forest is accounted against the
+    /// forest DP's exact optimum, and against the maintained packing again
+    /// once a batch closes a cycle.
+    #[test]
+    fn a_session_follows_its_graph_into_and_out_of_the_forest_dp() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let tree = generators::random_tree(300, &mut rng);
+        let chord = (1..300)
+            .map(|v| (0, v))
+            .find(|&(u, v)| !tree.has_edge(NodeId::new(u), NodeId::new(v)))
+            .expect("a tree on 300 nodes leaves 0 non-adjacent to someone");
+        let g = Graph::from_edges(
+            300,
+            pairs(&tree.edges().collect::<Vec<_>>())
+                .into_iter()
+                .chain([chord]),
+        )
+        .unwrap();
+        let mut s = session_on(g, 2, RepairConfig::default());
+        let steps = [
+            (vec![], vec![chord], quality::RefKind::Exact),
+            (vec![chord], vec![], quality::RefKind::PackingLb),
+        ];
+        for (step, (inserts, deletes, kind)) in steps.into_iter().enumerate() {
+            let (reply, _) = s
+                .mutate(&DeltaSpec { inserts, deletes }, SessionPolicy::Repair, 1)
+                .unwrap();
+            assert_eq!(reply.reference, kind, "step {step}");
+            assert_reply_matches_the_whole_graph(&s, &reply, &format!("step {step}"));
+        }
+        for batch in 0..8 {
+            let d = churn_delta(s.maintainer.graph(), 900 + batch, 3);
+            let spec = DeltaSpec {
+                inserts: pairs(d.inserts()),
+                deletes: pairs(d.deletes()),
+            };
+            let (reply, _) = s.mutate(&spec, SessionPolicy::Repair, 1).unwrap();
+            assert_reply_matches_the_whole_graph(&s, &reply, &format!("batch {batch}"));
+        }
+    }
+
+    /// `Stats` session bytes count the maintained packing: its flags, and
+    /// the update queue's capacity once a mutate has grown it. A weighted
+    /// session holds no packing.
+    #[test]
+    fn cost_bytes_count_the_maintained_packing() {
+        let held = |s: &Session| {
+            s.maintainer.graph().memory_footprint().total() + s.maintainer.in_ds().len()
+        };
+        let mut s = forest_session(3, WeightModel::Unit, RepairConfig::default());
+        let packing = |s: &Session| s.packing.as_ref().expect("unit weights").heap_bytes();
+        assert_eq!(packing(&s), 400, "one flag per node before any update");
+        assert_eq!(s.cost_bytes(), (held(&s) + 400) as u64);
+        let d = churn_delta(s.maintainer.graph(), 77, 4);
+        let spec = DeltaSpec {
+            inserts: pairs(d.inserts()),
+            deletes: pairs(d.deletes()),
+        };
+        s.mutate(&spec, SessionPolicy::Repair, 1).unwrap();
+        assert!(packing(&s) > 400, "the update queue's capacity is counted");
+        assert_eq!(s.cost_bytes(), (held(&s) + packing(&s)) as u64);
+        let w = forest_session(
+            3,
+            WeightModel::Uniform { lo: 1, hi: 20 },
+            RepairConfig::default(),
+        );
+        assert!(w.packing.is_none());
+        assert_eq!(w.cost_bytes(), held(&w) as u64);
     }
 
     fn limits(ttl: Duration, max_sessions: usize) -> SessionLimits {

@@ -2,12 +2,14 @@
 //! graphs, weights, and parameters, the primal-dual machinery must keep
 //! its Lemma 4.1 invariants, every solver must dominate, and certificates
 //! must stay dual-feasible. The flat degeneracy peel must agree with the
-//! ordered one on every family and along churn streams.
+//! ordered one on every family and along churn streams, and the
+//! maintained packing with the whole-graph one along churn streams.
 
+use arbodom::baselines::lp::{maximal_packing, MaintainedPacking};
 use arbodom::core::partial::{partial_dominating_set, PartialConfig};
 use arbodom::core::{general, randomized, verify, weighted, PackingCertificate};
 use arbodom::graph::orientation::{degeneracy, degeneracy_order};
-use arbodom::graph::{generators, weights::WeightModel, Graph};
+use arbodom::graph::{generators, weights::WeightModel, Graph, GraphDelta, NodeId};
 use arbodom::scenarios::churn::churn_delta;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -144,6 +146,39 @@ fn arb_peel_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// Strategy: a unit-weight graph for packing maintenance — forest unions
+/// with α = 1..5, gnp, stars, and the edgeless graphs on zero, one and
+/// two nodes.
+fn arb_packing_graph() -> impl Strategy<Value = Graph> {
+    (0u64..1_000, 0usize..4, 0usize..400).prop_map(|(seed, family, n)| {
+        let mut rng = StdRng::seed_from_u64(seed);
+        match family {
+            0 => generators::forest_union(n.max(1), 1 + (seed % 5) as usize, &mut rng),
+            1 => generators::gnp(n, 0.005 + 0.01 * (seed % 5) as f64, &mut rng),
+            2 => generators::star(n),
+            _ => Graph::from_edges(n % 3, []).expect("an edgeless graph"),
+        }
+    })
+}
+
+/// Batch `batch` of a churn stream of shape `stream` against `g`:
+/// balanced (`k` deletions and `k` insertions), insert-only or
+/// delete-only. Graphs on fewer than two nodes get empty batches.
+fn stream_batch(g: &Graph, seed: u64, batch: u64, k: usize, stream: usize) -> GraphDelta {
+    if g.n() < 2 {
+        return GraphDelta::new([], []).expect("the empty batch");
+    }
+    let d = churn_delta(g, seed.wrapping_mul(31).wrapping_add(batch), k);
+    let pairs = |edges: &[(NodeId, NodeId)]| -> Vec<(u32, u32)> {
+        edges.iter().map(|&(u, v)| (u.get(), v.get())).collect()
+    };
+    match stream {
+        0 => d,
+        1 => GraphDelta::new(pairs(d.inserts()), []).expect("a sampled insert list"),
+        _ => GraphDelta::new([], pairs(d.deletes())).expect("a sampled delete list"),
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -165,5 +200,29 @@ proptest! {
                 .expect("churn deltas apply to the graph they were drawn from");
         }
         prop_assert_eq!(degeneracy(&g), degeneracy_order(&g).1);
+    }
+
+    #[test]
+    fn maintained_packing_follows_a_churn_stream(g in arb_packing_graph(),
+                                                 seed in 0u64..1_000,
+                                                 k in 1usize..12,
+                                                 stream in 0usize..3) {
+        let mut g = g;
+        let mut packing = MaintainedPacking::new(&g).expect("generated graphs are unit-weight");
+        for batch in 0..16u64 {
+            let delta = stream_batch(&g, seed, batch, k, stream);
+            g = delta
+                .apply(&g)
+                .expect("stream batches apply to the graph they were drawn from");
+            packing.update(&g, &delta.touched());
+            let whole = maximal_packing(&g);
+            prop_assert_eq!(
+                packing.lower_bound().to_bits(),
+                whole.lower_bound().to_bits(),
+                "batch {}", batch
+            );
+            let support: Vec<bool> = whole.values().iter().map(|&y| y > 0.0).collect();
+            prop_assert_eq!(packing.in_packing(), support.as_slice(), "batch {}", batch);
+        }
     }
 }
