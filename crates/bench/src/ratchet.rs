@@ -18,7 +18,11 @@
 //!   every baseline scenario — static matrix *and* the dynamic `churn`
 //!   family — still produced with a nonzero cell count, zero quality
 //!   flags, and (churn only) both maintenance policies present with every
-//!   batch leaving a valid dominating set.
+//!   batch leaving a valid dominating set. It also checks the committed
+//!   baseline against the code: every churn cell's `base_digest` and
+//!   `final_chain` must be what the registry's stream gives today, so a
+//!   change to a generator, the churn sampler or the digest fails until
+//!   the artifact is regenerated.
 //!
 //! A schema mismatch always fails: schema drift means a writer/consumer
 //! change that must land together with a regenerated baseline. Each
@@ -26,7 +30,10 @@
 //! job appends to `$GITHUB_STEP_SUMMARY`; `bench_ratchet --kind
 //! sim|scenarios` dispatches between them.
 
+use arbodom_graph::digest::{chain_digest, edge_digest};
+use arbodom_scenarios::churn::{churn_registry, churn_stream};
 use arbodom_scenarios::json::JsonValue;
+use arbodom_scenarios::Scale;
 
 /// The outcome of one ratchet evaluation.
 #[derive(Clone, Debug)]
@@ -363,6 +370,8 @@ pub fn check_scenarios(current: &JsonValue, baseline: &JsonValue) -> RatchetRepo
                     .and_then(JsonValue::as_arr)
                     .map_or(0, |cells| cells.len())
             };
+            let chains_ok = block != "churn"
+                || check_committed_chains(name, base_scenario, baseline, &mut violations);
             let Some((_, cur_scenario)) = cur_index.iter().find(|(n, _)| *n == name) else {
                 violations.push(format!("{block}: scenario `{name}` disappeared"));
                 rows_md.push_str(&format!(
@@ -372,7 +381,7 @@ pub fn check_scenarios(current: &JsonValue, baseline: &JsonValue) -> RatchetRepo
                 continue;
             };
             let cur_cells = cells(cur_scenario);
-            let mut ok = cur_cells > 0;
+            let mut ok = chains_ok && cur_cells > 0;
             if cur_cells == 0 {
                 violations.push(format!("{block}: scenario `{name}` produced no cells"));
             }
@@ -400,12 +409,89 @@ pub fn check_scenarios(current: &JsonValue, baseline: &JsonValue) -> RatchetRepo
          {rows_md}\n\
          Cell counts differ by scale (the \"this run\" column is quick-mode); \
          the gate checks presence, zero quality flags, and — for churn — both \
-         maintenance policies with every batch valid.\n"
+         maintenance policies with every batch valid, and the committed cells' \
+         base digests and chains against the streams the code generates.\n"
     );
     RatchetReport {
         violations,
         summary_md,
     }
+}
+
+/// The chain leg of [`check_scenarios`]: every cell of one committed churn
+/// scenario must name the stream the code generates today. The cell's
+/// rate and batch count map back to their sweep indices at the
+/// artifact's scale; that stream's base graph must digest to the cell's
+/// `base_digest`, and the base digest folded with its batches must give
+/// its `final_chain`. Sampling a stream solves nothing, so this costs a
+/// few small base graphs and their batches. Returns whether the scenario
+/// passed.
+fn check_committed_chains(
+    name: &str,
+    scenario: &JsonValue,
+    baseline: &JsonValue,
+    violations: &mut Vec<String>,
+) -> bool {
+    let before = violations.len();
+    let scale = match baseline.get("scale").and_then(JsonValue::as_str) {
+        Some("full") => Scale::Full,
+        Some("quick") => Scale::Quick,
+        other => {
+            violations.push(format!(
+                "baseline scale {other:?} is neither full nor quick"
+            ));
+            return false;
+        }
+    };
+    let Some(spec) = churn_registry().into_iter().find(|s| s.name == name) else {
+        violations.push(format!(
+            "churn: committed scenario `{name}` is not in the registry"
+        ));
+        return false;
+    };
+    let cells = scenario
+        .get("cells")
+        .and_then(JsonValue::as_arr)
+        .unwrap_or_default();
+    for (idx, cell) in cells.iter().enumerate() {
+        let field = |key: &str| cell.get(key).and_then(JsonValue::as_f64);
+        let rate_idx = field("rate").and_then(|r| spec.rates.iter().position(|&x| x == r));
+        let batches_idx =
+            field("batches").and_then(|b| spec.batches(scale).iter().position(|&x| x as f64 == b));
+        let seed_idx = field("seed_idx").and_then(|s| (0..spec.seeds).find(|&x| x as f64 == s));
+        let (Some(rate_idx), Some(batches_idx), Some(seed_idx)) = (rate_idx, batches_idx, seed_idx)
+        else {
+            violations.push(format!(
+                "churn: `{name}` cell {idx} names no {} stream of the registry (rate {:?}, \
+                 batches {:?}, seed_idx {:?})",
+                scale.label(),
+                field("rate"),
+                field("batches"),
+                field("seed_idx")
+            ));
+            continue;
+        };
+        let (base, deltas) = match churn_stream(&spec, scale, rate_idx, batches_idx, seed_idx) {
+            Ok(stream) => stream,
+            Err(e) => {
+                violations.push(format!("churn: `{name}` cell {idx}: stream failed: {e}"));
+                continue;
+            }
+        };
+        let base_digest = edge_digest(&base);
+        let chain = deltas.iter().fold(base_digest, chain_digest);
+        for (key, expected) in [("base_digest", base_digest), ("final_chain", chain)] {
+            let expected = format!("{expected:#018x}");
+            let committed = cell.get(key).and_then(JsonValue::as_str);
+            if committed != Some(expected.as_str()) {
+                violations.push(format!(
+                    "churn: `{name}` cell {idx} records {key} {committed:?}, but the code's \
+                     stream gives {expected} — regenerate BENCH_scenarios.json"
+                ));
+            }
+        }
+    }
+    violations.len() == before
 }
 
 /// The churn-specific leg of [`check_scenarios`]: one churn scenario must
@@ -665,12 +751,28 @@ mod tests {
         assert!(report.ok(), "{:?}", report.violations);
     }
 
+    /// The base digest and final chain of `churn-forest-a2`'s full-scale
+    /// stream at rate 0.01, 8 batches, seed 0, as the artifact writes them.
+    fn forest_a2_identity() -> (String, String) {
+        let spec = churn_registry()
+            .into_iter()
+            .find(|s| s.name == "churn-forest-a2")
+            .expect("registered");
+        assert_eq!((spec.rates[0], spec.full_batches[0]), (0.01, 8));
+        let (base, deltas) = churn_stream(&spec, Scale::Full, 0, 0, 0).unwrap();
+        let base_digest = edge_digest(&base);
+        let chain = deltas.iter().fold(base_digest, chain_digest);
+        (format!("{base_digest:#018x}"), format!("{chain:#018x}"))
+    }
+
     /// A minimal scenarios artifact with the real shape: one static
-    /// scenario and one churn scenario with both policies.
+    /// scenario and one churn scenario with both policies, whose cells
+    /// record the stream the code generates.
     fn scenarios_artifact(schema: &str, flagged: usize, all_valid: bool, policies: &str) -> String {
+        let (base, chain) = forest_a2_identity();
         let cell = |policy: &str| {
             format!(
-                r#"{{"n":180,"policy":"{policy}","all_valid":{all_valid},"flagged":false,"batch_reports":[{{"batch":0,"rounds":7,"valid":{all_valid}}}]}}"#
+                r#"{{"n":1500,"rate":0.01,"batches":8,"policy":"{policy}","seed_idx":0,"base_digest":"{base}","final_chain":"{chain}","all_valid":{all_valid},"flagged":false,"batch_reports":[{{"batch":0,"rounds":7,"valid":{all_valid}}}]}}"#
             )
         };
         let churn_cells: Vec<String> = match policies {
@@ -733,6 +835,39 @@ mod tests {
             .iter()
             .any(|v| v.contains("`churn-forest-a2` disappeared")));
         assert!(report.summary_md.contains("❌"));
+    }
+
+    /// A committed churn cell whose chain or base digest is not what the
+    /// code's stream gives fails the gate, and so does a cell whose rate
+    /// names no stream of the registry.
+    #[test]
+    fn scenarios_gate_checks_the_committed_chains_against_the_code() {
+        let good = scenarios_artifact("arbodom-scenarios/v2", 0, true, "both");
+        let current = parse(&good);
+        let (base, chain) = forest_a2_identity();
+        for (key, value) in [("final_chain", chain), ("base_digest", base)] {
+            // Change the last hex digit of the first (repair) cell's value.
+            let mut tampered = value.clone();
+            let last = tampered.pop().expect("a hex digest");
+            tampered.push(if last == '0' { '1' } else { '0' });
+            let baseline = parse(&good.replacen(&value, &tampered, 1));
+            let report = check_scenarios(&current, &baseline);
+            assert!(
+                report
+                    .violations
+                    .iter()
+                    .any(|v| v.contains(&format!("`churn-forest-a2` cell 0 records {key}"))),
+                "{:?}",
+                report.violations
+            );
+            assert_eq!(report.violations.len(), 1, "{:?}", report.violations);
+            assert!(report.summary_md.contains("❌"));
+        }
+        let off_sweep = parse(&good.replacen(r#""rate":0.01"#, r#""rate":0.02"#, 1));
+        assert!(check_scenarios(&current, &off_sweep)
+            .violations
+            .iter()
+            .any(|v| v.contains("cell 0 names no full stream")));
     }
 
     #[test]

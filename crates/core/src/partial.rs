@@ -18,6 +18,8 @@
 //! packing values at the *start* of the iteration, domination is then
 //! updated, and only still-undominated nodes raise `x`.
 
+use std::cell::Cell;
+
 use arbodom_graph::Graph;
 
 use crate::{CoreError, Result};
@@ -52,7 +54,29 @@ impl PartialConfig {
     /// The iteration count `r`: the integer with
     /// `(1+ε)^(r−1)/(Δ+1) ≤ λ < (1+ε)^r/(Δ+1)`, or 0 when `λ < 1/(Δ+1)`
     /// (in which case the lemma is satisfied by `S = ∅`).
+    ///
+    /// Every node of a CONGEST run computes `r` from the same public
+    /// `(ε, λ, Δ)`, so each thread remembers its last key and count: the
+    /// two logarithms and the `powi` loops run once per run, not once per
+    /// node. The key is the exact bits of ε and λ, so the count is the
+    /// one the computation would give.
     pub fn iterations(&self, max_degree: usize) -> usize {
+        thread_local! {
+            static LAST: Cell<Option<(u64, u64, usize, usize)>> = const { Cell::new(None) };
+        }
+        let (eps, lambda) = (self.epsilon.to_bits(), self.lambda.to_bits());
+        LAST.with(|last| match last.get() {
+            Some((e, l, d, r)) if (e, l, d) == (eps, lambda, max_degree) => r,
+            _ => {
+                let r = self.count_iterations(max_degree);
+                last.set(Some((eps, lambda, max_degree, r)));
+                r
+            }
+        })
+    }
+
+    /// [`PartialConfig::iterations`], computed.
+    fn count_iterations(&self, max_degree: usize) -> usize {
         let dp1 = (max_degree + 1) as f64;
         if self.lambda < 1.0 / dp1 {
             return 0;
@@ -208,6 +232,29 @@ mod tests {
                 lambda < p.powi(r as i32) / dp1 + 1e-12,
                 "upper side fails: Δ={delta} ε={eps} λ={lambda} r={r}"
             );
+        }
+    }
+
+    /// The per-thread memo returns the computed count whatever key came
+    /// before it: the sweep interleaves ε, λ and Δ so that every call
+    /// changes at least one part of the key, and repeats each key once.
+    #[test]
+    fn memoized_iterations_equal_the_computed_count() {
+        for &eps in &[0.05, 0.1, 0.2, 0.5, 0.9] {
+            for alpha in 1..=6 {
+                let cfg = PartialConfig::new(eps, theorem11_lambda(alpha, eps)).unwrap();
+                let other = PartialConfig::new(1.0 - eps, 0.5 / alpha as f64).unwrap();
+                for delta in [0usize, 1, 2, 3, 7, 64, 1_000, 1 << 20] {
+                    for (c, d) in [
+                        (cfg, delta),
+                        (other, delta),
+                        (cfg, delta + 1),
+                        (cfg, delta + 1),
+                    ] {
+                        assert_eq!(c.iterations(d), c.count_iterations(d), "{c:?}, Δ = {d}");
+                    }
+                }
+            }
         }
     }
 

@@ -29,10 +29,14 @@
 //! against a fresh certified reference, so measured (not just estimated)
 //! drift is recorded per batch.
 //!
-//! The maintained state also carries the
+//! The maintained state also carries two digests. The
 //! [`chain digest`](arbodom_graph::digest::chain_digest) of its mutation
-//! history, giving every dynamic instance a stable identity:
-//! base [`edge_digest`] plus the exact delta sequence applied.
+//! history gives every dynamic instance a stable identity: base
+//! [`edge_digest`](arbodom_graph::digest::edge_digest) plus the exact
+//! delta sequence applied. The [`EdgeDigest`] of the current graph names
+//! the graph state itself; each batch folds into it in `O(|δ|)`, so a
+//! caller reads the current graph's `edge_digest` without a pass over
+//! the graph.
 //!
 //! # Example
 //!
@@ -55,7 +59,7 @@
 //! # Ok::<(), arbodom_core::CoreError>(())
 //! ```
 
-use arbodom_graph::digest::{chain_digest, edge_digest};
+use arbodom_graph::digest::{chain_digest, EdgeDigest};
 use arbodom_graph::{Graph, GraphDelta, NodeId};
 
 use crate::{verify, CoreError, DsResult, Result};
@@ -201,12 +205,15 @@ pub fn undominated_after_batch(
         .count()
 }
 
-/// Owned solve state for one dynamic instance: the current graph, the
-/// maintained dominating set, the drift anchor, and the digest chain of
-/// the mutation history. This is the state an `arbodomd` session holds.
+/// Owned solve state for one dynamic instance: the current graph and its
+/// digest, the maintained dominating set, the drift anchor, and the
+/// digest chain of the mutation history. This is the state an `arbodomd`
+/// session holds.
 #[derive(Clone, Debug)]
 pub struct Maintainer {
     graph: Graph,
+    /// The digest parts of `graph`, updated with every applied batch.
+    digest: EdgeDigest,
     in_ds: Vec<bool>,
     weight: u64,
     anchor_weight: u64,
@@ -229,12 +236,13 @@ impl Maintainer {
             verify::is_dominating_set(&graph, &solution.in_ds),
             "maintainer requires a valid dominating set to start from"
         );
-        let chain = edge_digest(&graph);
+        let digest = EdgeDigest::of(&graph);
         Maintainer {
             in_ds: solution.in_ds.clone(),
             weight: solution.weight,
             anchor_weight: solution.weight.max(1),
-            chain,
+            chain: digest.value(),
+            digest,
             graph,
             cfg,
             batches_since_solve: 0,
@@ -256,8 +264,16 @@ impl Maintainer {
         self.weight
     }
 
+    /// The current graph's
+    /// [`edge_digest`](arbodom_graph::digest::edge_digest), kept current
+    /// batch by batch instead of rehashed.
+    pub fn digest(&self) -> u64 {
+        self.digest.value()
+    }
+
     /// Chain digest of the mutation history: the base graph's
-    /// [`edge_digest`] folded with every applied delta, in order.
+    /// [`edge_digest`](arbodom_graph::digest::edge_digest) folded with
+    /// every applied delta, in order.
     pub fn chain(&self) -> u64 {
         self.chain
     }
@@ -273,25 +289,27 @@ impl Maintainer {
         self.weight as f64 / self.anchor_weight as f64
     }
 
-    /// Applies one delta batch: mutates the graph (overlay apply),
-    /// advances the digest chain, repairs validity locally, retires
-    /// redundant members via [`shrink_step`], and — when
-    /// the drift estimate exceeds [`RepairConfig::max_drift`] or the
-    /// batch budget [`RepairConfig::max_batches`] is spent — replaces the
-    /// set with a fresh certified solution from `resolve`.
+    /// Applies one delta batch: mutates the graph (overlay apply), folds
+    /// the delta into the graph's digest and the digest chain, repairs
+    /// validity locally, retires redundant members via [`shrink_step`],
+    /// and — when the drift estimate exceeds [`RepairConfig::max_drift`]
+    /// or the batch budget [`RepairConfig::max_batches`] is spent —
+    /// replaces the set with a fresh certified solution from `resolve`.
     ///
     /// # Errors
     ///
     /// [`CoreError::Graph`] when the delta conflicts with the maintained
     /// graph (the state is left unchanged), any error of `resolve`, and
     /// [`CoreError::Simulation`] when `resolve` returns a non-dominating
-    /// set.
+    /// set. After a failed `resolve` the batch stays applied: the graph,
+    /// its digest and the chain include it.
     pub fn apply<F>(&mut self, delta: &GraphDelta, resolve: F) -> Result<BatchOutcome>
     where
         F: FnOnce(&Graph) -> Result<DsResult>,
     {
         let next = delta.apply(&self.graph)?;
         self.graph = next;
+        self.digest.apply(delta);
         self.chain = chain_digest(self.chain, delta);
 
         let touched = delta.touched();
@@ -625,6 +643,58 @@ mod tests {
         assert_eq!(state.chain(), chain, "failed batch must not advance chain");
         assert_eq!(state.weight(), weight);
         assert!(verify::is_dominating_set(state.graph(), state.in_ds()));
+    }
+
+    /// The maintained digest is the current graph's `edge_digest` after
+    /// every outcome: a kept repair, a fallback, a conflicting batch (the
+    /// graph is unchanged) and a batch whose fallback solve fails (the
+    /// batch stays applied).
+    #[test]
+    fn maintained_digest_matches_the_graph_after_every_outcome() {
+        use arbodom_graph::digest::edge_digest;
+        let mut rng = StdRng::seed_from_u64(23);
+        let g = generators::forest_union(200, 2, &mut rng);
+        let sol = solver(2)(&g).unwrap();
+        let cfg = RepairConfig {
+            max_drift: f64::INFINITY,
+            max_batches: 3,
+        };
+        let mut state = Maintainer::new(g, &sol, cfg);
+        assert_eq!(state.digest(), edge_digest(state.graph()));
+        assert_eq!(
+            state.chain(),
+            state.digest(),
+            "the chain starts at the digest"
+        );
+        for batch in 0..6 {
+            let out = state
+                .apply(&churn(state.graph(), 300 + batch, 3, 3), solver(3))
+                .unwrap();
+            assert_eq!(out.repaired, (batch + 1) % 3 != 0, "batch {batch}");
+            assert_eq!(state.digest(), edge_digest(state.graph()), "batch {batch}");
+        }
+
+        let before = (state.graph().clone(), state.digest(), state.chain());
+        let (u, v) = state.graph().edges().next().expect("the forest has edges");
+        let conflict = GraphDelta::new([(u.get(), v.get())], []).unwrap();
+        assert!(state.apply(&conflict, solver(3)).is_err());
+        assert_eq!(
+            (state.graph().clone(), state.digest(), state.chain()),
+            before
+        );
+
+        // Two repaired batches spend the budget, and the third's fallback
+        // fails: its batch stays applied, and the digest follows it.
+        for batch in 0..3 {
+            let delta = churn(state.graph(), 400 + batch, 2, 2);
+            let applied = delta.apply(state.graph()).unwrap();
+            let result = state.apply(&delta, |_: &Graph| {
+                Err(CoreError::Simulation("the fallback solve fails".into()))
+            });
+            assert_eq!(result.is_err(), batch == 2, "batch {batch}");
+            assert_eq!(state.graph(), &applied, "batch {batch}");
+            assert_eq!(state.digest(), edge_digest(&applied), "batch {batch}");
+        }
     }
 
     #[test]

@@ -1,19 +1,180 @@
 //! Stable structural digests of graphs.
 //!
-//! Every random generator in [`crate::generators`] is pinned by a
-//! seed-stability test: a fixed seed must keep hashing to the same
-//! [`edge_digest`] forever, so refactors of a generator (or of the RNG
-//! plumbing underneath it) cannot silently change the inputs of every
-//! experiment in the workspace. The scenario engine records the same
-//! digest per cell in `BENCH_scenarios.json`, which makes two runs
-//! comparable at a glance: same digest, same instance.
+//! [`edge_digest`] names a graph state: the scenario engine records it
+//! per cell in `BENCH_scenarios.json`, the daemon keys its graph cache on
+//! it, and every `JobResult` carries it as `graph_digest`. Same digest,
+//! same instance, at a glance.
 //!
-//! The digest is FNV-1a over a canonical byte stream — `n`, `m`, then
-//! every undirected edge `(u, v)` with `u < v` in CSR (i.e. sorted)
-//! order, then the weight vector when it is not all-ones. It is a
-//! change-detector, not a cryptographic commitment.
+//! # Definition
+//!
+//! The digest is built from four parts:
+//!
+//! * the node count `n` and the edge count `m`;
+//! * the wrapping sum, over undirected edges `{u, v}` with `u < v`, of a
+//!   64-bit mix of the word `u·2³² + v`;
+//! * only on explicitly weighted graphs, the wrapping sum over nodes of a
+//!   mix of `(v, w_v)`. Unit-weight graphs are canonical
+//!   ([`crate::Graph::with_weights`] collapses an all-ones vector), so
+//!   they have no weight term however they were built.
+//!
+//! [`EdgeDigest::value`] folds those parts into one word. The mix is
+//! SplitMix64's finalizer. Edge terms, weight terms and the final fold
+//! each offset their input by a domain constant of their own. Everything
+//! is integer arithmetic, so every platform gets the same bits, and equal
+//! graphs hash equal whatever route built them.
+//!
+//! A sum changes by one term per edge. [`EdgeDigest`] therefore keeps
+//! the parts, and [`EdgeDigest::apply`] folds in an applied
+//! [`GraphDelta`] in `O(|δ|)`: a session that mutates a 50k-node graph
+//! by 8 edges updates its digest in 8 mixes, not in a pass over the
+//! graph. This is the incremental "AdHash" of Bellare and Micciancio
+//! (EUROCRYPT 1997).
+//!
+//! # Identifier, not commitment
+//!
+//! Equal graphs give equal digests; unequal graphs give unequal digests
+//! only with high probability. Additive hashes admit cheap *crafted*
+//! collisions (Wagner's k-sum algorithm, CRYPTO 2002), so no code whose
+//! correctness matters may treat equal digests as equal graphs: the
+//! daemon's cache, for one, compares the graphs themselves before two
+//! builds share an entry.
+//!
+//! # The FNV reference
+//!
+//! Every random generator in [`crate::generators`] is pinned by a
+//! seed-stability test: a fixed seed must keep producing the same graph
+//! forever. The pins are stated in FNV-1a over the sorted edge stream, a
+//! digest no batch can update, kept as [`fnv_edge_digest`] for them
+//! alone. [`chain_digest`] folds deltas with FNV-1a too, starting from an
+//! [`edge_digest`].
 
 use crate::{Graph, GraphDelta};
+
+/// SplitMix64's finalizer: a bijective 64-bit mix.
+fn mix(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+// Domain constants: the first 64 fractional bits of √2, √3 and √5.
+const EDGE_DOMAIN: u64 = 0x6a09_e667_f3bc_c908;
+const WEIGHT_DOMAIN: u64 = 0xbb67_ae85_84ca_a73b;
+const FINAL_DOMAIN: u64 = 0x3c6e_f372_fe94_f82b;
+
+/// The term of edge `{u, v}`, `u < v`: the mix of the word `u·2³² + v`.
+fn edge_term(u: u32, v: u32) -> u64 {
+    mix(EDGE_DOMAIN ^ (u64::from(u) << 32 | u64::from(v)))
+}
+
+/// The term of node `v` with explicit weight `w`.
+fn weight_term(v: usize, w: u64) -> u64 {
+    mix(mix(WEIGHT_DOMAIN ^ v as u64) ^ w)
+}
+
+/// The parts [`edge_digest`] folds, kept so that a [`GraphDelta`] can
+/// update them in `O(|δ|)`.
+///
+/// # Example
+///
+/// ```
+/// use arbodom_graph::digest::{edge_digest, EdgeDigest};
+/// use arbodom_graph::{Graph, GraphDelta};
+///
+/// let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)])?;
+/// let mut digest = EdgeDigest::of(&g);
+/// let d = GraphDelta::new([(0, 3)], [(1, 2)])?;
+/// let next = d.apply(&g)?;
+/// digest.apply(&d);
+/// assert_eq!(digest.value(), edge_digest(&next));
+/// # Ok::<(), arbodom_graph::GraphError>(())
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct EdgeDigest {
+    n: u64,
+    m: u64,
+    edges: u64,
+    weights: Option<u64>,
+}
+
+impl EdgeDigest {
+    /// The digest parts of a whole graph: one mix per adjacency entry
+    /// (two per edge), and two per node on an explicitly weighted graph.
+    pub fn of(g: &Graph) -> EdgeDigest {
+        let mut edges = 0u64;
+        let (offsets, neighbors) = g.csr();
+        for (u, range) in (0u32..).zip(offsets.windows(2)) {
+            // Each edge is listed at both ends; keep the `u < v` end. Mixing
+            // every entry and masking is cheaper than finding where the
+            // higher ids start, a branch whose outcome varies per node.
+            for v in &neighbors[range[0] as usize..range[1] as usize] {
+                let keep = 0u64.wrapping_sub(u64::from(u < v.get()));
+                edges = edges.wrapping_add(edge_term(u, v.get()) & keep);
+            }
+        }
+        let weights = g.explicit_weights().map(|ws| {
+            ws.iter()
+                .enumerate()
+                .fold(0u64, |sum, (v, &w)| sum.wrapping_add(weight_term(v, w)))
+        });
+        EdgeDigest {
+            n: g.n() as u64,
+            m: g.m() as u64,
+            edges,
+            weights,
+        }
+    }
+
+    /// Folds in a delta that was applied successfully to the graph these
+    /// parts describe: one mix per inserted or deleted edge. Deltas never
+    /// change the node count or the weights.
+    ///
+    /// The parts stay exact only for a delta that applied: a strict
+    /// delta's inserts were absent and its deletes present. After a
+    /// rejected one, leave the parts as they were.
+    pub fn apply(&mut self, delta: &GraphDelta) {
+        for &(u, v) in delta.inserts() {
+            self.edges = self.edges.wrapping_add(edge_term(u.get(), v.get()));
+        }
+        for &(u, v) in delta.deletes() {
+            self.edges = self.edges.wrapping_sub(edge_term(u.get(), v.get()));
+        }
+        self.m = self.m + delta.inserts().len() as u64 - delta.deletes().len() as u64;
+    }
+
+    /// The digest: `n`, `m`, the edge sum and, on weighted graphs, the
+    /// weight sum, folded in that order.
+    pub fn value(&self) -> u64 {
+        let mut h = mix(FINAL_DOMAIN ^ self.n);
+        h = mix(h ^ self.m);
+        h = mix(h ^ self.edges);
+        if let Some(weights) = self.weights {
+            h = mix(h ^ weights);
+        }
+        h
+    }
+}
+
+/// A stable 64-bit digest of the graph's structure (and non-unit weights):
+/// [`EdgeDigest::of`]`(g).value()`. See the module docs for the
+/// definition.
+///
+/// Equal graphs always produce equal digests, regardless of the order
+/// edges were inserted (the CSR canonicalizes adjacency).
+///
+/// # Example
+///
+/// ```
+/// use arbodom_graph::{digest, generators};
+/// use rand::SeedableRng;
+///
+/// let a = generators::gnp(100, 0.05, &mut rand::rngs::StdRng::seed_from_u64(7));
+/// let b = generators::gnp(100, 0.05, &mut rand::rngs::StdRng::seed_from_u64(7));
+/// assert_eq!(digest::edge_digest(&a), digest::edge_digest(&b));
+/// ```
+pub fn edge_digest(g: &Graph) -> u64 {
+    EdgeDigest::of(g).value()
+}
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -47,24 +208,14 @@ fn fold(mut h: u64, word: u64) -> u64 {
     (h ^ u64::from(bytes[len - 1])).wrapping_mul(PRIME_POWERS[9 - len])
 }
 
-/// A stable 64-bit digest of the graph's structure (and non-unit weights).
+/// FNV-1a over `n`, `m`, every undirected edge `(u, v)` with `u < v` in
+/// CSR (sorted) order, then the weight vector when it is not all-ones,
+/// each as a little-endian `u64`.
 ///
-/// Two graphs compare equal iff they have the same node count, the same
-/// edge set, and the same weights — and equal graphs always produce equal
-/// digests, regardless of the order edges were inserted (the CSR
-/// canonicalizes adjacency).
-///
-/// # Example
-///
-/// ```
-/// use arbodom_graph::{digest, generators};
-/// use rand::SeedableRng;
-///
-/// let a = generators::gnp(100, 0.05, &mut rand::rngs::StdRng::seed_from_u64(7));
-/// let b = generators::gnp(100, 0.05, &mut rand::rngs::StdRng::seed_from_u64(7));
-/// assert_eq!(digest::edge_digest(&a), digest::edge_digest(&b));
-/// ```
-pub fn edge_digest(g: &Graph) -> u64 {
+/// The generator seed-stability pins are stated in this digest, and it
+/// is kept for them alone: a sorted stream cannot follow a delta, so
+/// everything else uses [`edge_digest`].
+pub fn fnv_edge_digest(g: &Graph) -> u64 {
     let mut h = FNV_OFFSET;
     h = fold(h, g.n() as u64);
     h = fold(h, g.m() as u64);
@@ -141,7 +292,8 @@ mod tests {
         h
     }
 
-    /// [`edge_digest`] over the same byte stream with the reference fold.
+    /// [`fnv_edge_digest`] over the same byte stream with the reference
+    /// fold.
     fn bytewise_edge_digest(g: &crate::Graph) -> u64 {
         let mut h = FNV_OFFSET;
         h = bytewise_fold(h, g.n() as u64);
@@ -197,7 +349,7 @@ mod tests {
 
         #[test]
         fn edge_digest_matches_the_bytewise_fold(g in arb_digest_graph()) {
-            prop_assert_eq!(edge_digest(&g), bytewise_edge_digest(&g));
+            prop_assert_eq!(fnv_edge_digest(&g), bytewise_edge_digest(&g));
         }
     }
 
@@ -209,7 +361,35 @@ mod tests {
             [(0, top + 1), (300, top), (70_000, top + 1), (top, top + 1)],
         )
         .expect("edges are in range");
-        assert_eq!(edge_digest(&g), bytewise_edge_digest(&g));
+        assert_eq!(fnv_edge_digest(&g), bytewise_edge_digest(&g));
+    }
+
+    /// Pins the definition on fixed graphs, so that any change to it is
+    /// loud: every `graph_digest` a reply or artifact carries would move.
+    /// The values were checked against an independent model of the
+    /// definition.
+    #[test]
+    fn edge_digest_is_pinned_on_fixed_graphs() {
+        let weighted_path = generators::path(4).with_weights(vec![3, 1, 4, 1]).unwrap();
+        let pins = [
+            (
+                "empty",
+                crate::Graph::from_edges(0, []).unwrap(),
+                0x4dd6_b639_e337_7e86,
+            ),
+            (
+                "one node",
+                crate::Graph::from_edges(1, []).unwrap(),
+                0x63a2_6781_5dca_a86a,
+            ),
+            ("path 5", generators::path(5), 0x59ee_3bbd_e5f9_bf6b),
+            ("cycle 6", generators::cycle(6), 0x78f7_044f_3462_5427),
+            ("weighted path 4", weighted_path, 0x3bae_389d_b466_0f00u64),
+        ];
+        for (name, g, pin) in &pins {
+            let digest = edge_digest(g);
+            assert_eq!(digest, *pin, "{name}: {digest:#018x}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! All random generators take an explicit `&mut impl Rng` so that every
 //! experiment in the workspace is reproducible from a seed, and each is
 //! pinned by a seed-stability test (`tests/seed_stability.rs`) through
-//! [`crate::digest::edge_digest`].
+//! [`crate::digest::fnv_edge_digest`].
 //!
 //! Parameter validation comes in two flavors: every random generator has a
 //! `try_*` form returning a typed [`crate::GraphError::InvalidParameter`]

@@ -226,15 +226,45 @@ pub fn churn_delta(g: &Graph, seed: u64, k: usize) -> GraphDelta {
     GraphDelta::new(inserts, deletes).expect("sampled delta is canonical by construction")
 }
 
-/// The chain digest of a cell's full churn stream *without executing any
-/// solver*: the base graph's digest folded with every batch delta in
-/// order. This is the seed-stability pin for dynamic instances — the
-/// churn analogue of the generator digest pins in `arbodom-graph`.
+/// A cell's churn stream *without executing any solver*: the base graph
+/// and every batch delta, in order. Each batch is sampled against the
+/// graph the batches before it produced, exactly as [`run_churn_cell`]
+/// samples it, so both policies of a sweep point replay this stream.
 ///
 /// # Errors
 ///
 /// Propagates generation errors; delta application cannot fail because
 /// each batch is sampled against the graph it applies to.
+pub fn churn_stream(
+    spec: &ChurnSpec,
+    scale: Scale,
+    rate_idx: usize,
+    batches_idx: usize,
+    seed_idx: u64,
+) -> Result<(Graph, Vec<GraphDelta>), RunError> {
+    let cell_seed = churn_cell_seed(spec, rate_idx, batches_idx, seed_idx);
+    let mut rng = StdRng::seed_from_u64(cell_seed);
+    let base = spec.family.build(spec.size(scale), &mut rng)?.graph;
+    let batches = spec.batches(scale)[batches_idx];
+    let mut deltas = Vec::with_capacity(batches);
+    let mut g = base.clone();
+    for batch in 0..batches {
+        let k = batch_k(&g, spec.rates[rate_idx]);
+        let delta = churn_delta(&g, batch_seed(cell_seed, batch), k);
+        g = delta.apply(&g).map_err(arbodom_core::CoreError::from)?;
+        deltas.push(delta);
+    }
+    Ok((base, deltas))
+}
+
+/// The chain digest of a cell's full churn stream ([`churn_stream`]): the
+/// base graph's digest folded with every batch delta in order. This is
+/// the seed-stability pin for dynamic instances — the churn analogue of
+/// the generator digest pins in `arbodom-graph`.
+///
+/// # Errors
+///
+/// Propagates generation errors.
 pub fn stream_digest(
     spec: &ChurnSpec,
     scale: Scale,
@@ -242,17 +272,8 @@ pub fn stream_digest(
     batches_idx: usize,
     seed_idx: u64,
 ) -> Result<u64, RunError> {
-    let cell_seed = churn_cell_seed(spec, rate_idx, batches_idx, seed_idx);
-    let mut rng = StdRng::seed_from_u64(cell_seed);
-    let mut g = spec.family.build(spec.size(scale), &mut rng)?.graph;
-    let mut chain = edge_digest(&g);
-    for batch in 0..spec.batches(scale)[batches_idx] {
-        let k = batch_k(&g, spec.rates[rate_idx]);
-        let delta = churn_delta(&g, batch_seed(cell_seed, batch), k);
-        g = delta.apply(&g).map_err(arbodom_core::CoreError::from)?;
-        chain = chain_digest(chain, &delta);
-    }
-    Ok(chain)
+    let (base, deltas) = churn_stream(spec, scale, rate_idx, batches_idx, seed_idx)?;
+    Ok(deltas.iter().fold(edge_digest(&base), chain_digest))
 }
 
 /// Mutations per batch at the given rate: `max(1, round(m · rate))` each
@@ -621,6 +642,7 @@ pub fn run_churn_matching(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arbodom_graph::digest::fnv_edge_digest;
 
     fn quick(threads: usize) -> RunConfig {
         RunConfig {
@@ -659,10 +681,24 @@ mod tests {
             chain, CHURN_FOREST_A2_QUICK_CHAIN,
             "churn-forest-a2 quick stream drifted: {chain:#018x}"
         );
+        // The pin moved once, when `edge_digest` became an additive hash.
+        // Folded from the FNV base digest the pins are stated in, the same
+        // stream still gives the chain pinned before, so the stream itself
+        // did not move.
+        let (base, deltas) = churn_stream(spec, Scale::Quick, 0, 0, 0).unwrap();
+        let fnv_chain = deltas.iter().fold(fnv_edge_digest(&base), chain_digest);
+        assert_eq!(
+            fnv_chain, CHURN_FOREST_A2_QUICK_FNV_CHAIN,
+            "churn-forest-a2 quick stream drifted: {fnv_chain:#018x} from the FNV base"
+        );
     }
 
     /// Pinned by `churn_stream_is_seed_stable`.
-    const CHURN_FOREST_A2_QUICK_CHAIN: u64 = 0x26e7_c0ff_d505_40c4;
+    const CHURN_FOREST_A2_QUICK_CHAIN: u64 = 0x001b_cc70_b97a_8b05;
+
+    /// The same stream's chain from the FNV base digest: the value the pin
+    /// held while `edge_digest` was FNV-1a.
+    const CHURN_FOREST_A2_QUICK_FNV_CHAIN: u64 = 0x26e7_c0ff_d505_40c4;
 
     #[test]
     fn deltas_are_valid_against_their_graph() {

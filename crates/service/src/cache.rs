@@ -33,9 +33,12 @@
 //! victim, so an over-budget instance is still served to the job that
 //! built it. The cache never stores failures: a source that fails to
 //! build is re-attempted (and re-fails) on every query. Every hit is
-//! verified against the stored encoded source bytes and the stored
-//! instance metadata, so hash collisions of either 64-bit key degrade to
-//! a rebuild — never to a wrong or state-dependent answer.
+//! verified against the stored encoded source bytes, and a fresh build
+//! joins an existing instance entry only when its graph and metadata
+//! equal the stored ones, so hash collisions of either 64-bit key
+//! degrade to a rebuild — never to a wrong or state-dependent answer.
+//! The edge digest is an identifier, not a commitment: colliding graphs
+//! can be crafted cheaply, so the graphs themselves are compared.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -65,10 +68,15 @@ pub struct CachedGraph {
 }
 
 impl CachedGraph {
-    /// Whether two built instances are interchangeable: same structure
-    /// *and* same accounting metadata.
+    /// Whether two built instances are interchangeable: same graph *and*
+    /// same accounting metadata. Equal digests do not make equal graphs,
+    /// so the graphs are compared too, last: this runs only when the
+    /// instance key already exists.
     fn same_instance(&self, other: &CachedGraph) -> bool {
-        self.digest == other.digest && self.alpha == other.alpha && self.planted == other.planted
+        self.digest == other.digest
+            && self.alpha == other.alpha
+            && self.planted == other.planted
+            && self.graph == other.graph
     }
 
     /// What this instance charges against the cache's byte budget: the
@@ -401,6 +409,38 @@ mod tests {
         assert_eq!(cache.lookup(1, &[1]).unwrap().alpha, 1);
         assert_eq!(cache.lookup(2, &[2]).unwrap().alpha, 3);
         assert!(cache.lookup(2, &[2]).unwrap().planted.is_some());
+    }
+
+    /// Two different graphs with the same digest (a collision, forced
+    /// here) and the same metadata share an instance key. The second
+    /// build must be answered with its own graph, and the cache keeps the
+    /// first.
+    #[test]
+    fn digest_collisions_between_distinct_graphs_serve_each_its_own() {
+        let mut cache = GraphCache::new(budget_for(&[6, 6]));
+        let first = cached(6);
+        let cycle = generators::cycle(6);
+        let collider = CachedGraph {
+            digest: first.digest,
+            reference: quality::reference(&cycle, None),
+            graph: cycle,
+            planted: None,
+            alpha: 1,
+        };
+        assert_eq!(instance_key(&first), instance_key(&collider));
+        cache.insert(1, vec![1], first);
+        let got = cache.insert(2, vec![2], collider);
+        assert_eq!(
+            got.graph,
+            generators::cycle(6),
+            "the second build is served"
+        );
+        assert_eq!(cache.stats().entries, 1);
+        assert_eq!(cache.lookup(1, &[1]).unwrap().graph, generators::path(6));
+        assert!(
+            cache.lookup(2, &[2]).is_none(),
+            "the colliding build is not cached"
+        );
     }
 
     /// Densification pin for the memory-tiered representation: a cached

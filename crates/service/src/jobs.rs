@@ -312,7 +312,8 @@ fn check_cell_bounds(
 ///
 /// Session snapshots bypass the cache entirely: the graph behind a
 /// session id changes with every `Mutate`, so caching by source bytes
-/// would serve stale state.
+/// would serve stale state. A snapshot takes the session's maintained
+/// digest, reference and α, so it rehashes nothing.
 fn resolve_instance(ctx: &ExecContext, source: &GraphSource) -> Result<Arc<CachedGraph>, String> {
     if let GraphSource::Session { id } = source {
         let session = find_session(ctx, *id)?;
@@ -320,8 +321,8 @@ fn resolve_instance(ctx: &ExecContext, source: &GraphSource) -> Result<Arc<Cache
         let graph = guard.graph_snapshot();
         let alpha = guard.alpha();
         let reference = guard.reference();
+        let digest = guard.digest();
         drop(guard);
-        let digest = edge_digest(&graph);
         return Ok(Arc::new(CachedGraph {
             graph,
             planted: None,
@@ -630,6 +631,7 @@ mod tests {
         // A job addressing the session reproduces the opening solve.
         let snap = execute_job(&ctx, &JobSpec::new(GraphSource::Session { id })).unwrap();
         assert_eq!(snap.graph_digest, opened.graph_digest);
+        assert_eq!(snap.graph_digest, edge_digest(&generators::path(30)));
         assert_eq!(snap.ds_weight, opened.ds_weight);
         // Mutating the session changes what later snapshot jobs see.
         let delta = DeltaSpec {
@@ -650,6 +652,13 @@ mod tests {
         assert_eq!(stats.batches_since_solve, 1);
         let snap2 = execute_job(&ctx, &JobSpec::new(GraphSource::Session { id })).unwrap();
         assert_eq!(snap2.graph_digest, after.graph_digest);
+        // The snapshot's digest is the session's maintained one, and it
+        // names the mutated graph: the path closed into a cycle.
+        assert_eq!(
+            session.lock().unwrap().graph_snapshot(),
+            generators::cycle(30)
+        );
+        assert_eq!(snap2.graph_digest, edge_digest(&generators::cycle(30)));
         assert_ne!(snap2.graph_digest, snap.graph_digest);
         assert_eq!(snap2.m, snap.m + 1);
         // Session snapshots never touch the cache.

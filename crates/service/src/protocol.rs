@@ -1028,7 +1028,11 @@ pub struct JobResult {
     /// The arboricity parameter the algorithm ran with.
     pub alpha: u64,
     /// [`arbodom_graph::digest::edge_digest`] of the instance (also the
-    /// graph-cache key).
+    /// graph-cache key): the additive edge-set hash, which a session keeps
+    /// current batch by batch. It identifies the graph; it is not the
+    /// FNV-1a digest the generator seed-stability pins are stated in
+    /// ([`arbodom_graph::digest::fnv_edge_digest`]), and equal digests
+    /// do not prove equal graphs.
     pub graph_digest: u64,
     /// Nodes in the computed dominating set.
     pub ds_size: u64,

@@ -2,14 +2,14 @@
 //! protocol.
 //!
 //! A [`Session`] is what [`crate::protocol::Request::Open`] creates — a
-//! [`arbodom_core::repair::Maintainer`] (the mutated graph, the
-//! maintained dominating set, the drift anchor, and the digest chain of
-//! the mutation history) plus the algorithm and seed the instance was
-//! opened with. `Mutate` requests apply edge-delta batches and keep the
-//! set valid by **local incremental repair**, falling back to a certified
-//! full re-solve when the drift bound trips (or unconditionally under
-//! [`SessionPolicy::Resolve`]); `Resolve` forces the fallback;
-//! `Release` drops the state.
+//! [`arbodom_core::repair::Maintainer`] (the mutated graph and its
+//! digest, the maintained dominating set, the drift anchor, and the
+//! digest chain of the mutation history) plus the algorithm and seed the
+//! instance was opened with. `Mutate` requests apply edge-delta batches
+//! and keep the set valid by **local incremental repair**, falling back
+//! to a certified full re-solve when the drift bound trips (or
+//! unconditionally under [`SessionPolicy::Resolve`]); `Resolve` forces
+//! the fallback; `Release` drops the state.
 //!
 //! Sessions are heavyweight (an owned graph plus the maintained set), and
 //! clients crash or wander off without releasing — an unbounded registry
@@ -41,6 +41,9 @@
 //! keeps the greedy packing behind the packing lower bound current with
 //! each batch ([`MaintainedPacking`]), so that reference costs what the
 //! batch costs; a weighted session recomputes it over the whole graph.
+//! The reply's `graph_digest` is the maintainer's digest, which each batch
+//! updates in `O(|δ|)`. The measured α is the one whole-graph pass left
+//! in a kept repair.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -52,7 +55,6 @@ use std::time::{Duration, Instant};
 use arbodom_congest::{RunOptions, Telemetry};
 use arbodom_core::repair::{self, BatchOutcome, Maintainer, RepairConfig};
 use arbodom_core::{verify, DsResult};
-use arbodom_graph::digest::edge_digest;
 use arbodom_graph::{orientation, Graph, GraphDelta, NodeId};
 use arbodom_scenarios::quality::{self, maximal_packing, MaintainedPacking};
 use arbodom_scenarios::Algorithm;
@@ -126,6 +128,13 @@ impl Session {
     /// [`crate::protocol::GraphSource::Session`] jobs.
     pub fn graph_snapshot(&self) -> Graph {
         self.maintainer.graph().clone()
+    }
+
+    /// The current graph's
+    /// [`edge_digest`](arbodom_graph::digest::edge_digest), as the
+    /// maintainer keeps it.
+    pub fn digest(&self) -> u64 {
+        self.maintainer.digest()
     }
 
     /// The α the session's accounting currently runs with.
@@ -280,9 +289,11 @@ impl Session {
     /// Records the current graph's α and quality-accounts the maintained
     /// set on it against [`Session::reference`]. `solved` is the batch's
     /// re-solve, if one ran: it already measured α on this graph, so only
-    /// a kept repair measures it here. The maintained set carries no dual
-    /// certificate. Rounds and message counters reflect only what this
-    /// batch actually simulated (all zero for a kept local repair).
+    /// a kept repair measures it here. The digest is the maintainer's;
+    /// debug builds check it against the whole graph. The maintained set
+    /// carries no dual certificate. Rounds and message counters reflect
+    /// only what this batch actually simulated (all zero for a kept local
+    /// repair).
     fn reply(&mut self, solved: Option<Solved>, undominated: usize) -> JobResult {
         let g = self.maintainer.graph();
         let (alpha, tel) = match solved {
@@ -297,12 +308,18 @@ impl Session {
         let account = self
             .reference()
             .account(weight, None, guarantee, valid, false);
+        let digest = self.maintainer.digest();
+        debug_assert_eq!(
+            digest,
+            arbodom_graph::digest::edge_digest(g),
+            "the maintained digest disagrees with the whole graph"
+        );
         JobResult {
             n: g.n() as u64,
             m: g.m() as u64,
             max_degree: max_degree as u64,
             alpha: alpha as u64,
-            graph_digest: edge_digest(g),
+            graph_digest: digest,
             ds_size: self.maintainer.in_ds().iter().filter(|&&b| b).count() as u64,
             ds_weight: weight,
             valid,
@@ -556,6 +573,7 @@ impl SessionTable {
 mod tests {
     use super::*;
     use arbodom_core::weighted;
+    use arbodom_graph::digest::edge_digest;
     use arbodom_graph::generators;
     use arbodom_graph::weights::WeightModel;
     use arbodom_scenarios::churn::churn_delta;
@@ -630,8 +648,9 @@ mod tests {
     /// Every mutate reply says what the whole-graph functions say: under
     /// `Repair`, under `Resolve`, with a drift bound so tight that
     /// deletion-heavy batches fall back, and on a weighted graph. In debug
-    /// builds the session also checks each batch-local undominated count
-    /// and each maintained packing bound against the whole graph.
+    /// builds the session also checks each batch-local undominated count,
+    /// each maintained packing bound and each maintained digest against
+    /// the whole graph.
     #[test]
     fn mutate_replies_match_the_whole_graph_under_every_policy() {
         let tight = RepairConfig {

@@ -8,6 +8,7 @@
 use arbodom::baselines::lp::{maximal_packing, MaintainedPacking};
 use arbodom::core::partial::{partial_dominating_set, PartialConfig};
 use arbodom::core::{general, randomized, verify, weighted, PackingCertificate};
+use arbodom::graph::digest::{edge_digest, EdgeDigest};
 use arbodom::graph::orientation::{degeneracy, degeneracy_order};
 use arbodom::graph::{generators, weights::WeightModel, Graph, GraphDelta, NodeId};
 use arbodom::scenarios::churn::churn_delta;
@@ -146,9 +147,9 @@ fn arb_peel_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
-/// Strategy: a unit-weight graph for packing maintenance — forest unions
-/// with α = 1..5, gnp, stars, and the edgeless graphs on zero, one and
-/// two nodes.
+/// Strategy: a unit-weight graph for packing and digest maintenance —
+/// forest unions with α = 1..5, gnp, stars, and the edgeless graphs on
+/// zero, one and two nodes.
 fn arb_packing_graph() -> impl Strategy<Value = Graph> {
     (0u64..1_000, 0usize..4, 0usize..400).prop_map(|(seed, family, n)| {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -223,6 +224,29 @@ proptest! {
             );
             let support: Vec<bool> = whole.values().iter().map(|&y| y > 0.0).collect();
             prop_assert_eq!(packing.in_packing(), support.as_slice(), "batch {}", batch);
+        }
+    }
+
+    #[test]
+    fn maintained_digest_follows_a_churn_stream(g in arb_packing_graph(),
+                                                weighted in prop::bool::ANY,
+                                                seed in 0u64..1_000,
+                                                k in 1usize..12,
+                                                stream in 0usize..3) {
+        let mut g = if weighted {
+            WeightModel::Uniform { lo: 1, hi: 1_000 }.assign(&g, &mut StdRng::seed_from_u64(seed))
+        } else {
+            g
+        };
+        let mut digest = EdgeDigest::of(&g);
+        prop_assert_eq!(digest.value(), edge_digest(&g));
+        for batch in 0..16u64 {
+            let delta = stream_batch(&g, seed, batch, k, stream);
+            g = delta
+                .apply(&g)
+                .expect("stream batches apply to the graph they were drawn from");
+            digest.apply(&delta);
+            prop_assert_eq!(digest.value(), edge_digest(&g), "batch {}", batch);
         }
     }
 }
