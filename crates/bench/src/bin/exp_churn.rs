@@ -1,5 +1,5 @@
 //! E-CHURN: incremental repair vs full re-solve over identical churn
-//! streams; writes the `BENCH_churn.json` trajectory.
+//! streams.
 fn main() {
     arbodom_bench::experiment_main(arbodom_bench::experiments::churn::run);
 }

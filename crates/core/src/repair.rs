@@ -215,6 +215,7 @@ pub struct Maintainer {
     /// The digest parts of `graph`, updated with every applied batch.
     digest: EdgeDigest,
     in_ds: Vec<bool>,
+    size: usize,
     weight: u64,
     anchor_weight: u64,
     chain: u64,
@@ -239,6 +240,7 @@ impl Maintainer {
         let digest = EdgeDigest::of(&graph);
         Maintainer {
             in_ds: solution.in_ds.clone(),
+            size: solution.size,
             weight: solution.weight,
             anchor_weight: solution.weight.max(1),
             chain: digest.value(),
@@ -257,6 +259,11 @@ impl Maintainer {
     /// Membership flags of the maintained dominating set.
     pub fn in_ds(&self) -> &[bool] {
         &self.in_ds
+    }
+
+    /// Number of nodes in the maintained set.
+    pub fn size(&self) -> usize {
+        self.size
     }
 
     /// Total weight of the maintained set.
@@ -323,10 +330,12 @@ impl Maintainer {
             })
             .count();
         let added = repair_step(&self.graph, &mut self.in_ds, &touched);
+        self.size += added.len();
         self.weight += self.graph.set_weight(added.iter().copied());
         let mut seeds = touched.clone();
         seeds.extend(added.iter().copied());
         let removed = shrink_step(&self.graph, &mut self.in_ds, &seeds);
+        self.size -= removed.len();
         self.weight -= self.graph.set_weight(removed.iter().copied());
         self.batches_since_solve += 1;
 
@@ -377,6 +386,7 @@ impl Maintainer {
             ));
         }
         self.in_ds = fresh.in_ds;
+        self.size = fresh.size;
         self.weight = fresh.weight;
         self.anchor_weight = fresh.weight.max(1);
         self.batches_since_solve = 0;
@@ -515,6 +525,8 @@ mod tests {
                 "batch {batch} left an invalid set"
             );
             assert_eq!(out.weight, state.weight());
+            let size = state.in_ds().iter().filter(|&&b| b).count();
+            assert_eq!(state.size(), size, "batch {batch}");
             assert!(out.drift_estimate > 0.0);
         }
     }

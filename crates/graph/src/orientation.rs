@@ -6,7 +6,7 @@
 //! degeneracy, giving out-degree ≤ 2α − 1) for use by baselines, the
 //! lower-bound verifier, and the test suite.
 
-use crate::{Graph, NodeId};
+use crate::{Graph, GraphDelta, NodeId};
 
 /// An acyclic orientation of a graph's edges, stored as out-adjacency lists.
 #[derive(Clone, Debug)]
@@ -162,6 +162,37 @@ pub fn degeneracy_order(g: &Graph) -> (Vec<NodeId>, usize) {
 /// core number, a graph invariant, so it equals `degeneracy_order(g).1`
 /// even though the two peels remove nodes in different orders.
 pub fn degeneracy(g: &Graph) -> usize {
+    flat_peel::<false>(g, 0).degeneracy as usize
+}
+
+/// What one flat core peel leaves behind.
+struct FlatPeel {
+    /// Each node's core number.
+    core: Vec<u32>,
+    /// The largest core number.
+    degeneracy: u32,
+    /// Filled only by a certifying peel: the number of nodes of each
+    /// degree, indexed by degree.
+    degree_count: Vec<u32>,
+    /// Filled only by a certifying peel: each node's place in the removal
+    /// order, spread `gap` apart.
+    label: Vec<u64>,
+    /// Filled only by a certifying peel: each node's neighbors still
+    /// present at its removal, its later neighbors in the order.
+    later: Vec<u32>,
+}
+
+/// The Batagelj–Zaversnik peel behind [`degeneracy`] and
+/// [`DegeneracyCertificate::of`]. With `CERTIFY`, it also labels the
+/// removal order, `gap` apart, and counts each node's later neighbors
+/// inside its own neighbor loop.
+///
+/// At a node's turn, every neighbor of higher current degree is still
+/// present and every neighbor of lower degree is gone: a removed node
+/// keeps its core number, at most the current level, and a present one
+/// never falls below the level. Only a neighbor of equal degree needs its
+/// slot compared with the node's.
+fn flat_peel<const CERTIFY: bool>(g: &Graph, gap: u64) -> FlatPeel {
     let (offsets, neighbors) = g.csr();
     let n = g.n();
     let mut deg: Vec<u32> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
@@ -172,6 +203,7 @@ pub fn degeneracy(g: &Graph) -> usize {
     for &d in &deg {
         bin[d as usize] += 1;
     }
+    let degree_count = if CERTIFY { bin.clone() } else { Vec::new() };
     let mut start = 0;
     for b in &mut bin {
         let count = *b;
@@ -189,15 +221,19 @@ pub fn degeneracy(g: &Graph) -> usize {
     // Filling moved each bin's start to its end, the next bin's start.
     bin.copy_within(..max_deg, 1);
     bin[0] = 0;
+    let len = if CERTIFY { n } else { 0 };
+    let (mut label, mut later) = (vec![0u64; len], vec![0u32; len]);
     let mut degeneracy = 0;
     for i in 0..n {
         let v = vert[i] as usize;
         let dv = deg[v];
         degeneracy = degeneracy.max(dv);
+        let mut present = 0;
         for &u in &neighbors[offsets[v] as usize..offsets[v + 1] as usize] {
             let u = u.index();
             let du = deg[u];
             if du > dv {
+                present += 1;
                 // Swap u with the first node of its bin, then move the
                 // bin's start past it: u is now in bin du − 1.
                 let (pu, pw) = (pos[u], bin[du as usize]);
@@ -210,10 +246,388 @@ pub fn degeneracy(g: &Graph) -> usize {
                 }
                 bin[du as usize] += 1;
                 deg[u] = du - 1;
+            } else if CERTIFY && du == dv && pos[u] as usize > i {
+                present += 1;
             }
         }
+        if CERTIFY {
+            later[v] = present;
+            label[v] = (i as u64 + 1) * gap;
+        }
     }
-    degeneracy as usize
+    FlatPeel {
+        core: deg,
+        degeneracy,
+        degree_count,
+        label,
+        later,
+    }
+}
+
+/// The degeneracy `d` of a graph with a two-sided proof, kept current
+/// across edge batches, together with the graph's maximum degree.
+///
+/// # The two halves
+///
+/// * **Upper:** an order of the nodes in which every node has at most `d`
+///   later neighbors proves degeneracy ≤ `d`: removing the nodes in that
+///   order never removes one of degree above `d`. Observation 3.5's low
+///   out-degree orientation is this order with every edge pointing from
+///   its earlier end. The order is stored as one `u64` label per node,
+///   with ties broken by node id, and each node's later-neighbor count.
+/// * **Lower:** a witness set W in which every node has at least `d`
+///   neighbors inside W proves degeneracy ≥ `d`: W's induced subgraph
+///   has minimum degree `d`, so any removal order meets a node of degree
+///   ≥ `d` the first time it removes a node of W. W is stored as one flag
+///   per node; a member's number of neighbors in W is read from its
+///   adjacency list when a deletion may have lowered it.
+///
+/// # Building
+///
+/// [`DegeneracyCertificate::of`] runs the flat core peel of
+/// [`degeneracy`] once. Its removal order is a valid upper half: at a
+/// node's turn its unremoved neighbors are exactly its later ones, and
+/// they number at most its core number, hence at most `d`. The peel
+/// counts them inside its own neighbor loop. The labels are the removal
+/// positions spread evenly over `u64`, leaving wide gaps. W is the top
+/// core, the nodes whose core number is `d`: the `d`-core of the graph,
+/// nonempty, and of minimum degree `d` by definition. The certificate
+/// holds 13 bytes a node: a label, a count and a flag.
+///
+/// # Folding a batch
+///
+/// [`DegeneracyCertificate::apply`] first makes every count change of
+/// the batch. A deletion takes one from its earlier end's later count,
+/// which keeps the upper half, and a deletion inside W cascades: an
+/// endpoint left with fewer than `d` neighbors in W leaves it, which may
+/// push its neighbors in W below `d` in turn. An insertion adds one to
+/// its earlier end's later count and keeps the lower half. Then each
+/// node left with more than `d` later neighbors is repaired against the
+/// applied graph's adjacency, one later neighbor at a time, by the first
+/// of two local moves that applies:
+///
+/// * **(a)** move the node just past its nearest later neighbor `y`, if
+///   `y` has a spare slot (fewer than `d` later neighbors). The node
+///   takes the midpoint label between `y` and its next later neighbor,
+///   so it passes `y` and no other neighbor: it loses one later
+///   neighbor and `y` gains one.
+/// * **(b)** otherwise, move one of its later neighbors `y`, nearest
+///   first, to just before it: `y` takes the midpoint label between the
+///   node and the last of `y`'s own neighbors before the node. `y` passes
+///   the node and its own neighbors between the node and its old place;
+///   each of them loses one later neighbor, and `y` gains them all, which
+///   it may only if that keeps it at most `d`.
+///
+/// A move that finds no free label between its bounds does not apply.
+///
+/// # Failure
+///
+/// If a node stays overfull after both moves, or W empties, the fold
+/// fails and returns `None`; the caller rebuilds with one peel, which
+/// also relabels and so restores the gaps. A failure is not an error: an
+/// insertion that raises the degeneracy above `d` leaves no order to
+/// find, and a deletion that lowers it must empty W. When both halves
+/// survive, `d` is the degeneracy of the applied graph, exactly.
+///
+/// The maximum degree comes from a count of nodes per degree, which each
+/// fold updates at the batch's touched nodes.
+///
+/// # Example
+///
+/// ```
+/// use arbodom_graph::orientation::{degeneracy, DegeneracyCertificate};
+/// use arbodom_graph::{generators, GraphDelta};
+///
+/// let g = generators::cycle(6);
+/// let certificate = DegeneracyCertificate::of(&g);
+/// assert_eq!(certificate.value(), 2);
+/// let d = GraphDelta::new([], [(0, 1)])?;
+/// let path = d.apply(&g)?;
+/// // Deleting an edge of a cycle empties its 2-core: the fold fails and
+/// // the caller peels again.
+/// assert!(certificate.apply(&path, &d).is_none());
+/// assert_eq!(DegeneracyCertificate::of(&path).value(), degeneracy(&path));
+/// # Ok::<(), arbodom_graph::GraphError>(())
+/// ```
+#[derive(Clone, Debug)]
+pub struct DegeneracyCertificate {
+    /// The certified degeneracy.
+    d: u32,
+    /// Each node's place in the order, ties broken by node id.
+    label: Vec<u64>,
+    /// Each node's number of later neighbors, at most `d`.
+    later: Vec<u32>,
+    /// Whether each node is in the witness set W.
+    in_witness: Vec<bool>,
+    /// Members of W.
+    witness_size: usize,
+    /// The number of nodes of each degree, indexed by degree.
+    degree_count: Vec<u32>,
+    /// The highest degree with a node.
+    max_degree: usize,
+}
+
+impl DegeneracyCertificate {
+    /// The certificate of `g`, built with one flat core peel.
+    pub fn of(g: &Graph) -> Self {
+        // Removal positions spread over u64 leave about 2^64 / n between
+        // neighbors: at n = 10^6 a gap takes 44 halvings to run out.
+        Self::with_gap(g, u64::MAX / (g.n() as u64 + 1))
+    }
+
+    /// [`DegeneracyCertificate::of`] with labels `gap` apart.
+    fn with_gap(g: &Graph, gap: u64) -> Self {
+        let peel = flat_peel::<true>(g, gap);
+        let d = peel.degeneracy;
+        let in_witness: Vec<bool> = peel.core.iter().map(|&c| c == d).collect();
+        DegeneracyCertificate {
+            d,
+            label: peel.label,
+            later: peel.later,
+            witness_size: in_witness.iter().filter(|&&w| w).count(),
+            in_witness,
+            max_degree: peel.degree_count.len() - 1,
+            degree_count: peel.degree_count,
+        }
+    }
+
+    /// A certificate of `g` whose order is `order`, with labels `gap`
+    /// apart; `order` must be a valid upper half.
+    #[cfg(test)]
+    fn with_order(g: &Graph, order: &[u32], gap: u64) -> Self {
+        let mut certificate = Self::with_gap(g, gap);
+        for (place, &v) in (1u64..).zip(order) {
+            certificate.label[v as usize] = place * gap;
+        }
+        certificate.later.fill(0);
+        for (u, v) in g.edges() {
+            let e = certificate.earlier(u.index(), v.index());
+            certificate.later[e] += 1;
+        }
+        assert!(certificate.certifies(g), "{order:?} is not a valid order");
+        certificate
+    }
+
+    /// The certified degeneracy: the number [`degeneracy`] returns.
+    pub fn value(&self) -> usize {
+        self.d as usize
+    }
+
+    /// The graph's maximum degree: the number [`Graph::max_degree`]
+    /// returns.
+    pub fn max_degree(&self) -> usize {
+        self.max_degree
+    }
+
+    /// Heap bytes held: 13 per node (a label, a count and a flag) and
+    /// four per degree up to the maximum.
+    pub fn heap_bytes(&self) -> usize {
+        self.label.capacity() * 8
+            + self.later.capacity() * 4
+            + self.in_witness.capacity()
+            + self.degree_count.capacity() * 4
+    }
+
+    /// Folds in `delta`, which was applied successfully to the graph this
+    /// certificate describes, giving `g`. Returns the certificate of `g`,
+    /// or `None` when it broke (see the type docs); then build a new one
+    /// with [`DegeneracyCertificate::of`].
+    ///
+    /// Costs `O(|δ| log |δ|)` plus the adjacency lists the moves and the
+    /// witness cascade read.
+    pub fn apply(mut self, g: &Graph, delta: &GraphDelta) -> Option<Self> {
+        self.follow_degrees(g, delta);
+        let d = self.d;
+        let mut cascade = Vec::new();
+        for &(u, v) in delta.deletes() {
+            let (u, v) = (u.index(), v.index());
+            let e = self.earlier(u, v);
+            self.later[e] -= 1;
+            if self.in_witness[u] && self.in_witness[v] {
+                cascade.extend([u, v]);
+            }
+        }
+        let mut overfull = Vec::new();
+        for &(u, v) in delta.inserts() {
+            let (u, v) = (u.index(), v.index());
+            let e = self.earlier(u, v);
+            self.later[e] += 1;
+            if self.later[e] > d {
+                overfull.push(e);
+            }
+        }
+        // A member that lost a neighbor in W leaves it if it has fewer
+        // than d left, and its neighbors in W are checked in turn.
+        while let Some(x) = cascade.pop() {
+            if !self.in_witness[x] || self.witness_degree(g, x) >= d {
+                continue;
+            }
+            self.in_witness[x] = false;
+            self.witness_size -= 1;
+            cascade.extend(
+                g.neighbors(NodeId::from_index(x))
+                    .iter()
+                    .map(|z| z.index())
+                    .filter(|&z| self.in_witness[z]),
+            );
+        }
+        if d > 0 && self.witness_size == 0 {
+            return None;
+        }
+        let mut later = Vec::new();
+        for x in overfull {
+            while self.later[x] > d {
+                later.clear();
+                later.extend(
+                    g.neighbors(NodeId::from_index(x))
+                        .iter()
+                        .map(|u| u.index())
+                        .filter(|&u| self.key(x) < self.key(u)),
+                );
+                later.sort_unstable_by_key(|&u| self.key(u));
+                if !(self.move_past(x, &later) || self.pull_before(g, x, &later)) {
+                    return None;
+                }
+            }
+        }
+        Some(self)
+    }
+
+    /// Whether this certificate proves its value on `g`, checked over the
+    /// whole graph: its later counts equal a fresh count and are at most
+    /// `d`; W is nonempty (unless `d` is 0) and each member has at least
+    /// `d` neighbors in W; the degree counts are fresh. For tests and
+    /// debug builds.
+    pub fn certifies(&self, g: &Graph) -> bool {
+        let n = g.n();
+        if self.label.len() != n {
+            return false;
+        }
+        let mut later = vec![0u32; n];
+        let mut degree_count = vec![0u32; self.degree_count.len().max(g.max_degree() + 1)];
+        for v in g.nodes() {
+            degree_count[g.degree(v)] += 1;
+        }
+        for (u, v) in g.edges() {
+            later[self.earlier(u.index(), v.index())] += 1;
+        }
+        let witness: Vec<usize> = (0..n).filter(|&v| self.in_witness[v]).collect();
+        later == self.later
+            && later.iter().all(|&c| c <= self.d)
+            && witness.iter().all(|&v| self.witness_degree(g, v) >= self.d)
+            && witness.len() == self.witness_size
+            && (self.d == 0 || !witness.is_empty())
+            && degree_count[..self.degree_count.len()] == self.degree_count[..]
+            && degree_count[self.degree_count.len()..]
+                .iter()
+                .all(|&c| c == 0)
+            && self.max_degree == g.max_degree()
+    }
+
+    /// The number of `v`'s neighbors in W.
+    fn witness_degree(&self, g: &Graph, v: usize) -> u32 {
+        let adj = g.neighbors(NodeId::from_index(v));
+        adj.iter().filter(|u| self.in_witness[u.index()]).count() as u32
+    }
+
+    /// Node `v`'s place in the order: its label, ties broken by id.
+    fn key(&self, v: usize) -> (u64, usize) {
+        (self.label[v], v)
+    }
+
+    /// The endpoint of `{u, v}` that comes first in the order.
+    fn earlier(&self, u: usize, v: usize) -> usize {
+        if self.key(u) < self.key(v) {
+            u
+        } else {
+            v
+        }
+    }
+
+    /// Updates the degree counts at the batch's touched nodes: a node's
+    /// old degree is its new degree less its inserts plus its deletes.
+    fn follow_degrees(&mut self, g: &Graph, delta: &GraphDelta) {
+        let mut shifts: Vec<(NodeId, i64)> = delta
+            .inserts()
+            .iter()
+            .flat_map(|&(u, v)| [(u, -1), (v, -1)])
+            .chain(delta.deletes().iter().flat_map(|&(u, v)| [(u, 1), (v, 1)]))
+            .collect();
+        shifts.sort_unstable_by_key(|&(v, _)| v);
+        for run in shifts.chunk_by(|a, b| a.0 == b.0) {
+            let new = g.degree(run[0].0);
+            let old = (new as i64 + run.iter().map(|&(_, s)| s).sum::<i64>()) as usize;
+            self.degree_count[old] -= 1;
+            if new >= self.degree_count.len() {
+                self.degree_count.resize(new + 1, 0);
+            }
+            self.degree_count[new] += 1;
+            self.max_degree = self.max_degree.max(new);
+        }
+        while self.max_degree > 0 && self.degree_count[self.max_degree] == 0 {
+            self.max_degree -= 1;
+        }
+    }
+
+    /// Move (a): `x` goes just past its nearest later neighbor, if that
+    /// neighbor has a spare slot. `later` is `x`'s later neighbors,
+    /// nearest first.
+    fn move_past(&mut self, x: usize, later: &[usize]) -> bool {
+        let y = later[0];
+        let bound = later.get(1).map_or(u64::MAX, |&z| self.label[z]);
+        match midpoint(self.label[y], bound) {
+            Some(label) if self.later[y] < self.d => {
+                self.label[x] = label;
+                self.later[x] -= 1;
+                self.later[y] += 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Move (b): one of `x`'s later neighbors, nearest first, goes just
+    /// before `x`, if its count plus the neighbors it passes stays at
+    /// most `d`.
+    fn pull_before(&mut self, g: &Graph, x: usize, later: &[usize]) -> bool {
+        let kx = self.key(x);
+        for &y in later {
+            let ky = self.key(y);
+            let adj = g.neighbors(NodeId::from_index(y));
+            // The label of y's last neighbor before x, and how many of
+            // its neighbors y passes on its way to just before x.
+            let (mut floor, mut passed) = (0, 0);
+            for w in adj {
+                let kw = self.key(w.index());
+                if kw < kx {
+                    floor = floor.max(kw.0);
+                } else if kw < ky {
+                    passed += 1;
+                }
+            }
+            if self.later[y] + passed > self.d {
+                continue;
+            }
+            let Some(label) = midpoint(floor, kx.0) else {
+                continue;
+            };
+            for w in adj {
+                let kw = self.key(w.index());
+                if kx <= kw && kw < ky {
+                    self.later[w.index()] -= 1;
+                }
+            }
+            self.label[y] = label;
+            self.later[y] += passed;
+            return true;
+        }
+        false
+    }
+}
+
+/// A label strictly between `lo` and `hi`, if there is one.
+fn midpoint(lo: u64, hi: u64) -> Option<u64> {
+    (hi > lo && hi - lo >= 2).then(|| lo + (hi - lo) / 2)
 }
 
 /// Orients `g` along a degeneracy ordering; the out-degree of every node is
@@ -301,6 +715,142 @@ mod tests {
         let (order, d) = degeneracy_order(&g);
         assert!(order.is_empty());
         assert_eq!(d, 0);
+    }
+
+    fn delta(inserts: &[(u32, u32)], deletes: &[(u32, u32)]) -> GraphDelta {
+        GraphDelta::new(inserts.iter().copied(), deletes.iter().copied()).unwrap()
+    }
+
+    /// Folds `d` into `c`, which certifies `g`; returns the applied graph
+    /// and the folded certificate, checked against the whole graph when
+    /// the fold held.
+    fn fold(
+        c: DegeneracyCertificate,
+        g: &Graph,
+        d: &GraphDelta,
+    ) -> (Graph, Option<DegeneracyCertificate>) {
+        let next = d.apply(g).unwrap();
+        let folded = c.apply(&next, d);
+        if let Some(c) = &folded {
+            assert!(c.certifies(&next));
+            assert_eq!(c.value(), degeneracy(&next));
+        }
+        (next, folded)
+    }
+
+    #[test]
+    fn built_certificates_certify_known_graphs() {
+        let mut rng = StdRng::seed_from_u64(25);
+        let edgeless = |n| crate::Graph::from_edges(n, []).unwrap();
+        let mut cases = vec![
+            edgeless(0),
+            edgeless(1),
+            edgeless(5),
+            generators::path(2),
+            generators::random_tree(200, &mut rng),
+            generators::star(40),
+            generators::cycle(50),
+            generators::complete(7),
+            generators::grid2d(10, 12, false),
+        ];
+        for alpha in 1..=5 {
+            cases.push(generators::forest_union(300, alpha, &mut rng));
+        }
+        for g in cases {
+            let c = DegeneracyCertificate::of(&g);
+            assert!(c.certifies(&g), "n = {}, m = {}", g.n(), g.m());
+            assert_eq!(c.value(), degeneracy(&g));
+            assert_eq!(c.max_degree(), g.max_degree());
+            assert_eq!(c.heap_bytes(), 13 * g.n() + 4 * (g.max_degree() + 1));
+        }
+    }
+
+    #[test]
+    fn an_insertion_that_raises_d_breaks_the_certificate() {
+        // K4 less the edge {2, 3} is two triangles: degeneracy 2.
+        let g = crate::Graph::from_edges(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3)]).unwrap();
+        let c = DegeneracyCertificate::of(&g);
+        assert_eq!(c.value(), 2);
+        let (k4, folded) = fold(c, &g, &delta(&[(2, 3)], &[]));
+        assert!(
+            folded.is_none(),
+            "no order of K4 has 2 later neighbors per node"
+        );
+        assert_eq!(degeneracy(&k4), 3);
+    }
+
+    #[test]
+    fn a_deletion_that_empties_the_witness_breaks_the_certificate() {
+        let g = generators::complete(4);
+        let c = DegeneracyCertificate::of(&g);
+        assert_eq!((c.value(), c.witness_size), (3, 4));
+        let (next, folded) = fold(c, &g, &delta(&[], &[(0, 1)]));
+        assert!(folded.is_none(), "K4 less an edge has no 3-core");
+        assert_eq!(degeneracy(&next), 2);
+        // A deletion that leaves the top core standing keeps it: of two
+        // K4s, one loses an edge and the other still witnesses d = 3.
+        let two = crate::Graph::from_edges(
+            8,
+            generators::complete(4)
+                .edges()
+                .flat_map(|(u, v)| [(u.get(), v.get()), (u.get() + 4, v.get() + 4)]),
+        )
+        .unwrap();
+        let c = DegeneracyCertificate::of(&two);
+        let (_, folded) = fold(c, &two, &delta(&[], &[(0, 1)]));
+        let c = folded.expect("the second K4 is a witness");
+        assert_eq!((c.value(), c.witness_size), (3, 4));
+    }
+
+    /// The forest 0–1–4 and 2–3 in the order 0, 1, 2, 3, 4 (each node
+    /// has one later neighbor, except 3 and 4), then the edge {0, 2}.
+    #[test]
+    fn an_overfull_node_that_neither_move_repairs_breaks_the_certificate() {
+        let g = crate::Graph::from_edges(5, [(0, 1), (1, 4), (2, 3)]).unwrap();
+        let c = DegeneracyCertificate::with_order(&g, &[0, 1, 2, 3, 4], 1 << 20);
+        // 0 gets a second later neighbor. Its nearest, 1, has no spare
+        // slot, and pulling 1 or 2 before 0 would give either two.
+        let (next, folded) = fold(c, &g, &delta(&[(0, 2)], &[]));
+        assert!(folded.is_none());
+        assert_eq!(degeneracy(&next), 1, "the local moves are incomplete");
+    }
+
+    #[test]
+    fn move_a_puts_the_node_just_past_its_nearest_later_neighbor() {
+        let g = crate::Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
+        let c = DegeneracyCertificate::with_order(&g, &[0, 1, 2, 3], 1 << 20);
+        // 0's later neighbors become 1 and 2; 1 has a spare slot.
+        let (_, folded) = fold(c, &g, &delta(&[(0, 2)], &[]));
+        let c = folded.expect("move (a) applies");
+        assert!(c.key(1) < c.key(0) && c.key(0) < c.key(2));
+        assert_eq!(c.later, [1, 1, 1, 0]);
+    }
+
+    #[test]
+    fn move_b_pulls_a_later_neighbor_just_before_the_node() {
+        let g = crate::Graph::from_edges(5, [(0, 1), (1, 4), (2, 3)]).unwrap();
+        let c = DegeneracyCertificate::with_order(&g, &[3, 0, 1, 2, 4], 1 << 20);
+        // 0's later neighbors become 1 and 2. 1 has no spare slot, so
+        // move (a) does not apply; 2 has none later and passes only 0.
+        let (_, folded) = fold(c, &g, &delta(&[(0, 2)], &[]));
+        let c = folded.expect("move (b) applies");
+        assert!(c.key(3) < c.key(2) && c.key(2) < c.key(0));
+        assert_eq!(c.later, [1, 1, 1, 1, 0]);
+    }
+
+    /// Move (a) needs a free label between its bounds. Labels two apart
+    /// leave one between any two nodes adjacent in the order, and the
+    /// move takes it; labels one apart leave none, and neither move
+    /// applies.
+    #[test]
+    fn a_gap_that_runs_out_breaks_the_certificate() {
+        let g = crate::Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
+        let d = delta(&[(0, 2)], &[]);
+        let c = DegeneracyCertificate::with_order(&g, &[0, 1, 2, 3], 2);
+        let c = fold(c, &g, &d).1.expect("one free label");
+        assert_eq!(c.label, [5, 4, 6, 8]);
+        let c = DegeneracyCertificate::with_order(&g, &[0, 1, 2, 3], 1);
+        assert!(fold(c, &g, &d).1.is_none());
     }
 
     #[test]

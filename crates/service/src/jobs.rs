@@ -642,7 +642,7 @@ mod tests {
         let (after, stats) = session
             .lock()
             .unwrap()
-            .mutate(&delta, SessionPolicy::Repair, 1)
+            .mutate(&delta, SessionPolicy::Repair, 1, &ctx.obs.session)
             .expect("mutates");
         assert!(after.valid);
         assert!(

@@ -65,6 +65,20 @@ pub const SESSIONS_OPENED_TOTAL: &str = "arbodom_sessions_opened_total";
 pub const REPAIRS_TOTAL: &str = "arbodom_repairs_total";
 /// Mutation batches that fell back to (or forced) a full re-solve.
 pub const REPAIR_FALLBACKS_TOTAL: &str = "arbodom_repair_fallbacks_total";
+/// Nanoseconds of each stage of a session mutate, in the order it runs
+/// them: the maintainer's apply (with the fallback solve, when one runs),
+/// α, the packing follow, verify, and account.
+pub const SESSION_STAGE_NANOS: [&str; 5] = [
+    "arbodom_session_apply_nanos",
+    "arbodom_session_alpha_nanos",
+    "arbodom_session_packing_nanos",
+    "arbodom_session_verify_nanos",
+    "arbodom_session_account_nanos",
+];
+/// Whole-graph α peels sessions ran: each builds a degeneracy
+/// certificate, on a session's first mutate or resolve and after a batch
+/// broke the last one.
+pub const ALPHA_PEELS_TOTAL: &str = "arbodom_alpha_peels_total";
 
 /// Graphs resident in the cache (scrape-time mirror).
 pub const CACHE_ENTRIES: &str = "arbodom_cache_entries";
@@ -148,6 +162,34 @@ impl ReqKind {
     }
 }
 
+/// The session metrics a mutate or resolve records into. The default
+/// handles belong to no registry.
+#[derive(Clone, Debug, Default)]
+pub struct SessionObs {
+    // One histogram per `SESSION_STAGE_NANOS` stage, in order.
+    pub(crate) apply: Histogram,
+    pub(crate) alpha: Histogram,
+    pub(crate) packing: Histogram,
+    pub(crate) verify: Histogram,
+    pub(crate) account: Histogram,
+    pub(crate) alpha_peels: Counter,
+}
+
+impl SessionObs {
+    fn new(registry: &Registry) -> Self {
+        let [apply, alpha, packing, verify, account] =
+            SESSION_STAGE_NANOS.map(|name| registry.histogram(name));
+        SessionObs {
+            apply,
+            alpha,
+            packing,
+            verify,
+            account,
+            alpha_peels: registry.counter(ALPHA_PEELS_TOTAL),
+        }
+    }
+}
+
 /// Pre-resolved daemon metric handles, cheap to clone (every handle is
 /// an `Arc`). One is built per [`crate::Server`] and threaded into the
 /// [`crate::jobs::ExecContext`] every worker clones.
@@ -167,6 +209,7 @@ pub struct ServiceObs {
     pub(crate) sessions_opened: Counter,
     pub(crate) repairs: Counter,
     pub(crate) repair_fallbacks: Counter,
+    pub(crate) session: SessionObs,
     pub(crate) cache_entries: Gauge,
     pub(crate) cache_bytes: Gauge,
     pub(crate) cache_hits: Gauge,
@@ -207,6 +250,7 @@ impl ServiceObs {
             sessions_opened: registry.counter(SESSIONS_OPENED_TOTAL),
             repairs: registry.counter(REPAIRS_TOTAL),
             repair_fallbacks: registry.counter(REPAIR_FALLBACKS_TOTAL),
+            session: SessionObs::new(registry),
             cache_entries: registry.gauge(CACHE_ENTRIES),
             cache_bytes: registry.gauge(CACHE_BYTES),
             cache_hits: registry.gauge(CACHE_HITS),

@@ -557,7 +557,7 @@ fn mutate_session(
     let mut guard = session
         .lock()
         .map_err(|_| format!("session {id} was poisoned by an earlier panic"))?;
-    let (result, repair) = guard.mutate(delta, policy, exec.sim_threads)?;
+    let (result, repair) = guard.mutate(delta, policy, exec.sim_threads, &exec.obs.session)?;
     // The graph just changed size: refresh the byte accounting (and
     // recency) while we still hold the session.
     exec.sessions.record_usage(id, guard.cost_bytes());
@@ -569,7 +569,7 @@ fn resolve_session(exec: &ExecContext, id: u64) -> Result<SessionUpdate, String>
     let mut guard = session
         .lock()
         .map_err(|_| format!("session {id} was poisoned by an earlier panic"))?;
-    let (result, repair) = guard.resolve(exec.sim_threads)?;
+    let (result, repair) = guard.resolve(exec.sim_threads, &exec.obs.session)?;
     exec.sessions.record_usage(id, guard.cost_bytes());
     Ok(SessionUpdate { result, repair })
 }

@@ -31,10 +31,10 @@
 //! Determinism: a session's replies are a pure function of the open spec
 //! and the mutation history. Repairs run no simulation at all; fallback
 //! solves run the same thread-count-independent simulator entry points
-//! batch jobs use. The graph's α is re-measured (degeneracy) once per
-//! batch, by the batch's re-solve when one runs — churn can push an
-//! instance out of its family's constructive bound, and the accounting
-//! must say so rather than inherit a stale α.
+//! batch jobs use. Every reply, and every re-solve, runs at the current
+//! graph's measured α, its degeneracy: churn can push an instance out of
+//! its family's constructive bound, and the accounting must say so rather
+//! than inherit a stale α.
 //!
 //! Cost: every reply restates the quality reference of the current graph
 //! ([`arbodom_scenarios::quality`]). On a unit-weight graph the session
@@ -42,8 +42,15 @@
 //! each batch ([`MaintainedPacking`]), so that reference costs what the
 //! batch costs; a weighted session recomputes it over the whole graph.
 //! The reply's `graph_digest` is the maintainer's digest, which each batch
-//! updates in `O(|δ|)`. The measured α is the one whole-graph pass left
-//! in a kept repair.
+//! updates in `O(|δ|)`. α and Δ come from a [`DegeneracyCertificate`]
+//! that folds each batch; a whole-graph core peel runs only to build one,
+//! on the session's first mutate or resolve and after a batch broke it.
+//! The set's size and weight are the maintainer's counters.
+//!
+//! Failures: a conflicting batch leaves the graph unchanged, and a failed
+//! fallback solve leaves the batch applied. Either way the session
+//! rebuilds what it maintains from the graph: the packing at once, the
+//! certificate on its next use.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -55,40 +62,55 @@ use std::time::{Duration, Instant};
 use arbodom_congest::{RunOptions, Telemetry};
 use arbodom_core::repair::{self, BatchOutcome, Maintainer, RepairConfig};
 use arbodom_core::{verify, DsResult};
-use arbodom_graph::{orientation, Graph, GraphDelta, NodeId};
+use arbodom_graph::orientation::{self, DegeneracyCertificate};
+use arbodom_graph::{Graph, GraphDelta, NodeId};
+use arbodom_obs::{Counter, Stopwatch};
 use arbodom_scenarios::quality::{self, maximal_packing, MaintainedPacking};
 use arbodom_scenarios::Algorithm;
 
+use crate::obs::SessionObs;
 use crate::protocol::{DeltaSpec, JobResult, RepairStats, SessionPolicy};
 
-/// Measured degeneracy of `g` — the honest α for a mutated graph, which
-/// may have left its family's constructive bound.
-fn measured_alpha(g: &Graph) -> usize {
-    orientation::degeneracy(g).max(1)
+/// The measured α of the maintainer's graph during one session
+/// operation: the session's degeneracy certificate, and the applied
+/// batch it has yet to fold, if any.
+struct Alpha<'a> {
+    certificate: Option<DegeneracyCertificate>,
+    batch: Option<&'a GraphDelta>,
+    peels: &'a Counter,
 }
 
-/// What a session's re-solve ran with: the α it measured on the graph it
-/// solved (the current graph, so the reply reuses it), and the run's
-/// telemetry.
-struct Solved {
-    alpha: usize,
-    telemetry: Telemetry,
+impl Alpha<'_> {
+    /// The certificate of `g`, the maintainer's current graph. The batch
+    /// folds in on first use; a whole-graph peel builds a certificate
+    /// when there is none or the batch broke it.
+    fn of(&mut self, g: &Graph) -> &DegeneracyCertificate {
+        let kept = match (self.certificate.take(), self.batch.take()) {
+            (Some(certificate), Some(batch)) => certificate.apply(g, batch),
+            (kept, _) => kept,
+        };
+        self.certificate.insert(kept.unwrap_or_else(|| {
+            self.peels.inc();
+            DegeneracyCertificate::of(g)
+        }))
+    }
 }
 
 /// The full re-solve every session path hands its maintainer:
-/// `algorithm` on the current graph at its measured α. What the run
-/// measured and reported lands in `solved`, for the reply.
-fn solver(
+/// `algorithm` on the current graph at its measured α, which the re-solve
+/// and the reply read from one certificate. The run's telemetry lands in
+/// `telemetry`, for the reply.
+fn solver<'a, 'b>(
     algorithm: Algorithm,
     seed: u64,
     sim_threads: usize,
-    solved: &RefCell<Option<Solved>>,
-) -> impl Fn(&Graph) -> arbodom_core::Result<DsResult> + '_ {
+    alpha: &'a RefCell<Alpha<'b>>,
+    telemetry: &'a RefCell<Option<Telemetry>>,
+) -> impl Fn(&Graph) -> arbodom_core::Result<DsResult> + use<'a, 'b> {
     move |g| {
-        let alpha = measured_alpha(g);
-        let (sol, telemetry) =
-            algorithm.execute(g, alpha, seed, &RunOptions::default(), sim_threads)?;
-        *solved.borrow_mut() = Some(Solved { alpha, telemetry });
+        let alpha = alpha.borrow_mut().of(g).value().max(1);
+        let (sol, run) = algorithm.execute(g, alpha, seed, &RunOptions::default(), sim_threads)?;
+        *telemetry.borrow_mut() = Some(run);
         Ok(sol)
     }
 }
@@ -100,6 +122,9 @@ pub struct Session {
     /// The greedy packing of the maintainer's graph, current after every
     /// batch; `None` on a weighted graph.
     packing: Option<MaintainedPacking>,
+    /// The degeneracy certificate of the maintainer's graph; `None` until
+    /// the first mutate or resolve, and after a failed batch.
+    certificate: Option<DegeneracyCertificate>,
     algorithm: Algorithm,
     alpha: usize,
     seed: u64,
@@ -117,6 +142,7 @@ impl Session {
     ) -> Self {
         Session {
             packing: MaintainedPacking::new(&graph),
+            certificate: None,
             maintainer: Maintainer::new(graph, solution, RepairConfig::default()),
             algorithm,
             alpha,
@@ -149,17 +175,22 @@ impl Session {
     }
 
     /// Resident bytes this session charges against the daemon's session
-    /// accounting: the owned graph's footprint, the membership flags and
-    /// the maintained packing (the counterpart of the graph cache's
-    /// per-entry cost).
+    /// accounting: the owned graph's footprint, the membership flags, the
+    /// maintained packing and the degeneracy certificate (the counterpart
+    /// of the graph cache's per-entry cost).
     pub fn cost_bytes(&self) -> u64 {
         let packing = self
             .packing
             .as_ref()
             .map_or(0, MaintainedPacking::heap_bytes);
+        let certificate = self
+            .certificate
+            .as_ref()
+            .map_or(0, DegeneracyCertificate::heap_bytes);
         (self.maintainer.graph().memory_footprint().total()
             + self.maintainer.in_ds().len()
-            + packing) as u64
+            + packing
+            + certificate) as u64
     }
 
     /// The quality reference of the current graph. A planted reference
@@ -173,7 +204,8 @@ impl Session {
         })
     }
 
-    /// Applies one edge-delta batch under `policy`.
+    /// Applies one edge-delta batch under `policy`, recording each stage's
+    /// time and any α peel in `obs`.
     ///
     /// # Errors
     ///
@@ -185,28 +217,57 @@ impl Session {
         delta: &DeltaSpec,
         policy: SessionPolicy,
         sim_threads: usize,
+        obs: &SessionObs,
     ) -> Result<(JobResult, RepairStats), String> {
         let delta = GraphDelta::new(delta.inserts.iter().copied(), delta.deletes.iter().copied())
             .map_err(|e| format!("invalid delta: {e}"))?;
         let touched = delta.touched();
-        let solved = RefCell::new(None);
-        let solve = solver(self.algorithm, self.seed, sim_threads, &solved);
-        let applied = self.maintainer.apply(&delta, &solve);
-        self.follow_packing(applied.is_ok().then_some(touched.as_slice()));
-        let mut outcome = applied.map_err(|e| format!("mutate failed: {e}"))?;
-        if policy == SessionPolicy::Resolve && outcome.repaired {
-            // The drift bound did not trip, but the client asked for a
-            // certified batch: run the fallback anyway.
-            self.maintainer
-                .resolve_with(&solve)
-                .map_err(|e| format!("re-solve failed: {e}"))?;
-            outcome.repaired = false;
-            outcome.added.clear();
-            outcome.removed.clear();
-            outcome.weight = self.maintainer.weight();
-            outcome.drift_estimate = self.maintainer.drift_estimate();
-        }
+        let mut watch = Stopwatch::start();
+        let alpha = RefCell::new(Alpha {
+            certificate: self.certificate.take(),
+            batch: Some(&delta),
+            peels: &obs.alpha_peels,
+        });
+        let telemetry = RefCell::new(None);
+        let solve = solver(self.algorithm, self.seed, sim_threads, &alpha, &telemetry);
+        let applied = self
+            .maintainer
+            .apply(&delta, &solve)
+            .map_err(|e| format!("mutate failed: {e}"))
+            .and_then(|mut outcome| {
+                if policy == SessionPolicy::Resolve && outcome.repaired {
+                    // The drift bound did not trip, but the client asked
+                    // for a certified batch: run the fallback anyway.
+                    self.maintainer
+                        .resolve_with(&solve)
+                        .map_err(|e| format!("re-solve failed: {e}"))?;
+                    outcome.repaired = false;
+                    outcome.added.clear();
+                    outcome.removed.clear();
+                    outcome.weight = self.maintainer.weight();
+                    outcome.drift_estimate = self.maintainer.drift_estimate();
+                }
+                Ok(outcome)
+            });
+        drop(solve);
+        obs.apply.observe(watch.lap_nanos());
+        let outcome = match applied {
+            Ok(outcome) => outcome,
+            Err(e) => {
+                // The certificate goes with `alpha`; the next mutate or
+                // resolve builds one from the graph.
+                self.follow_packing(None);
+                return Err(e);
+            }
+        };
+        let mut alpha = alpha.into_inner();
+        alpha.of(self.maintainer.graph());
+        self.certificate = alpha.certificate;
+        obs.alpha.observe(watch.lap_nanos());
+        self.follow_packing(Some(&touched));
+        obs.packing.observe(watch.lap_nanos());
         let undominated = self.undominated(outcome.repaired.then_some((&touched, &outcome)));
+        obs.verify.observe(watch.lap_nanos());
         let repair = RepairStats {
             repaired: outcome.repaired,
             added: outcome.added.len() as u64,
@@ -216,19 +277,38 @@ impl Session {
             batches_since_solve: self.maintainer.batches_since_solve() as u64,
             chain: self.maintainer.chain(),
         };
-        Ok((self.reply(solved.take(), undominated), repair))
+        let reply = self.reply(telemetry.take(), undominated);
+        obs.account.observe(watch.lap_nanos());
+        Ok((reply, repair))
     }
 
-    /// Forces a certified full re-solve on the current graph.
+    /// Forces a certified full re-solve on the current graph. It peels
+    /// only if the session holds no certificate yet.
     ///
     /// # Errors
     ///
     /// A job-level message when the solve fails.
-    pub fn resolve(&mut self, sim_threads: usize) -> Result<(JobResult, RepairStats), String> {
-        let solved = RefCell::new(None);
-        self.maintainer
-            .resolve_with(solver(self.algorithm, self.seed, sim_threads, &solved))
-            .map_err(|e| format!("re-solve failed: {e}"))?;
+    pub fn resolve(
+        &mut self,
+        sim_threads: usize,
+        obs: &SessionObs,
+    ) -> Result<(JobResult, RepairStats), String> {
+        let alpha = RefCell::new(Alpha {
+            certificate: self.certificate.take(),
+            batch: None,
+            peels: &obs.alpha_peels,
+        });
+        let telemetry = RefCell::new(None);
+        let solved = self.maintainer.resolve_with(solver(
+            self.algorithm,
+            self.seed,
+            sim_threads,
+            &alpha,
+            &telemetry,
+        ));
+        // The graph is unchanged, so the certificate holds either way.
+        self.certificate = alpha.into_inner().certificate;
+        solved.map_err(|e| format!("re-solve failed: {e}"))?;
         let undominated = self.undominated(None);
         let repair = RepairStats {
             repaired: false,
@@ -239,7 +319,7 @@ impl Session {
             batches_since_solve: self.maintainer.batches_since_solve() as u64,
             chain: self.maintainer.chain(),
         };
-        Ok((self.reply(solved.into_inner(), undominated), repair))
+        Ok((self.reply(telemetry.into_inner(), undominated), repair))
     }
 
     /// Brings the maintained packing to the maintainer's graph. After an
@@ -287,23 +367,34 @@ impl Session {
     }
 
     /// Records the current graph's α and quality-accounts the maintained
-    /// set on it against [`Session::reference`]. `solved` is the batch's
-    /// re-solve, if one ran: it already measured α on this graph, so only
-    /// a kept repair measures it here. The digest is the maintainer's;
-    /// debug builds check it against the whole graph. The maintained set
+    /// set on it against [`Session::reference`]. α and Δ are the
+    /// certificate's, which the batch's re-solve, if one ran, read too;
+    /// the set's size, weight and digest are the maintainer's. Debug
+    /// builds check each against the whole graph. The maintained set
     /// carries no dual certificate. Rounds and message counters reflect
     /// only what this batch actually simulated (all zero for a kept local
     /// repair).
-    fn reply(&mut self, solved: Option<Solved>, undominated: usize) -> JobResult {
+    fn reply(&mut self, telemetry: Option<Telemetry>, undominated: usize) -> JobResult {
         let g = self.maintainer.graph();
-        let (alpha, tel) = match solved {
-            Some(Solved { alpha, telemetry }) => (alpha, telemetry),
-            None => (measured_alpha(g), Telemetry::default()),
-        };
+        let certificate = self
+            .certificate
+            .as_ref()
+            .expect("mutate and resolve leave the certificate of the graph");
+        debug_assert!(
+            certificate.certifies(g) && certificate.value() == orientation::degeneracy(g),
+            "the maintained degeneracy certificate disagrees with the whole graph"
+        );
+        let (alpha, max_degree) = (certificate.value().max(1), certificate.max_degree());
         self.alpha = alpha;
+        let tel = telemetry.unwrap_or_default();
         let weight = self.maintainer.weight();
+        let size = self.maintainer.size();
+        debug_assert_eq!(
+            size,
+            self.maintainer.in_ds().iter().filter(|&&b| b).count(),
+            "the maintained set size disagrees with the flags"
+        );
         let valid = undominated == 0;
-        let max_degree = g.max_degree();
         let guarantee = self.algorithm.guarantee(alpha, max_degree);
         let account = self
             .reference()
@@ -320,7 +411,7 @@ impl Session {
             max_degree: max_degree as u64,
             alpha: alpha as u64,
             graph_digest: digest,
-            ds_size: self.maintainer.in_ds().iter().filter(|&&b| b).count() as u64,
+            ds_size: size as u64,
             ds_weight: weight,
             valid,
             undominated: undominated as u64,
@@ -572,6 +663,7 @@ impl SessionTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::SessionObs;
     use arbodom_core::weighted;
     use arbodom_graph::digest::edge_digest;
     use arbodom_graph::generators;
@@ -594,6 +686,7 @@ mod tests {
             .unwrap();
         Session {
             packing: MaintainedPacking::new(&g),
+            certificate: None,
             maintainer: Maintainer::new(g, &sol, cfg),
             algorithm,
             alpha,
@@ -684,6 +777,7 @@ mod tests {
             ),
         ];
         for (case, (policy, weights, cfg, k, inserts)) in cases.into_iter().enumerate() {
+            let obs = SessionObs::default();
             let mut s = forest_session(3, weights, cfg);
             assert_eq!(s.packing.is_some(), weights == WeightModel::Unit);
             let (mut kept, mut solved) = (0, 0);
@@ -693,7 +787,7 @@ mod tests {
                     inserts: pairs(&d.inserts()[..inserts.min(d.inserts().len())]),
                     deletes: pairs(d.deletes()),
                 };
-                let (reply, stats) = s.mutate(&spec, policy, 1).unwrap();
+                let (reply, stats) = s.mutate(&spec, policy, 1, &obs).unwrap();
                 assert!(reply.valid);
                 assert_reply_matches_the_whole_graph(
                     &s,
@@ -710,6 +804,19 @@ mod tests {
                 SessionPolicy::Resolve => assert_eq!(kept, 0, "Resolve re-solves every batch"),
                 SessionPolicy::Repair => assert!(kept > 0, "no batch kept its repair"),
             }
+            // One stage time per mutate, and a peel only to build the
+            // certificate: first, and after a batch broke it.
+            for stage in [
+                &obs.apply,
+                &obs.alpha,
+                &obs.packing,
+                &obs.verify,
+                &obs.account,
+            ] {
+                assert_eq!(stage.count(), 48, "case {case}");
+            }
+            let peels = obs.alpha_peels.get();
+            assert!((1..48).contains(&peels), "case {case}: {peels} peels");
             if cfg.max_drift == 0.0 {
                 assert!(solved > 0, "the tight drift bound never tripped");
             }
@@ -741,7 +848,12 @@ mod tests {
         ];
         for (step, (inserts, deletes, kind)) in steps.into_iter().enumerate() {
             let (reply, _) = s
-                .mutate(&DeltaSpec { inserts, deletes }, SessionPolicy::Repair, 1)
+                .mutate(
+                    &DeltaSpec { inserts, deletes },
+                    SessionPolicy::Repair,
+                    1,
+                    &SessionObs::default(),
+                )
                 .unwrap();
             assert_eq!(reply.reference, kind, "step {step}");
             assert_reply_matches_the_whole_graph(&s, &reply, &format!("step {step}"));
@@ -752,14 +864,17 @@ mod tests {
                 inserts: pairs(d.inserts()),
                 deletes: pairs(d.deletes()),
             };
-            let (reply, _) = s.mutate(&spec, SessionPolicy::Repair, 1).unwrap();
+            let (reply, _) = s
+                .mutate(&spec, SessionPolicy::Repair, 1, &SessionObs::default())
+                .unwrap();
             assert_reply_matches_the_whole_graph(&s, &reply, &format!("batch {batch}"));
         }
     }
 
-    /// `Stats` session bytes count the maintained packing: its flags, and
-    /// the update queue's capacity once a mutate has grown it. A weighted
-    /// session holds no packing.
+    /// `Stats` session bytes count the maintained packing and the
+    /// degeneracy certificate: the packing's flags, the update queue's
+    /// capacity once a mutate has grown it, and the certificate once a
+    /// mutate has built it. A weighted session holds no packing.
     #[test]
     fn cost_bytes_count_the_maintained_packing() {
         let held = |s: &Session| {
@@ -768,15 +883,23 @@ mod tests {
         let mut s = forest_session(3, WeightModel::Unit, RepairConfig::default());
         let packing = |s: &Session| s.packing.as_ref().expect("unit weights").heap_bytes();
         assert_eq!(packing(&s), 400, "one flag per node before any update");
+        assert!(s.certificate.is_none(), "a session opens without one");
         assert_eq!(s.cost_bytes(), (held(&s) + 400) as u64);
         let d = churn_delta(s.maintainer.graph(), 77, 4);
         let spec = DeltaSpec {
             inserts: pairs(d.inserts()),
             deletes: pairs(d.deletes()),
         };
-        s.mutate(&spec, SessionPolicy::Repair, 1).unwrap();
+        s.mutate(&spec, SessionPolicy::Repair, 1, &SessionObs::default())
+            .unwrap();
         assert!(packing(&s) > 400, "the update queue's capacity is counted");
-        assert_eq!(s.cost_bytes(), (held(&s) + packing(&s)) as u64);
+        let certificate = s.certificate.as_ref().expect("a mutate builds one");
+        let max_degree = s.maintainer.graph().max_degree();
+        assert_eq!(certificate.heap_bytes(), 13 * 400 + 4 * (max_degree + 1));
+        assert_eq!(
+            s.cost_bytes(),
+            (held(&s) + packing(&s) + certificate.heap_bytes()) as u64
+        );
         let w = forest_session(
             3,
             WeightModel::Uniform { lo: 1, hi: 20 },
@@ -784,6 +907,89 @@ mod tests {
         );
         assert!(w.packing.is_none());
         assert_eq!(w.cost_bytes(), held(&w) as u64);
+    }
+
+    /// After a batch that fails, whether it conflicted (the graph is
+    /// unchanged) or its re-solve failed (the batch stays applied), every
+    /// value the session maintains describes the graph it holds, and the
+    /// next batch's reply matches the whole graph.
+    #[test]
+    fn a_failed_batch_leaves_every_maintained_value_current() {
+        let obs = SessionObs::default();
+        let mut s = forest_session(9, WeightModel::Unit, RepairConfig::default());
+        let batch = |s: &Session, seed| {
+            let d = churn_delta(s.maintainer.graph(), seed, 4);
+            DeltaSpec {
+                inserts: pairs(d.inserts()),
+                deletes: pairs(d.deletes()),
+            }
+        };
+        let current = |s: &Session| {
+            let g = s.maintainer.graph();
+            let packing = s.packing.as_ref().expect("unit weights");
+            assert_eq!(
+                packing.lower_bound().to_bits(),
+                maximal_packing(g).lower_bound().to_bits()
+            );
+            if let Some(certificate) = &s.certificate {
+                assert!(certificate.certifies(g), "a stale certificate");
+            }
+        };
+        for seed in 0..4 {
+            let spec = batch(&s, 600 + seed);
+            s.mutate(&spec, SessionPolicy::Repair, 1, &obs).unwrap();
+        }
+        let (u, v) = s.maintainer.graph().edges().next().expect("edges");
+        let conflict = DeltaSpec {
+            inserts: vec![(u.get(), v.get())],
+            deletes: vec![],
+        };
+        let before = s.maintainer.graph().clone();
+        assert!(s.mutate(&conflict, SessionPolicy::Repair, 1, &obs).is_err());
+        assert_eq!(s.maintainer.graph(), &before);
+        current(&s);
+        // A weighted solve at ε = 2 fails its configuration check, so a
+        // forced re-solve fails after the batch applied.
+        let algorithm = s.algorithm;
+        s.algorithm = Algorithm::Weighted { eps: 2.0 };
+        let spec = batch(&s, 700);
+        assert!(s.mutate(&spec, SessionPolicy::Resolve, 1, &obs).is_err());
+        assert_ne!(s.maintainer.graph(), &before, "the batch stays applied");
+        current(&s);
+        s.algorithm = algorithm;
+        for seed in 0..4 {
+            let spec = batch(&s, 800 + seed);
+            let (reply, _) = s.mutate(&spec, SessionPolicy::Repair, 1, &obs).unwrap();
+            current(&s);
+            assert_reply_matches_the_whole_graph(&s, &reply, &format!("batch {seed}"));
+        }
+    }
+
+    /// A resolve reads α from the session's certificate: it peels only
+    /// when the session has none yet, and a resolve right after a mutate
+    /// does not peel.
+    #[test]
+    fn resolve_peels_only_to_build_the_certificate() {
+        let obs = SessionObs::default();
+        let mut s = forest_session(4, WeightModel::Unit, RepairConfig::default());
+        let (reply, _) = s.resolve(1, &obs).unwrap();
+        assert_reply_matches_the_whole_graph(&s, &reply, "first resolve");
+        assert_eq!(obs.alpha_peels.get(), 1, "the first resolve builds it");
+        s.resolve(1, &obs).unwrap();
+        let d = churn_delta(s.maintainer.graph(), 31, 2);
+        let spec = DeltaSpec {
+            inserts: pairs(d.inserts()),
+            deletes: pairs(d.deletes()),
+        };
+        s.mutate(&spec, SessionPolicy::Repair, 1, &obs).unwrap();
+        let peels = obs.alpha_peels.get();
+        let (reply, _) = s.resolve(1, &obs).unwrap();
+        assert_reply_matches_the_whole_graph(&s, &reply, "resolve after a mutate");
+        assert_eq!(
+            obs.alpha_peels.get(),
+            peels,
+            "an unchanged graph needs no peel"
+        );
     }
 
     fn limits(ttl: Duration, max_sessions: usize) -> SessionLimits {

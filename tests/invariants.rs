@@ -3,13 +3,14 @@
 //! its Lemma 4.1 invariants, every solver must dominate, and certificates
 //! must stay dual-feasible. The flat degeneracy peel must agree with the
 //! ordered one on every family and along churn streams, and the
-//! maintained packing with the whole-graph one along churn streams.
+//! maintained packing, digest and degeneracy certificate with their
+//! whole-graph functions along churn streams.
 
 use arbodom::baselines::lp::{maximal_packing, MaintainedPacking};
 use arbodom::core::partial::{partial_dominating_set, PartialConfig};
 use arbodom::core::{general, randomized, verify, weighted, PackingCertificate};
 use arbodom::graph::digest::{edge_digest, EdgeDigest};
-use arbodom::graph::orientation::{degeneracy, degeneracy_order};
+use arbodom::graph::orientation::{degeneracy, degeneracy_order, DegeneracyCertificate};
 use arbodom::graph::{generators, weights::WeightModel, Graph, GraphDelta, NodeId};
 use arbodom::scenarios::churn::churn_delta;
 use proptest::prelude::*;
@@ -247,6 +248,33 @@ proptest! {
                 .expect("stream batches apply to the graph they were drawn from");
             digest.apply(&delta);
             prop_assert_eq!(digest.value(), edge_digest(&g), "batch {}", batch);
+        }
+    }
+
+    /// After every batch the certificate proves the graph's degeneracy:
+    /// its value equals `degeneracy`, and `certifies` checks its later
+    /// counts against a fresh count (each at most the value), that W is
+    /// nonempty with every member having at least that many neighbors
+    /// in W, and its degree counts. A batch that breaks it rebuilds, as
+    /// a session does.
+    #[test]
+    fn maintained_degeneracy_follows_a_churn_stream(g in arb_packing_graph(),
+                                                    seed in 0u64..1_000,
+                                                    k in 1usize..12,
+                                                    stream in 0usize..3) {
+        let mut g = g;
+        let mut certificate = DegeneracyCertificate::of(&g);
+        for batch in 0..16u64 {
+            let delta = stream_batch(&g, seed, batch, k, stream);
+            g = delta
+                .apply(&g)
+                .expect("stream batches apply to the graph they were drawn from");
+            certificate = certificate
+                .apply(&g, &delta)
+                .unwrap_or_else(|| DegeneracyCertificate::of(&g));
+            prop_assert_eq!(certificate.value(), degeneracy(&g), "batch {}", batch);
+            prop_assert_eq!(certificate.max_degree(), g.max_degree(), "batch {}", batch);
+            prop_assert!(certificate.certifies(&g), "batch {}", batch);
         }
     }
 }

@@ -142,3 +142,66 @@ fn metrics_is_v2_only() {
     }
     server.shutdown();
 }
+
+/// Every session mutate records one observation in each stage histogram,
+/// the stages run inside the request, and α peels only to build a
+/// degeneracy certificate.
+#[test]
+fn session_stage_spans_cover_every_mutate() {
+    use arbodom::graph::generators;
+    use arbodom::scenarios::churn::churn_delta;
+    use arbodom_service::{DeltaSpec, SessionPolicy};
+    use rand::SeedableRng;
+
+    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    let mut rng = rand::rngs::StdRng::seed_from_u64(61);
+    let mut mirror = generators::forest_union(300, 2, &mut rng);
+    let pairs = |g: &arbodom::graph::Graph| g.edges().map(|(u, v)| (u.get(), v.get())).collect();
+    let (id, _) = client
+        .open(&JobSpec::new(GraphSource::Inline {
+            n: 300,
+            edges: pairs(&mirror),
+            weights: None,
+        }))
+        .expect("open");
+    const MUTATES: u64 = 24;
+    for batch in 0..MUTATES {
+        let delta = churn_delta(&mirror, 70 + batch, 4);
+        let ends = |edges: &[(arbodom::graph::NodeId, arbodom::graph::NodeId)]| {
+            edges.iter().map(|&(u, v)| (u.get(), v.get())).collect()
+        };
+        let spec = DeltaSpec {
+            inserts: ends(delta.inserts()),
+            deletes: ends(delta.deletes()),
+        };
+        // Every sixth batch is certified, so both outcomes occur.
+        let policy = if batch % 6 == 5 {
+            SessionPolicy::Resolve
+        } else {
+            SessionPolicy::Repair
+        };
+        let update = client.mutate(id, &spec, policy).expect("mutate");
+        assert!(update.result.valid);
+        mirror = delta.apply(&mirror).expect("the batch applies");
+    }
+
+    let exp = prom::parse(&client.metrics().expect("scrape")).expect("parses");
+    exp.validate_histograms().expect("consistent");
+    let value = |name: &str| exp.value(name).unwrap_or(-1.0);
+    let mut stages = 0.0;
+    for stage in obs::SESSION_STAGE_NANOS {
+        assert_eq!(value(&format!("{stage}_count")), MUTATES as f64, "{stage}");
+        stages += value(&format!("{stage}_sum"));
+    }
+    let repairs = value(obs::REPAIRS_TOTAL) + value(obs::REPAIR_FALLBACKS_TOTAL);
+    assert_eq!(repairs, MUTATES as f64);
+    let peels = value(obs::ALPHA_PEELS_TOTAL);
+    assert!((1.0..=MUTATES as f64).contains(&peels), "{peels} peels");
+    let requests = value(&format!("{}mutate_sum", obs::REQUEST_NANOS_PREFIX));
+    assert!(
+        stages <= requests,
+        "the stages ({stages} ns) run inside the requests ({requests} ns)"
+    );
+    server.shutdown();
+}
