@@ -13,8 +13,8 @@
 //!                          | --cell NAME SIZE WEIGHT LOSS SEED)
 //! ```
 //!
-//! `limits` performs the protocol-v3 `Hello` handshake and prints the
-//! server's advertised protocol range and admission limits.
+//! `limits` sends a `Hello` request and prints the server's advertised
+//! protocol range (`v3..=v3`) and admission limits.
 //!
 //! `metrics` scrapes the daemon's registry: the default output is a
 //! human-readable table (histograms summarized as count/p50/p95/p99),

@@ -1,5 +1,5 @@
-//! Blocking client for `arbodomd` — used by the CLI, the load
-//! generator, and the end-to-end tests.
+//! Blocking client for `arbodomd` — used by the CLI, `arbobench`, and
+//! the end-to-end tests.
 //!
 //! [`Client`] is a reusable handle, not a bare socket: it remembers the
 //! daemon's address, lazily (re)establishes its connection, and retries
@@ -21,15 +21,15 @@
 //! ```
 //!
 //! With `retries(0)` every shed surfaces immediately as
-//! [`ServiceError::Overloaded`] — that is how the load generator counts
-//! raw sheds instead of masking them.
+//! [`ServiceError::Overloaded`] — that is how `arbobench` counts raw
+//! sheds instead of masking them.
 
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::protocol::{
     decode_payload, read_frame, write_message, CacheStats, DeltaSpec, JobResult, JobSpec, Request,
-    Response, ServerLimits, SessionPolicy, SessionUpdate, PROTOCOL_MAX,
+    Response, ServerLimits, SessionPolicy, SessionUpdate, PROTOCOL_V3,
 };
 use crate::ServiceError;
 
@@ -63,33 +63,15 @@ impl Default for RetryPolicy {
 }
 
 /// Builder-style configuration for [`Client`].
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ClientBuilder {
-    version: u8,
     retry: RetryPolicy,
 }
 
-impl Default for ClientBuilder {
-    fn default() -> Self {
-        ClientBuilder {
-            version: PROTOCOL_MAX,
-            retry: RetryPolicy::default(),
-        }
-    }
-}
-
 impl ClientBuilder {
-    /// A builder speaking the newest protocol version with the default
-    /// retry policy.
+    /// A builder with the default retry policy.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Protocol version every frame of this client carries (the server
-    /// pins the connection to the first one it sees).
-    pub fn version(mut self, version: u8) -> Self {
-        self.version = version;
-        self
     }
 
     /// Maximum retries after a shed (0 surfaces every shed as
@@ -136,7 +118,6 @@ impl ClientBuilder {
         let rng = self.retry.jitter_seed ^ 0x9E37_79B9_7F4A_7C15;
         let mut client = Client {
             addr,
-            version: self.version,
             retry: self.retry,
             stream: None,
             rng: rng | 1,
@@ -149,53 +130,31 @@ impl ClientBuilder {
 /// One logical connection to a daemon. Requests are strictly sequential
 /// per client; open several clients for concurrency.
 ///
-/// The handle survives server-side closes: a failed or shed-and-closed
+/// The handle survives server-side closes: a failed or closed
 /// connection is re-established on the next request. Shed requests
 /// (typed [`Response::Overloaded`]) are retried per the configured
 /// [`RetryPolicy`]; when the budget runs out the shed surfaces as
 /// [`ServiceError::Overloaded`].
 pub struct Client {
     addr: SocketAddr,
-    version: u8,
     retry: RetryPolicy,
     stream: Option<TcpStream>,
     rng: u64,
 }
 
 impl Client {
-    /// A [`ClientBuilder`] with defaults (newest protocol, 4 retries).
+    /// A [`ClientBuilder`] with defaults (4 retries).
     pub fn builder() -> ClientBuilder {
         ClientBuilder::new()
     }
 
-    /// Connects to a daemon speaking the newest protocol version with
-    /// the default retry policy.
+    /// Connects to a daemon with the default retry policy.
     ///
     /// # Errors
     ///
     /// Propagates socket errors.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServiceError> {
         Self::builder().connect(addr)
-    }
-
-    /// Connects speaking an explicit protocol version (the first frame
-    /// pins it server-side). Useful for compatibility testing; a version
-    /// the server does not speak gets a typed
-    /// [`ServiceError::UnsupportedVersion`] on the first request.
-    ///
-    /// # Errors
-    ///
-    /// Propagates socket errors.
-    pub fn connect_with_version(
-        addr: impl ToSocketAddrs,
-        version: u8,
-    ) -> Result<Self, ServiceError> {
-        Self::builder().version(version).connect(addr)
-    }
-
-    /// The protocol version this connection speaks.
-    pub fn version(&self) -> u8 {
-        self.version
     }
 
     /// The daemon address this handle reconnects to.
@@ -214,18 +173,20 @@ impl Client {
 
     /// Drops the connection so the next request reconnects. Called on
     /// transport failures and on server replies whose contract closes
-    /// the connection ([`Response::Error`]).
+    /// the connection ([`Response::Error`] and
+    /// [`Response::UnsupportedVersion`]).
     fn disconnect(&mut self) {
         self.stream = None;
     }
 
     fn send(&mut self, request: &Request) -> Result<(), ServiceError> {
-        let version = self.version;
         let stream = self.ensure_connected()?;
-        write_message(stream, version, request).inspect_err(|_| self.disconnect())
+        write_message(stream, PROTOCOL_V3, request).inspect_err(|_| self.disconnect())
     }
 
-    fn recv(&mut self) -> Result<Response, ServiceError> {
+    /// Reads one reply frame: its payload and the decoded message. The
+    /// connection-level replies surface as errors.
+    fn recv(&mut self) -> Result<(Vec<u8>, Response), ServiceError> {
         let stream = self.ensure_connected()?;
         let payload = match read_frame(stream) {
             Ok((_, payload)) => payload,
@@ -234,24 +195,25 @@ impl Client {
                 return Err(e);
             }
         };
-        match decode_payload::<Response>(&payload)? {
-            Response::Error(msg) => {
-                // `Error` closes the connection by contract; match it.
-                self.disconnect();
-                Err(ServiceError::Remote(msg))
-            }
+        let closed = match decode_payload::<Response>(&payload)? {
+            Response::Error(msg) => ServiceError::Remote(msg),
             Response::UnsupportedVersion { got, min, max } => {
-                Err(ServiceError::UnsupportedVersion { got, min, max })
+                ServiceError::UnsupportedVersion { got, min, max }
             }
             Response::Overloaded {
                 retry_after_ms,
                 queue_depth,
-            } => Err(ServiceError::Overloaded {
-                retry_after_ms,
-                queue_depth,
-            }),
-            other => Ok(other),
-        }
+            } => {
+                return Err(ServiceError::Overloaded {
+                    retry_after_ms,
+                    queue_depth,
+                })
+            }
+            other => return Ok((payload, other)),
+        };
+        // The server closes the connection after these; match it.
+        self.disconnect();
+        Err(closed)
     }
 
     /// Next backoff delay for retry attempt `attempt` (1-based),
@@ -273,7 +235,7 @@ impl Client {
         let mut attempt = 0u32;
         loop {
             let outcome = self.send(request).and_then(|()| self.recv());
-            match outcome {
+            match outcome.map(|(_, reply)| reply) {
                 Err(ServiceError::Overloaded { retry_after_ms, .. })
                     if attempt < self.retry.max_retries =>
                 {
@@ -298,12 +260,11 @@ impl Client {
     }
 
     /// Fetches the daemon's advertised protocol range and admission
-    /// limits. Protocol v3 only.
+    /// limits.
     ///
     /// # Errors
     ///
-    /// Fails on transport errors, an unexpected response, or
-    /// [`ServiceError::UnsupportedVersion`] on an older connection.
+    /// Fails on transport errors or an unexpected response.
     pub fn hello(&mut self) -> Result<ServerLimits, ServiceError> {
         match self.round_trip(&Request::Hello)? {
             Response::Limits(limits) => Ok(limits),
@@ -343,9 +304,8 @@ impl Client {
     ///
     /// Job-level failures (bad source, lossy cell, invalid initial
     /// solution) surface as [`ServiceError::Remote`] — no session was
-    /// created. v1 connections get
-    /// [`ServiceError::UnsupportedVersion`]; an exhausted retry budget
-    /// surfaces as [`ServiceError::Overloaded`].
+    /// created. An exhausted retry budget surfaces as
+    /// [`ServiceError::Overloaded`].
     pub fn open(&mut self, spec: &JobSpec) -> Result<(u64, JobResult), ServiceError> {
         match self.round_trip(&Request::Open(spec.clone()))? {
             Response::Session { id, outcome } => match outcome {
@@ -410,12 +370,11 @@ impl Client {
 
     /// Scrapes the daemon's metrics registry: returns the Prometheus
     /// text-exposition rendering (parse it with
-    /// `arbodom_obs::prom::parse`). Protocol v2 and newer.
+    /// `arbodom_obs::prom::parse`).
     ///
     /// # Errors
     ///
-    /// Fails on transport errors, an unexpected response, or
-    /// [`ServiceError::UnsupportedVersion`] on a v1 connection.
+    /// Fails on transport errors or an unexpected response.
     pub fn metrics(&mut self) -> Result<String, ServiceError> {
         match self.round_trip(&Request::Metrics)? {
             Response::MetricsReport(text) => Ok(text),
@@ -425,8 +384,8 @@ impl Client {
 
     /// Submits a batch and returns the **raw response frame payloads** in
     /// arrival order (every `Job` frame, then the `BatchDone` trailer).
-    /// This is the byte stream the determinism tests compare (the frame
-    /// version byte is constant per connection and excluded).
+    /// This is the byte stream the determinism tests compare (the frame's
+    /// version byte, always v3, is excluded).
     ///
     /// A shed batch (typed `Overloaded` instead of the first `Job`
     /// frame) is retried under the client's [`RetryPolicy`]; nothing is
@@ -456,33 +415,10 @@ impl Client {
         self.send(request)?;
         let mut frames = Vec::new();
         loop {
-            let stream = self.ensure_connected()?;
-            let payload = match read_frame(stream) {
-                Ok((_, payload)) => payload,
-                Err(e) => {
-                    self.disconnect();
-                    return Err(e);
-                }
-            };
-            let done = match decode_payload::<Response>(&payload)? {
-                Response::Error(msg) => {
-                    self.disconnect();
-                    return Err(ServiceError::Remote(msg));
-                }
-                Response::UnsupportedVersion { got, min, max } => {
-                    return Err(ServiceError::UnsupportedVersion { got, min, max })
-                }
-                // The server sheds a batch *before* dispatching any of
-                // it, so an `Overloaded` here means no partial results.
-                Response::Overloaded {
-                    retry_after_ms,
-                    queue_depth,
-                } => {
-                    return Err(ServiceError::Overloaded {
-                        retry_after_ms,
-                        queue_depth,
-                    })
-                }
+            // The server sheds a batch *before* dispatching any of it, so
+            // an `Overloaded` error here means no partial results.
+            let (payload, reply) = self.recv()?;
+            let done = match reply {
                 Response::BatchDone { .. } => true,
                 Response::Job { .. } => false,
                 other => return Err(unexpected("Job/BatchDone", &other)),

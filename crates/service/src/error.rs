@@ -18,9 +18,8 @@ pub enum ServiceError {
     /// A frame header declared a payload above
     /// [`crate::protocol::MAX_FRAME_LEN`].
     FrameTooLarge(u64),
-    /// The server rejected the connection's protocol version, or a
-    /// request gated behind a newer version than the connection pinned
-    /// (typed counterpart of
+    /// The server does not speak the version byte a frame carried, and
+    /// closed the connection (typed counterpart of
     /// [`crate::protocol::Response::UnsupportedVersion`]).
     UnsupportedVersion {
         /// The version byte the client sent.

@@ -52,7 +52,7 @@ pub const MAX_DENSITY_PARAM: usize = 512;
 pub struct ExecContext {
     /// The shared graph cache.
     pub cache: Arc<Mutex<GraphCache>>,
-    /// The shared session registry (v2 dynamic-graph state).
+    /// The shared session registry (dynamic-graph state).
     pub sessions: Arc<SessionTable>,
     /// Simulator threads handed to [`Algorithm::execute`] per job
     /// (results are identical at any value).

@@ -7,8 +7,8 @@
 //! LRU cache keyed by [`arbodom_graph::digest::edge_digest`]) and fans
 //! jobs across a FIFO worker pool; each job runs its solver through
 //! [`arbodom_scenarios::Algorithm::execute`] on
-//! [`ServerConfig::sim_threads`] simulator threads. Since protocol v2 it
-//! also serves **dynamic graphs**: a session protocol holds `(graph,
+//! [`ServerConfig::sim_threads`] simulator threads. It also serves
+//! **dynamic graphs**: a session protocol holds `(graph,
 //! solution, quality)` state server-side and maintains the dominating set under
 //! edge churn by incremental local repair
 //! ([`arbodom_core::repair`]), falling back to a certified full
@@ -99,9 +99,9 @@
 //! Versioned length-prefixed frames (a version byte, a 4-byte
 //! little-endian payload length, then the payload encoded with the
 //! CONGEST [`arbodom_congest::Wire`] codecs); see [`protocol`] for the
-//! message grammar and the negotiation rules (the first frame pins a
-//! connection's version; session requests are v2-only and v1
-//! connections get a typed `UnsupportedVersion` reply). A batch request
+//! message grammar and the version rule (every frame carries
+//! [`PROTOCOL_V3`]; a frame carrying any other byte gets a typed
+//! `UnsupportedVersion` reply and the connection closes). A batch request
 //! is answered with one [`protocol::Response::Job`] frame per job **in
 //! submission order** plus a `BatchDone` trailer, which makes the
 //! response stream byte-deterministic: identical batches yield
@@ -151,7 +151,7 @@ pub use jobs::{execute_job, open_session, ExecContext};
 pub use obs::ServiceObs;
 pub use protocol::{
     CacheStats, DeltaSpec, FrameAssembler, GraphSource, JobResult, JobSpec, RepairStats, Request,
-    Response, ServerLimits, SessionPolicy, SessionUpdate, PROTOCOL_V1, PROTOCOL_V2, PROTOCOL_V3,
+    Response, ServerLimits, SessionPolicy, SessionUpdate, PROTOCOL_V3,
 };
 pub use server::{Server, ServerConfig};
 pub use session::{Session, SessionLimits, SessionLost, SessionTable};

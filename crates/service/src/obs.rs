@@ -110,8 +110,8 @@ pub const CONNECTIONS_ACCEPTED_TOTAL: &str = "arbodom_connections_accepted_total
 pub const CONNECTIONS_IDLE_CLOSED_TOTAL: &str = "arbodom_connections_idle_closed_total";
 /// Requests admitted past admission control (dispatched to workers).
 pub const REQUESTS_ADMITTED_TOTAL: &str = "arbodom_requests_admitted_total";
-/// Requests shed by admission control (answered `Overloaded`/`Error`
-/// without executing).
+/// Requests shed by admission control (answered `Overloaded` without
+/// executing).
 pub const REQUESTS_SHED_TOTAL: &str = "arbodom_requests_shed_total";
 
 /// The wire request kinds, as indices into the per-kind metric arrays.

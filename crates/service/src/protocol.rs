@@ -9,22 +9,17 @@
 //! bytes, and fail on any strict prefix (checkable with
 //! [`arbodom_congest::assert_wire_conformance`]).
 //!
-//! # Version negotiation
+//! # Version
 //!
-//! The **first frame** of a connection pins its protocol version; every
-//! later frame must carry the same byte. A version outside
-//! [`PROTOCOL_MIN`]`..=`[`PROTOCOL_MAX`] is answered with a typed
-//! [`Response::UnsupportedVersion`] and the connection closes. A v1
-//! connection keeps the original batch-query surface; the **session
-//! requests** ([`Request::Open`]/[`Request::Mutate`]/[`Request::Resolve`]
-//! /[`Request::Release`]) and [`GraphSource::Session`] are v2-only — a
-//! v1 client issuing them gets `UnsupportedVersion` (the connection
-//! stays usable for v1 traffic). Protocol v3 adds the overload surface:
-//! [`Request::Hello`] (answered with [`Response::Limits`] advertising
-//! the daemon's [`ServerLimits`]) and the typed [`Response::Overloaded`]
-//! shed reply. A v3 connection that trips admission control receives
-//! `Overloaded` with a retry hint; older connections receive a plain
-//! [`Response::Error`] instead, because they cannot decode the new tag.
+//! Every frame carries [`PROTOCOL_V3`], the one version the daemon
+//! speaks ([`PROTOCOL_MIN`] and [`PROTOCOL_MAX`] both name it). A frame
+//! carrying any other byte, whether it is a connection's first frame or a
+//! later one, is answered with a typed [`Response::UnsupportedVersion`]
+//! and the connection closes. [`Request::Hello`] is answered with
+//! [`Response::Limits`] advertising the daemon's [`ServerLimits`]. A
+//! request that trips admission control receives the typed
+//! [`Response::Overloaded`] with a retry hint, and the connection stays
+//! open.
 //!
 //! A conversation is strictly client-driven: the client writes one
 //! request frame, the server answers with one or more response frames —
@@ -52,21 +47,14 @@ use std::io::{Read, Write};
 /// little-endian payload length.
 pub const FRAME_HEADER_LEN: usize = 5;
 
-/// Protocol v1: the original batch-query surface (`Ping`/`Batch`/
-/// `Stats`/`Shutdown`).
-pub const PROTOCOL_V1: u8 = 1;
-
-/// Protocol v2: v1 plus the session surface (`Open`/`Mutate`/`Resolve`/
-/// `Release` and [`GraphSource::Session`]).
-pub const PROTOCOL_V2: u8 = 2;
-
-/// Protocol v3: v2 plus the overload surface — [`Request::Hello`] /
-/// [`Response::Limits`] limit discovery and the typed
-/// [`Response::Overloaded`] shed reply.
+/// The protocol version every frame carries: the batch queries, the
+/// session requests and the overload surface ([`Request::Hello`] /
+/// [`Response::Limits`] and the typed [`Response::Overloaded`] shed
+/// reply).
 pub const PROTOCOL_V3: u8 = 3;
 
 /// Oldest protocol version the daemon speaks.
-pub const PROTOCOL_MIN: u8 = PROTOCOL_V1;
+pub const PROTOCOL_MIN: u8 = PROTOCOL_V3;
 
 /// Newest protocol version the daemon speaks.
 pub const PROTOCOL_MAX: u8 = PROTOCOL_V3;
@@ -101,8 +89,8 @@ pub fn write_frame(w: &mut impl Write, version: u8, payload: &[u8]) -> Result<()
 }
 
 /// Reads one frame, returning its version byte and payload. The version
-/// is **not** validated here — the connection layer decides whether to
-/// pin it or answer [`Response::UnsupportedVersion`].
+/// is **not** validated here — the connection layer answers any byte but
+/// [`PROTOCOL_V3`] with [`Response::UnsupportedVersion`].
 ///
 /// # Errors
 ///
@@ -523,9 +511,9 @@ pub enum GraphSource {
         /// Seed replica index.
         seed_idx: u64,
     },
-    /// The **current** graph of an open session (protocol v2). Session
-    /// graphs mutate, so jobs over this source are never cached — the
-    /// job snapshots the session state at execution time.
+    /// The **current** graph of an open session. Session graphs mutate,
+    /// so jobs over this source are never cached — the job snapshots the
+    /// session state at execution time.
     Session {
         /// Session id returned by [`Response::Session`].
         id: u64,
@@ -683,7 +671,7 @@ impl Wire for JobSpec {
 }
 
 // ---------------------------------------------------------------------------
-// Session messages (protocol v2)
+// Session messages
 // ---------------------------------------------------------------------------
 
 /// An edge-delta batch shipped over the wire: the inserts and deletes a
@@ -857,9 +845,7 @@ fn get_outcome<T: Wire>(buf: &mut &[u8]) -> Result<Result<T, String>, WireError>
 // Requests
 // ---------------------------------------------------------------------------
 
-/// A client → server message. The session requests (`Open`, `Mutate`,
-/// `Resolve`, `Release`) are protocol-v2-only; a v1 connection issuing
-/// them is answered with [`Response::UnsupportedVersion`].
+/// A client → server message.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
     /// Liveness probe; answered with [`Response::Pong`].
@@ -901,39 +887,11 @@ pub enum Request {
     },
     /// Scrapes the daemon's metrics registry; answered with
     /// [`Response::MetricsReport`] carrying the Prometheus
-    /// text-exposition rendering. Protocol v2 only.
+    /// text-exposition rendering.
     Metrics,
     /// Asks the daemon to advertise its admission limits; answered with
-    /// [`Response::Limits`]. Protocol v3 only.
+    /// [`Response::Limits`].
     Hello,
-}
-
-impl Request {
-    /// Whether this request is gated behind protocol v2: the session
-    /// requests, and batches whose jobs address session snapshots. The
-    /// server answers v2-only requests on a v1 connection with
-    /// [`Response::UnsupportedVersion`] and keeps the connection open.
-    pub fn needs_v2(&self) -> bool {
-        match self {
-            Request::Open(_)
-            | Request::Mutate { .. }
-            | Request::Resolve { .. }
-            | Request::Release { .. }
-            | Request::Metrics => true,
-            Request::Batch(jobs) => jobs
-                .iter()
-                .any(|job| matches!(job.source, GraphSource::Session { .. })),
-            Request::Ping | Request::Stats | Request::Shutdown | Request::Hello => false,
-        }
-    }
-
-    /// Whether this request is gated behind protocol v3 (the overload
-    /// surface). Answered on older connections with
-    /// [`Response::UnsupportedVersion`], connection kept open — the same
-    /// contract as [`needs_v2`](Request::needs_v2).
-    pub fn needs_v3(&self) -> bool {
-        matches!(self, Request::Hello)
-    }
 }
 
 impl Wire for Request {
@@ -1214,7 +1172,7 @@ impl Wire for CacheStats {
 }
 
 /// The daemon's advertised admission limits, answered to
-/// [`Request::Hello`] on protocol v3.
+/// [`Request::Hello`].
 ///
 /// A well-behaved client sizes its pipelining to `per_conn_inflight`
 /// and backs off per [`Response::Overloaded`] retry hints; the limits
@@ -1325,10 +1283,8 @@ pub enum Response {
     /// registry rendered in Prometheus text-exposition format
     /// (parseable with `arbodom_obs::prom::parse`).
     MetricsReport(String),
-    /// The connection's pinned version cannot serve the request — either
-    /// the first frame carried a version outside the supported range
-    /// (the connection closes), or a v1 connection issued a v2-only
-    /// session request (the connection stays open).
+    /// A frame carried a version byte other than [`PROTOCOL_V3`]; the
+    /// connection closes after this reply.
     UnsupportedVersion {
         /// The version byte the client sent.
         got: u8,
@@ -1337,9 +1293,8 @@ pub enum Response {
         /// Newest version the daemon speaks.
         max: u8,
     },
-    /// Admission control shed this request (protocol v3 connections
-    /// only; older connections receive [`Response::Error`]). The request
-    /// was **not** executed; the connection stays open.
+    /// Admission control shed this request. The request was **not**
+    /// executed; the connection stays open.
     Overloaded {
         /// Suggested client backoff before retrying, in milliseconds.
         retry_after_ms: u64,
@@ -1505,13 +1460,11 @@ mod tests {
     }
 
     #[test]
-    fn metrics_messages_conform_and_are_v2_only() {
+    fn metrics_messages_conform() {
         assert_wire_conformance(&Request::Metrics);
         assert_wire_conformance(&Response::MetricsReport(
             "# TYPE arbodom_jobs_total counter\narbodom_jobs_total 3\n".into(),
         ));
-        assert!(Request::Metrics.needs_v2());
-        assert!(!Request::Ping.needs_v2());
     }
 
     #[test]
@@ -1532,10 +1485,6 @@ mod tests {
             max_frame_len: MAX_FRAME_LEN as u64,
             max_batch_jobs: MAX_BATCH_JOBS as u64,
         }));
-        assert!(Request::Hello.needs_v3());
-        assert!(!Request::Hello.needs_v2(), "hello is not session-gated");
-        assert!(!Request::Metrics.needs_v3());
-        assert!(!Request::Ping.needs_v3());
     }
 
     #[test]
@@ -1579,17 +1528,18 @@ mod tests {
 
     #[test]
     fn framing_roundtrips_and_carries_the_version_byte() {
+        // Framing carries any version byte; the connection layer judges it.
         let mut wire = Vec::new();
-        write_message(&mut wire, PROTOCOL_V2, &Request::Ping).unwrap();
-        write_message(&mut wire, PROTOCOL_V1, &Request::Stats).unwrap();
+        write_message(&mut wire, 2, &Request::Ping).unwrap();
+        write_message(&mut wire, 1, &Request::Stats).unwrap();
         let mut reader = wire.as_slice();
         assert_eq!(
             read_message::<Request>(&mut reader).unwrap(),
-            (PROTOCOL_V2, Request::Ping)
+            (2, Request::Ping)
         );
         assert_eq!(
             read_message::<Request>(&mut reader).unwrap(),
-            (PROTOCOL_V1, Request::Stats)
+            (1, Request::Stats)
         );
         assert!(matches!(
             read_message::<Request>(&mut reader),
@@ -1600,7 +1550,7 @@ mod tests {
     #[test]
     fn oversized_frame_header_rejected_before_allocation() {
         let mut header = [0u8; FRAME_HEADER_LEN];
-        header[0] = PROTOCOL_V2;
+        header[0] = 2;
         header[1..].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             read_frame(&mut header.as_slice()),
@@ -1611,7 +1561,7 @@ mod tests {
     #[test]
     fn truncated_frame_body_is_an_error() {
         let mut wire = Vec::new();
-        write_message(&mut wire, PROTOCOL_V2, &Request::Shutdown).unwrap();
+        write_message(&mut wire, 2, &Request::Shutdown).unwrap();
         wire.pop(); // header still declares 1 payload byte
         assert!(matches!(
             read_frame(&mut wire.as_slice()),
@@ -1624,7 +1574,7 @@ mod tests {
         // Every strict prefix of a valid header: clean close on zero
         // bytes, UnexpectedEof inside the header otherwise.
         let mut wire = Vec::new();
-        write_message(&mut wire, PROTOCOL_V2, &Request::Ping).unwrap();
+        write_message(&mut wire, 2, &Request::Ping).unwrap();
         for keep in 0..FRAME_HEADER_LEN {
             let result = read_frame(&mut &wire[..keep]);
             if keep == 0 {

@@ -27,19 +27,16 @@
 //!   (`per_conn_inflight`), checked at arrival so a pipelining client
 //!   is answered in request order.
 //!
-//! A shed request is **answered, never dropped**: protocol-v3
-//! connections get the typed [`Response::Overloaded`] (with a retry
-//! hint) and stay open; older connections get [`Response::Error`] and
-//! close, per that reply's documented semantics. Shed requests never
-//! execute.
+//! A shed request is **answered, never dropped**: it gets the typed
+//! [`Response::Overloaded`] (with a retry hint) and the connection stays
+//! open. Shed requests never execute.
 //!
-//! # Version negotiation
+//! # Protocol version
 //!
-//! The first frame's version byte pins the connection. A byte outside
-//! the supported range gets [`Response::UnsupportedVersion`] and the
-//! connection closes; v2-only requests (sessions) on a v1 connection
-//! and v3-only requests (`Hello`) on older connections get
-//! `UnsupportedVersion` *without* closing.
+//! Every frame, the first as much as any later one, must carry
+//! [`PROTOCOL_V3`]. A frame carrying any other byte gets
+//! [`Response::UnsupportedVersion`] once the requests before it are
+//! answered, and the connection closes.
 //!
 //! # Idle timeout
 //!
@@ -68,12 +65,12 @@ use crate::cache::GraphCache;
 use crate::jobs::{execute_job, open_session, ExecContext};
 use crate::obs::{ReqKind, ServiceObs};
 use crate::protocol::{
-    decode_payload, encode_payload, CacheStats, DeltaSpec, FrameAssembler, JobResult, Request,
-    Response, ServerLimits, SessionPolicy, SessionUpdate, FRAME_HEADER_LEN, MAX_BATCH_JOBS,
-    MAX_FRAME_LEN, PROTOCOL_MAX, PROTOCOL_MIN, PROTOCOL_V2, PROTOCOL_V3,
+    decode_payload, encode_payload, CacheStats, FrameAssembler, JobResult, RepairStats, Request,
+    Response, ServerLimits, SessionUpdate, FRAME_HEADER_LEN, MAX_BATCH_JOBS, MAX_FRAME_LEN,
+    PROTOCOL_MAX, PROTOCOL_MIN, PROTOCOL_V3,
 };
 use crate::scheduler::Scheduler;
-use crate::session::{SessionLimits, SessionTable};
+use crate::session::{Session, SessionLimits, SessionTable};
 
 /// Stop reading from a connection whose unflushed replies exceed this
 /// many bytes: a client that floods requests without reading responses
@@ -366,10 +363,8 @@ enum QueuedBody {
     /// Heavy request (batch / session op): admission-checked at the
     /// head, then dispatched to the scheduler.
     Heavy(Request),
-    /// Typed version-gating rejection, delivered in request order.
-    Reject(Response),
     /// The per-connection in-flight cap was hit at arrival: answer
-    /// `Overloaded` (v3) / `Error` (older) when this reaches the head.
+    /// `Overloaded` when this reaches the head.
     Shed,
 }
 
@@ -381,18 +376,15 @@ struct Conn {
     /// is still owed to the socket.
     out: Vec<u8>,
     out_pos: usize,
-    /// Version replies are framed with: the pinned version once known,
-    /// [`PROTOCOL_MAX`] before.
-    version: u8,
-    pinned: Option<u8>,
     queue: VecDeque<QueuedReq>,
     /// Heavy requests currently queued (not counting the dispatched
     /// one) — the arrival-time half of the per-connection cap.
     heavy_queued: usize,
     /// A dispatch is in flight; the queue is paused behind it.
     busy: bool,
-    /// Terminal reply to emit once the queue drains, then close
-    /// (version pin violations, desynced framing).
+    /// Terminal reply to emit once the queue drains, then close (a
+    /// version byte other than v3, an undecodable request, desynced
+    /// framing).
     fatal: Option<Response>,
     /// Read side saw EOF or the framing desynced: stop reading.
     read_closed: bool,
@@ -408,8 +400,6 @@ impl Conn {
             assembler: FrameAssembler::new(),
             out: Vec::new(),
             out_pos: 0,
-            version: PROTOCOL_MAX,
-            pinned: None,
             queue: VecDeque::new(),
             heavy_queued: 0,
             busy: false,
@@ -490,6 +480,16 @@ fn retry_hint_ms(queue_depth: u64) -> u64 {
     (10 + queue_depth.saturating_mul(5)).min(2_000)
 }
 
+/// Appends one v3 frame carrying `payload` to the connection's write
+/// buffer.
+fn push_frame(conn: &mut Conn, payload: &[u8]) {
+    let mut header = [0u8; FRAME_HEADER_LEN];
+    header[0] = PROTOCOL_V3;
+    header[1..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    conn.out.extend_from_slice(&header);
+    conn.out.extend_from_slice(payload);
+}
+
 /// Encodes `msg` and appends it to the connection's write buffer,
 /// recording the encode phase.
 fn append_frame(conn: &mut Conn, msg: &Response, obs: &ServiceObs) {
@@ -497,11 +497,7 @@ fn append_frame(conn: &mut Conn, msg: &Response, obs: &ServiceObs) {
     let payload = encode_payload(msg);
     obs.encode.observe(watch.lap_nanos());
     debug_assert!(payload.len() <= MAX_FRAME_LEN, "server reply oversized");
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[0] = conn.version;
-    header[1..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    conn.out.extend_from_slice(&header);
-    conn.out.extend_from_slice(&payload);
+    push_frame(conn, &payload);
 }
 
 /// Appends one in-order batch job reply. A legal job can still produce
@@ -525,11 +521,7 @@ fn append_job_frame(
         });
     }
     obs.encode.observe(watch.lap_nanos());
-    let mut header = [0u8; FRAME_HEADER_LEN];
-    header[0] = conn.version;
-    header[1..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    conn.out.extend_from_slice(&header);
-    conn.out.extend_from_slice(&payload);
+    push_frame(conn, &payload);
 }
 
 fn record_request(obs: &ServiceObs, kind: ReqKind, watch: &Stopwatch) {
@@ -547,30 +539,22 @@ fn guarded<T>(panics: &Counter, op: impl FnOnce() -> Result<T, String>) -> Resul
     })
 }
 
-fn mutate_session(
+/// Runs a `Mutate` or `Resolve` operation on session `id`.
+fn update_session(
     exec: &ExecContext,
     id: u64,
-    delta: &DeltaSpec,
-    policy: SessionPolicy,
+    op: impl FnOnce(&mut Session) -> Result<(JobResult, RepairStats), String>,
 ) -> Result<SessionUpdate, String> {
     let session = exec.sessions.get(id).map_err(|lost| lost.describe(id))?;
     let mut guard = session
         .lock()
         .map_err(|_| format!("session {id} was poisoned by an earlier panic"))?;
-    let (result, repair) = guard.mutate(delta, policy, exec.sim_threads, &exec.obs.session)?;
-    // The graph just changed size: refresh the byte accounting (and
-    // recency) while we still hold the session.
+    let outcome = op(&mut guard);
+    // Failed or not, the operation may have changed the graph or what the
+    // session maintains of it: refresh the byte accounting (and recency)
+    // while we still hold the session.
     exec.sessions.record_usage(id, guard.cost_bytes());
-    Ok(SessionUpdate { result, repair })
-}
-
-fn resolve_session(exec: &ExecContext, id: u64) -> Result<SessionUpdate, String> {
-    let session = exec.sessions.get(id).map_err(|lost| lost.describe(id))?;
-    let mut guard = session
-        .lock()
-        .map_err(|_| format!("session {id} was poisoned by an earlier panic"))?;
-    let (result, repair) = guard.resolve(exec.sim_threads, &exec.obs.session)?;
-    exec.sessions.record_usage(id, guard.cost_bytes());
+    let (result, repair) = outcome?;
     Ok(SessionUpdate { result, repair })
 }
 
@@ -778,11 +762,6 @@ impl Reactor {
                 }
             };
             match head.body {
-                QueuedBody::Reject(reply) => {
-                    if let Some(conn) = self.conns.get_mut(&id) {
-                        append_frame(conn, &reply, &self.state.exec.obs);
-                    }
-                }
                 QueuedBody::Shed => self.shed(id, head.kind, &head.watch),
                 QueuedBody::Inline(request) => self.handle_inline(id, request, &head.watch),
                 QueuedBody::Heavy(request) => {
@@ -801,9 +780,6 @@ impl Reactor {
                         return; // busy now; the queue waits
                     }
                     self.shed(id, head.kind, &head.watch);
-                    if self.conns.get(&id).is_none_or(|c| c.closing) {
-                        return;
-                    }
                 }
             }
         }
@@ -819,9 +795,8 @@ impl Reactor {
         }
     }
 
-    /// Answers a shed request: typed `Overloaded` on v3 (connection
-    /// stays open), `Error` + close on older versions (which cannot
-    /// decode the new tag; `Error` closes by its documented contract).
+    /// Answers a shed request with the typed `Overloaded`; the
+    /// connection stays open.
     fn shed(&mut self, id: u64, kind: ReqKind, watch: &Stopwatch) {
         let depth = self.pending_jobs;
         let obs = &self.state.exec.obs;
@@ -830,27 +805,14 @@ impl Reactor {
         let Some(conn) = self.conns.get_mut(&id) else {
             return;
         };
-        if conn.version >= PROTOCOL_V3 {
-            append_frame(
-                conn,
-                &Response::Overloaded {
-                    retry_after_ms: retry_hint_ms(depth),
-                    queue_depth: depth,
-                },
-                obs,
-            );
-        } else {
-            append_frame(
-                conn,
-                &Response::Error(format!(
-                    "server overloaded (queue depth {depth}): retry later"
-                )),
-                obs,
-            );
-            conn.queue.clear();
-            conn.heavy_queued = 0;
-            conn.closing = true;
-        }
+        append_frame(
+            conn,
+            &Response::Overloaded {
+                retry_after_ms: retry_hint_ms(depth),
+                queue_depth: depth,
+            },
+            obs,
+        );
     }
 
     /// Serves a cheap request on the reactor thread.
@@ -959,7 +921,9 @@ impl Reactor {
             } => {
                 self.submit(move |exec| {
                     let outcome = guarded(&exec.obs.panics, || {
-                        mutate_session(exec, session, &delta, policy)
+                        update_session(exec, session, |s| {
+                            s.mutate(&delta, policy, exec.sim_threads, &exec.obs.session)
+                        })
                     });
                     if let Ok(update) = &outcome {
                         exec.obs.record_repair(update.repair.repaired);
@@ -976,7 +940,11 @@ impl Reactor {
             }
             Request::Resolve { session } => {
                 self.submit(move |exec| {
-                    let outcome = guarded(&exec.obs.panics, || resolve_session(exec, session));
+                    let outcome = guarded(&exec.obs.panics, || {
+                        update_session(exec, session, |s| {
+                            s.resolve(exec.sim_threads, &exec.obs.session)
+                        })
+                    });
                     if outcome.is_ok() {
                         exec.obs.record_repair(false);
                     }
@@ -1185,34 +1153,19 @@ impl Reactor {
     }
 }
 
-/// Pins/validates the frame's version byte, decodes the request, and
-/// queues it on the connection — shedding at arrival if the
-/// per-connection in-flight cap is hit.
-fn ingest_frame(state: &ServerState, conn: &mut Conn, frame_version: u8, payload: Vec<u8>) {
-    let version = match conn.pinned {
-        None => {
-            if !(PROTOCOL_MIN..=PROTOCOL_MAX).contains(&frame_version) {
-                conn.fatal = Some(Response::UnsupportedVersion {
-                    got: frame_version,
-                    min: PROTOCOL_MIN,
-                    max: PROTOCOL_MAX,
-                });
-                conn.read_closed = true;
-                return;
-            }
-            conn.pinned = Some(frame_version);
-            conn.version = frame_version;
-            frame_version
-        }
-        Some(pinned) if frame_version != pinned => {
-            conn.fatal = Some(Response::Error(format!(
-                "connection pinned to protocol version {pinned}, frame carried {frame_version}"
-            )));
-            conn.read_closed = true;
-            return;
-        }
-        Some(pinned) => pinned,
-    };
+/// Checks the frame's version byte, decodes the request, and queues it
+/// on the connection — shedding at arrival if the per-connection
+/// in-flight cap is hit.
+fn ingest_frame(state: &ServerState, conn: &mut Conn, version: u8, payload: Vec<u8>) {
+    if version != PROTOCOL_V3 {
+        conn.fatal = Some(Response::UnsupportedVersion {
+            got: version,
+            min: PROTOCOL_MIN,
+            max: PROTOCOL_MAX,
+        });
+        conn.read_closed = true;
+        return;
+    }
     let obs = &state.exec.obs;
     // The request clock starts when a complete frame is in hand — time
     // blocked waiting on the client's segmentation is not request
@@ -1228,40 +1181,21 @@ fn ingest_frame(state: &ServerState, conn: &mut Conn, frame_version: u8, payload
     };
     obs.decode.observe(watch.lap_nanos());
     let kind = ReqKind::of(&request);
-    // Version gating is typed and non-fatal: the connection stays
-    // usable for its own pinned surface.
-    let body = if version < PROTOCOL_V2 && request.needs_v2() {
-        QueuedBody::Reject(Response::UnsupportedVersion {
-            got: version,
-            min: PROTOCOL_V2,
-            max: PROTOCOL_MAX,
-        })
-    } else if version < PROTOCOL_V3 && request.needs_v3() {
-        QueuedBody::Reject(Response::UnsupportedVersion {
-            got: version,
-            min: PROTOCOL_V3,
-            max: PROTOCOL_MAX,
-        })
-    } else {
-        match request {
-            Request::Ping
-            | Request::Stats
-            | Request::Shutdown
-            | Request::Metrics
-            | Request::Hello
-            | Request::Release { .. } => QueuedBody::Inline(request),
-            Request::Batch(ref jobs) if jobs.is_empty() => QueuedBody::Inline(request),
-            Request::Batch(_)
-            | Request::Open(_)
-            | Request::Mutate { .. }
-            | Request::Resolve { .. } => {
-                let inflight = conn.heavy_queued + usize::from(conn.busy);
-                if inflight >= state.admission.per_conn_inflight {
-                    QueuedBody::Shed
-                } else {
-                    conn.heavy_queued += 1;
-                    QueuedBody::Heavy(request)
-                }
+    let body = match request {
+        Request::Ping
+        | Request::Stats
+        | Request::Shutdown
+        | Request::Metrics
+        | Request::Hello
+        | Request::Release { .. } => QueuedBody::Inline(request),
+        Request::Batch(ref jobs) if jobs.is_empty() => QueuedBody::Inline(request),
+        Request::Batch(_) | Request::Open(_) | Request::Mutate { .. } | Request::Resolve { .. } => {
+            let inflight = conn.heavy_queued + usize::from(conn.busy);
+            if inflight >= state.admission.per_conn_inflight {
+                QueuedBody::Shed
+            } else {
+                conn.heavy_queued += 1;
+                QueuedBody::Heavy(request)
             }
         }
     };

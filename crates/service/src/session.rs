@@ -1,5 +1,5 @@
-//! Server-side sessions: owned dynamic solve state behind the v2
-//! protocol.
+//! Server-side sessions: owned dynamic solve state behind the session
+//! requests.
 //!
 //! A [`Session`] is what [`crate::protocol::Request::Open`] creates — a
 //! [`arbodom_core::repair::Maintainer`] (the mutated graph and its

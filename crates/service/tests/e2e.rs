@@ -2,13 +2,18 @@
 //! mixed batches, and check the serving layer's headline guarantees —
 //! byte-identical response streams across resubmission, concurrent
 //! clients, and 1/2/4 server worker threads; cache hits on repeats;
-//! clean quality accounting; the v2 session protocol (open → mutate →
-//! resolve → release) and version negotiation against v1 clients.
+//! clean quality accounting; the session protocol (open → mutate →
+//! resolve → release); and the version rule: a frame that does not carry
+//! v3 gets a typed refusal, and the connection closes.
+
+use std::net::TcpStream;
+use std::time::Duration;
 
 use arbodom_scenarios::{Algorithm, Family, Scale};
+use arbodom_service::protocol::{decode_payload, read_frame, write_message};
 use arbodom_service::{
-    Client, DeltaSpec, GraphSource, JobSpec, Response, Server, ServerConfig, ServiceError,
-    SessionPolicy, PROTOCOL_V1,
+    Client, DeltaSpec, GraphSource, JobSpec, Request, Response, Server, ServerConfig, ServiceError,
+    SessionPolicy, PROTOCOL_V3,
 };
 
 fn config(workers: usize) -> ServerConfig {
@@ -440,46 +445,71 @@ fn sessions_are_shared_across_connections() {
 }
 
 #[test]
-fn v1_connections_negotiate_and_are_gated_from_the_session_protocol() {
+fn a_failed_mutate_refreshes_the_session_byte_count() {
     let server = Server::bind("127.0.0.1:0", config(2)).unwrap();
-    let addr = server.local_addr();
-
-    // A v1 client works for the whole v1 surface...
-    let mut v1 = Client::connect_with_version(addr, PROTOCOL_V1).unwrap();
-    v1.ping().unwrap();
-    v1.stats().unwrap();
-    let replies = v1.submit(&[path_spec(10)]).unwrap();
-    assert!(replies[0].as_ref().unwrap().valid);
-
-    // ...but session requests get a typed UnsupportedVersion naming the
-    // required range, and the connection stays open.
-    let err = v1.open(&path_spec(10)).unwrap_err();
-    match err {
-        ServiceError::UnsupportedVersion { got, min, max } => {
-            assert_eq!(got, PROTOCOL_V1);
-            assert!(min > PROTOCOL_V1 && max >= min);
-        }
-        other => panic!("expected UnsupportedVersion, got {other}"),
-    }
-    v1.ping().unwrap();
-    // Batches addressing session snapshots are v2-gated too.
-    let err = v1
-        .submit(&[JobSpec::new(GraphSource::Session { id: 1 })])
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let (id, _) = client.open(&path_spec(200)).unwrap();
+    // A kept mutate builds the session's degeneracy certificate, which
+    // its byte count includes.
+    let kept = DeltaSpec {
+        inserts: vec![(0, 199)],
+        deletes: vec![(10, 11)],
+    };
+    client.mutate(id, &kept, SessionPolicy::Repair).unwrap();
+    let before = client.stats().unwrap().session_bytes;
+    // A conflicting batch fails, and the session drops the certificate.
+    let conflict = DeltaSpec {
+        inserts: vec![(5, 6)],
+        deletes: vec![],
+    };
+    let err = client
+        .mutate(id, &conflict, SessionPolicy::Repair)
         .unwrap_err();
+    assert!(matches!(err, ServiceError::Remote(_)), "{err}");
+    let after = client.stats().unwrap().session_bytes;
     assert!(
-        matches!(err, ServiceError::UnsupportedVersion { .. }),
-        "{err}"
+        after < before,
+        "the byte count must follow the failed batch: {before} → {after}"
     );
-    v1.ping().unwrap();
+    server.shutdown();
+}
 
-    // A version the server does not speak at all: typed rejection on the
-    // first request, then the server hangs up.
-    let mut future = Client::connect_with_version(addr, 9).unwrap();
-    let err = future.ping().unwrap_err();
-    match err {
-        ServiceError::UnsupportedVersion { got, .. } => assert_eq!(got, 9),
-        other => panic!("expected UnsupportedVersion, got {other}"),
+#[test]
+fn a_frame_not_carrying_v3_is_refused_typed_and_closes_the_connection() {
+    let server = Server::bind("127.0.0.1:0", config(1)).unwrap();
+    let connect = || {
+        let stream = TcpStream::connect(server.local_addr()).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        stream
+    };
+    let reply = |stream: &mut TcpStream| {
+        let (version, payload) = read_frame(stream).unwrap();
+        assert_eq!(version, PROTOCOL_V3, "every reply is framed as v3");
+        decode_payload::<Response>(&payload).unwrap()
+    };
+    let refusal = |got| Response::UnsupportedVersion {
+        got,
+        min: PROTOCOL_V3,
+        max: PROTOCOL_V3,
+    };
+
+    // A first frame carrying any other version byte.
+    for got in [1, 2, 9] {
+        let mut stream = connect();
+        write_message(&mut stream, got, &Request::Ping).unwrap();
+        assert_eq!(reply(&mut stream), refusal(got));
+        assert!(matches!(read_frame(&mut stream), Err(ServiceError::Closed)));
     }
-    assert!(future.ping().is_err(), "connection must be closed");
+
+    // A later frame meets the same rule; the request before it is still
+    // answered.
+    let mut stream = connect();
+    write_message(&mut stream, PROTOCOL_V3, &Request::Ping).unwrap();
+    write_message(&mut stream, 2, &Request::Ping).unwrap();
+    assert_eq!(reply(&mut stream), Response::Pong);
+    assert_eq!(reply(&mut stream), refusal(2));
+    assert!(matches!(read_frame(&mut stream), Err(ServiceError::Closed)));
     server.shutdown();
 }

@@ -1,9 +1,8 @@
 //! End-to-end suite for the event-driven connection layer: admission
 //! control (global caps + per-connection in-flight cap), typed
-//! `Overloaded` shedding, legacy-version shed semantics, the slow-loris
-//! idle timeout, `Hello` limits, the zero-per-connection-threads
-//! property, and byte-determinism of successful replies under load at
-//! any worker count.
+//! `Overloaded` shedding, the slow-loris idle timeout, `Hello` limits,
+//! the zero-per-connection-threads property, and byte-determinism of
+//! successful replies under load at any worker count.
 
 use std::net::TcpStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -13,9 +12,7 @@ use std::time::Duration;
 use arbodom_graph::weights::WeightModel;
 use arbodom_obs::prom;
 use arbodom_scenarios::{Family, Scale};
-use arbodom_service::protocol::{
-    decode_payload, read_frame, write_message, PROTOCOL_V2, PROTOCOL_V3,
-};
+use arbodom_service::protocol::{decode_payload, read_frame, write_message, PROTOCOL_V3};
 use arbodom_service::{
     Client, GraphSource, JobSpec, Request, Response, Server, ServerConfig, ServiceError,
 };
@@ -122,47 +119,6 @@ fn pipelined_requests_past_the_per_conn_cap_shed_deterministically() {
     assert_eq!(metric(addr, "arbodom_job_errors_total"), 0.0);
     // One queue wait per admitted job: shed requests never queue.
     assert_eq!(metric(addr, "arbodom_queue_wait_nanos_count"), 2.0);
-    server.shutdown();
-}
-
-#[test]
-fn pre_v3_sheds_reply_error_and_close() {
-    let server = Server::bind(
-        "127.0.0.1:0",
-        ServerConfig {
-            per_conn_inflight: 1,
-            ..config(1)
-        },
-    )
-    .unwrap();
-    // A v2 connection cannot decode the Overloaded tag, so its shed is
-    // the documented Error-then-close.
-    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
-    stream
-        .set_read_timeout(Some(Duration::from_secs(120)))
-        .unwrap();
-    for i in 0..3u64 {
-        let batch = Request::Batch(vec![tree_job(20_000, i)]);
-        write_message(&mut stream, PROTOCOL_V2, &batch).unwrap();
-    }
-    // Request 0 completes normally.
-    let (_, payload) = read_frame(&mut stream).unwrap();
-    assert!(matches!(
-        decode_payload::<Response>(&payload).unwrap(),
-        Response::Job { .. }
-    ));
-    let (_, payload) = read_frame(&mut stream).unwrap();
-    assert!(matches!(
-        decode_payload::<Response>(&payload).unwrap(),
-        Response::BatchDone { jobs: 1 }
-    ));
-    // Request 1 was shed at arrival: Error frame, then EOF.
-    let (_, payload) = read_frame(&mut stream).unwrap();
-    match decode_payload::<Response>(&payload).unwrap() {
-        Response::Error(msg) => assert!(msg.contains("overloaded"), "{msg:?}"),
-        other => panic!("expected Error, got {other:?}"),
-    }
-    assert!(matches!(read_frame(&mut stream), Err(ServiceError::Closed)));
     server.shutdown();
 }
 
@@ -381,9 +337,11 @@ fn hello_advertises_limits_and_is_gated_below_v3() {
         ..config(2)
     };
     let server = Server::bind("127.0.0.1:0", cfg).unwrap();
-    let mut v3 = Client::connect(server.local_addr()).unwrap();
-    assert_eq!(v3.version(), PROTOCOL_V3);
-    let limits = v3.hello().unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let limits = client.hello().unwrap();
+    // Nothing below v3 is spoken: the daemon refuses any other version
+    // byte (the e2e suite checks the refusal itself).
+    assert_eq!(limits.protocol_min, PROTOCOL_V3);
     assert_eq!(limits.protocol_max, PROTOCOL_V3);
     assert_eq!(limits.workers, 2);
     assert_eq!(limits.max_pending_jobs, 33);
@@ -391,14 +349,5 @@ fn hello_advertises_limits_and_is_gated_below_v3() {
     assert_eq!(limits.per_conn_inflight, 5);
     assert_eq!(limits.idle_timeout_ms, 7_000);
     assert_eq!(limits, server.limits());
-    // Hello on a v2 connection: typed gate, connection survives.
-    let mut v2 = Client::connect_with_version(server.local_addr(), PROTOCOL_V2).unwrap();
-    match v2.hello() {
-        Err(ServiceError::UnsupportedVersion { got, min, max }) => {
-            assert_eq!((got, min, max), (PROTOCOL_V2, PROTOCOL_V3, PROTOCOL_V3));
-        }
-        other => panic!("expected version gate, got {other:?}"),
-    }
-    v2.ping().expect("gated connection stays usable");
     server.shutdown();
 }

@@ -129,20 +129,6 @@ fn sim_obs_defaults_off_and_scrape_still_works() {
     server.shutdown();
 }
 
-#[test]
-fn metrics_is_v2_only() {
-    let server = Server::bind("127.0.0.1:0", ServerConfig::default()).expect("bind");
-    let mut old = Client::connect_with_version(server.local_addr(), arbodom_service::PROTOCOL_V1)
-        .expect("connect v1");
-    match old.metrics() {
-        Err(arbodom_service::ServiceError::UnsupportedVersion { got, .. }) => {
-            assert_eq!(got, arbodom_service::PROTOCOL_V1);
-        }
-        other => panic!("expected UnsupportedVersion, got {other:?}"),
-    }
-    server.shutdown();
-}
-
 /// Every session mutate records one observation in each stage histogram,
 /// the stages run inside the request, and α peels only to build a
 /// degeneracy certificate.
