@@ -206,7 +206,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(505);
         let g = generators::forest_union_partial(400, 8, 0.4, &mut rng);
         let out = solve(&g, &AutoConfig::default()).unwrap();
-        let degeneracy = arbodom_graph::orientation::degeneracy_order(&g).1;
+        let degeneracy = arbodom_graph::orientation::degeneracy(&g);
         assert!(out.alpha_used <= degeneracy);
         assert!(out.alpha_exact);
     }

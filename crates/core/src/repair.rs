@@ -21,8 +21,8 @@
 //! coverage — and it is what lets a deletion-heavy workload *lower* the
 //! maintained weight instead of ratcheting it up. [`Maintainer`] tracks
 //! the residual decay as a **drift estimate** — current weight over the
-//! weight of the last full solve — and falls back to a caller-supplied
-//! certified re-solve when the estimate exceeds
+//! weight of the last full solve — and a certified re-solve, which the
+//! caller supplies, replaces the repair once the estimate exceeds
 //! [`RepairConfig::max_drift`]. The churn scenarios
 //! (`arbodom-scenarios`) run the equivalence harness on top of this:
 //! every batch, the repaired set is checked valid and its weight compared
@@ -87,7 +87,7 @@ impl Default for RepairConfig {
     }
 }
 
-/// What one [`Maintainer::apply`] call did.
+/// What one [`Maintainer::apply`] or [`Maintainer::repair`] call did.
 #[derive(Clone, Debug)]
 pub struct BatchOutcome {
     /// `true` when local repair was kept; `false` when the drift bound
@@ -209,6 +209,16 @@ pub fn undominated_after_batch(
 /// digest, the maintained dominating set, the drift anchor, and the
 /// digest chain of the mutation history. This is the state an `arbodomd`
 /// session holds.
+///
+/// A batch runs in two stages. [`Maintainer::repair`] applies it and
+/// repairs the set locally, and never solves; [`Maintainer::due`] then
+/// says whether a full re-solve ([`Maintainer::resolve_with`]) should
+/// replace the repair. [`Maintainer::apply`] runs both. A caller that
+/// keeps values of its own about the graph folds each batch into them
+/// between the two stages, before anything that can fail. One failure
+/// rule then holds for everything: a conflicting batch changes nothing,
+/// and a failed re-solve leaves the batch applied, with the repaired set
+/// valid and every value already current.
 #[derive(Clone, Debug)]
 pub struct Maintainer {
     graph: Graph,
@@ -296,26 +306,48 @@ impl Maintainer {
         self.weight as f64 / self.anchor_weight as f64
     }
 
-    /// Applies one delta batch: mutates the graph (overlay apply), folds
-    /// the delta into the graph's digest and the digest chain, repairs
-    /// validity locally, retires redundant members via [`shrink_step`],
-    /// and — when the drift estimate exceeds [`RepairConfig::max_drift`]
-    /// or the batch budget [`RepairConfig::max_batches`] is spent —
-    /// replaces the set with a fresh certified solution from `resolve`.
+    /// Applies one delta batch: [`Maintainer::repair`], then — when
+    /// [`Maintainer::due`] — a certified full re-solve through
+    /// [`Maintainer::resolve_with`].
     ///
     /// # Errors
     ///
-    /// [`CoreError::Graph`] when the delta conflicts with the maintained
-    /// graph (the state is left unchanged), any error of `resolve`, and
-    /// [`CoreError::Simulation`] when `resolve` returns a non-dominating
-    /// set. After a failed `resolve` the batch stays applied: the graph,
-    /// its digest and the chain include it.
+    /// Those of [`Maintainer::repair`] (the state is left unchanged) and
+    /// of [`Maintainer::resolve_with`] (the batch stays applied: the
+    /// graph, its digest and the chain include it).
     pub fn apply<F>(&mut self, delta: &GraphDelta, resolve: F) -> Result<BatchOutcome>
     where
         F: FnOnce(&Graph) -> Result<DsResult>,
     {
-        let next = delta.apply(&self.graph)?;
-        self.graph = next;
+        let outcome = self.repair(delta)?;
+        if !self.due() {
+            return Ok(outcome);
+        }
+        let iterations = self.resolve_with(resolve)?;
+        Ok(BatchOutcome {
+            repaired: false,
+            added: Vec::new(),
+            removed: Vec::new(),
+            weight: self.weight,
+            drift_estimate: 1.0,
+            solve_iterations: iterations,
+            ..outcome
+        })
+    }
+
+    /// Applies one delta batch without solving: mutates the graph
+    /// (overlay apply), folds the delta into the graph's digest and the
+    /// digest chain, repairs validity locally with [`repair_step`] and
+    /// retires redundant members with [`shrink_step`]. The outcome says
+    /// the repair was kept; whether a re-solve should replace it is
+    /// [`Maintainer::due`]'s to say.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Graph`] when the delta conflicts with the maintained
+    /// graph; the state is left unchanged.
+    pub fn repair(&mut self, delta: &GraphDelta) -> Result<BatchOutcome> {
+        self.graph = delta.apply(&self.graph)?;
         self.digest.apply(delta);
         self.chain = chain_digest(self.chain, delta);
 
@@ -332,39 +364,30 @@ impl Maintainer {
         let added = repair_step(&self.graph, &mut self.in_ds, &touched);
         self.size += added.len();
         self.weight += self.graph.set_weight(added.iter().copied());
-        let mut seeds = touched.clone();
+        let mut seeds = touched;
         seeds.extend(added.iter().copied());
         let removed = shrink_step(&self.graph, &mut self.in_ds, &seeds);
         self.size -= removed.len();
         self.weight -= self.graph.set_weight(removed.iter().copied());
         self.batches_since_solve += 1;
-
-        let over_drift = self.drift_estimate() > 1.0 + self.cfg.max_drift;
-        let over_budget =
-            self.cfg.max_batches > 0 && self.batches_since_solve >= self.cfg.max_batches;
-        if !(over_drift || over_budget) {
-            return Ok(BatchOutcome {
-                repaired: true,
-                added,
-                removed,
-                undominated_before,
-                weight: self.weight,
-                drift_estimate: self.drift_estimate(),
-                chain: self.chain,
-                solve_iterations: 0,
-            });
-        }
-        let iterations = self.resolve_with(resolve)?;
         Ok(BatchOutcome {
-            repaired: false,
-            added: Vec::new(),
-            removed: Vec::new(),
+            repaired: true,
+            added,
+            removed,
             undominated_before,
             weight: self.weight,
-            drift_estimate: 1.0,
+            drift_estimate: self.drift_estimate(),
             chain: self.chain,
-            solve_iterations: iterations,
+            solve_iterations: 0,
         })
+    }
+
+    /// Whether a full re-solve is due: the drift estimate exceeds
+    /// [`RepairConfig::max_drift`], or the batch budget
+    /// [`RepairConfig::max_batches`] is spent.
+    pub fn due(&self) -> bool {
+        self.drift_estimate() > 1.0 + self.cfg.max_drift
+            || (self.cfg.max_batches > 0 && self.batches_since_solve >= self.cfg.max_batches)
     }
 
     /// Forces a full re-solve through `resolve`, re-anchoring the drift
@@ -509,6 +532,72 @@ mod tests {
             }
         }
         assert!(broken_sets > 0, "no batch added a needed member");
+    }
+
+    /// `apply` is `repair`, then `resolve_with` when `due`: two
+    /// maintainers driven in lockstep, one through each, agree after every
+    /// batch on the outcome, the flags, the size, the weight, the chain and
+    /// the digest. The default bound keeps most repairs, a zero bound
+    /// re-solves after deletion-heavy batches, and a batch budget
+    /// re-solves every third batch, so both branches run.
+    #[test]
+    fn apply_is_repair_then_resolve_when_due() {
+        let state = |m: &Maintainer| {
+            (
+                m.in_ds().to_vec(),
+                m.size(),
+                m.weight(),
+                m.chain(),
+                m.digest(),
+            )
+        };
+        let zero = RepairConfig {
+            max_drift: 0.0,
+            max_batches: 0,
+        };
+        let budget = RepairConfig {
+            max_drift: f64::INFINITY,
+            max_batches: 3,
+        };
+        for (seed, cfg, dels, inss) in [
+            (51, RepairConfig::default(), 4, 4),
+            (53, zero, 8, 2),
+            (57, budget, 3, 3),
+        ] {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = generators::forest_union(300, 2, &mut rng);
+            let sol = solver(2)(&g).unwrap();
+            let mut applied = Maintainer::new(g.clone(), &sol, cfg);
+            let mut stepped = Maintainer::new(g, &sol, cfg);
+            let (mut kept, mut solved) = (0, 0);
+            for batch in 0..30 {
+                let delta = churn(applied.graph(), 100 * seed + batch, dels, inss);
+                let want = applied.apply(&delta, solver(3)).unwrap();
+                let mut got = stepped.repair(&delta).unwrap();
+                if stepped.due() {
+                    let iterations = stepped.resolve_with(solver(3)).unwrap();
+                    got = BatchOutcome {
+                        repaired: false,
+                        added: Vec::new(),
+                        removed: Vec::new(),
+                        weight: stepped.weight(),
+                        drift_estimate: 1.0,
+                        solve_iterations: iterations,
+                        ..got
+                    };
+                    solved += 1;
+                } else {
+                    kept += 1;
+                }
+                // Debug output shows every field, each float exactly.
+                let context = format!("seed {seed}, batch {batch}");
+                assert_eq!(format!("{got:?}"), format!("{want:?}"), "{context}");
+                assert_eq!(state(&stepped), state(&applied), "{context}");
+            }
+            assert!(kept > 0, "seed {seed}: no batch kept its repair");
+            let tight = cfg.max_drift == 0.0 || cfg.max_batches > 0;
+            assert_eq!(solved > 0, tight, "seed {seed}: {solved} re-solves");
+        }
     }
 
     #[test]

@@ -389,7 +389,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(14);
         let g = preferential_attachment(500, 3, &mut rng);
         assert_eq!(g.n(), 500);
-        let (_, degeneracy) = crate::orientation::degeneracy_order(&g);
+        let degeneracy = crate::orientation::degeneracy(&g);
         assert!(
             degeneracy <= 3,
             "PA graph must have degeneracy <= m_per_node"

@@ -343,7 +343,7 @@ mod tests {
             // Planar: m ≤ 3n − 6 for n ≥ 3.
             assert!(g.m() <= 3 * n.max(3) - 6, "n={n} p={p} m={}", g.m());
             assert!(traversal::is_connected(&g), "grid+chords is connected");
-            let (_, degeneracy) = orientation::degeneracy_order(&g);
+            let degeneracy = orientation::degeneracy(&g);
             assert!(degeneracy <= 5, "planar degeneracy ≤ 5, got {degeneracy}");
         }
     }
@@ -376,7 +376,7 @@ mod tests {
             let g = k_tree(200, k, &mut rng).unwrap();
             assert_eq!(g.n(), 200);
             assert_eq!(g.m(), k * (k + 1) / 2 + (200 - k - 1) * k);
-            let (_, degeneracy) = orientation::degeneracy_order(&g);
+            let degeneracy = orientation::degeneracy(&g);
             assert_eq!(degeneracy, k, "k-tree degeneracy is exactly k");
             assert!(traversal::is_connected(&g));
         }
@@ -400,7 +400,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(25);
         let cap = 3;
         let g = power_law_capped(2_000, 2.5, cap, &mut rng).unwrap();
-        let (_, degeneracy) = orientation::degeneracy_order(&g);
+        let degeneracy = orientation::degeneracy(&g);
         assert!(degeneracy <= cap, "degeneracy {degeneracy} > cap {cap}");
         let avg = 2.0 * g.m() as f64 / g.n() as f64;
         assert!(

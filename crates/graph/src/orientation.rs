@@ -101,72 +101,35 @@ impl Orientation {
     }
 }
 
-/// Computes a degeneracy ordering by repeatedly removing a minimum-degree
-/// node (bucket queue, `O(n + m)`).
+/// Computes a degeneracy ordering: the removal order of the flat core
+/// peel behind [`degeneracy`], `O(n + m)`.
 ///
 /// Returns the elimination order and the degeneracy `d` — the maximum,
 /// over the peeling, of the degree at removal time. Standard facts used
 /// throughout the workspace: `α ≤ d ≤ 2α − 1`.
 pub fn degeneracy_order(g: &Graph) -> (Vec<NodeId>, usize) {
-    let n = g.n();
-    if n == 0 {
-        return (Vec::new(), 0);
-    }
-    let mut deg: Vec<usize> = (0..n).map(|v| g.degree(NodeId::from_index(v))).collect();
-    let maxd = g.max_degree();
-    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); maxd + 1];
-    for v in 0..n {
-        buckets[deg[v]].push(v as u32);
-    }
-    let mut removed = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    let mut degeneracy = 0usize;
-    let mut cur = 0usize;
-    for _ in 0..n {
-        // Find the lowest nonempty bucket holding a live node.
-        let v = loop {
-            while cur > 0 && !buckets[cur - 1].is_empty() {
-                cur -= 1; // degrees can drop below the cursor
-            }
-            while buckets[cur].is_empty() {
-                cur += 1;
-            }
-            let cand = buckets[cur].pop().expect("bucket nonempty") as usize;
-            if !removed[cand] && deg[cand] == cur {
-                break cand;
-            }
-            // Stale entry; skip it.
-        };
-        removed[v] = true;
-        degeneracy = degeneracy.max(cur);
-        order.push(NodeId::from_index(v));
-        for &u in g.neighbors(NodeId::from_index(v)) {
-            let u = u.index();
-            if !removed[u] {
-                deg[u] -= 1;
-                buckets[deg[u]].push(u as u32);
-            }
-        }
-    }
-    (order, degeneracy)
+    let peel = flat_peel::<false>(g, 0);
+    let order = peel.order.into_iter().map(NodeId::new).collect();
+    (order, peel.degeneracy as usize)
 }
 
-/// The degeneracy of `g` alone: the number [`degeneracy_order`] returns,
-/// without the order.
+/// The degeneracy of `g`, without the order [`degeneracy_order`] also
+/// returns.
 ///
 /// A Batagelj–Zaversnik core peel ("An O(m) Algorithm for Cores
 /// Decomposition of Networks", 2003) over four flat `u32` arrays: nodes
 /// sit in one array sorted by current degree, and removing a node moves
 /// each higher-degree neighbor down one bin by a swap, with no bucket
 /// lists and no stale entries. `O(n + m)`. The degeneracy is the largest
-/// core number, a graph invariant, so it equals `degeneracy_order(g).1`
-/// even though the two peels remove nodes in different orders.
+/// core number.
 pub fn degeneracy(g: &Graph) -> usize {
     flat_peel::<false>(g, 0).degeneracy as usize
 }
 
 /// What one flat core peel leaves behind.
 struct FlatPeel {
+    /// The nodes in removal order.
+    order: Vec<u32>,
     /// Each node's core number.
     core: Vec<u32>,
     /// The largest core number.
@@ -182,10 +145,11 @@ struct FlatPeel {
     later: Vec<u32>,
 }
 
-/// The Batagelj–Zaversnik peel behind [`degeneracy`] and
-/// [`DegeneracyCertificate::of`]. With `CERTIFY`, it also labels the
-/// removal order, `gap` apart, and counts each node's later neighbors
-/// inside its own neighbor loop.
+/// The Batagelj–Zaversnik peel behind [`degeneracy_order`],
+/// [`degeneracy`] and [`DegeneracyCertificate::of`]; `vert` ends up as
+/// the removal order. With `CERTIFY`, it also labels the removal order,
+/// `gap` apart, and counts each node's later neighbors inside its own
+/// neighbor loop.
 ///
 /// At a node's turn, every neighbor of higher current degree is still
 /// present and every neighbor of lower degree is gone: a removed node
@@ -256,6 +220,7 @@ fn flat_peel<const CERTIFY: bool>(g: &Graph, gap: u64) -> FlatPeel {
         }
     }
     FlatPeel {
+        order: vert,
         core: deg,
         degeneracy,
         degree_count,

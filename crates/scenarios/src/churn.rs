@@ -490,7 +490,7 @@ pub fn run_churn_cell(
     let batch_count = spec.batches(cfg.scale)[batches_idx];
     let mut rng = StdRng::seed_from_u64(cell_seed);
     let g = spec.family.build(spec.size(cfg.scale), &mut rng)?.graph;
-    let (n, m0, base_digest) = (g.n(), g.m(), edge_digest(&g));
+    let (n, m0) = (g.n(), g.m());
     let opts = RunOptions::default();
 
     let (sol, telemetry) =
@@ -509,6 +509,7 @@ pub fn run_churn_cell(
         },
     };
     let mut state = Maintainer::new(g, &sol, repair_cfg);
+    let base_digest = state.digest();
 
     let mut batch_reports = Vec::with_capacity(batch_count);
     let (mut total_rounds, mut resolves) = (0usize, 0usize);
@@ -569,7 +570,7 @@ pub fn run_churn_cell(
         cell_seed,
         base_digest,
         final_chain: state.chain(),
-        final_digest: edge_digest(state.graph()),
+        final_digest: state.digest(),
         initial_weight,
         final_weight: state.weight(),
         initial_rounds,

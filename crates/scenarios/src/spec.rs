@@ -689,7 +689,7 @@ mod tests {
                 built.graph.n()
             );
             if let Some(alpha) = f.alpha_bound() {
-                let (_, degeneracy) = arbodom_graph::orientation::degeneracy_order(&built.graph);
+                let degeneracy = arbodom_graph::orientation::degeneracy(&built.graph);
                 assert!(
                     degeneracy <= 2 * alpha,
                     "{}: degeneracy {degeneracy} > 2α = {}",

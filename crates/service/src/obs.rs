@@ -65,9 +65,12 @@ pub const SESSIONS_OPENED_TOTAL: &str = "arbodom_sessions_opened_total";
 pub const REPAIRS_TOTAL: &str = "arbodom_repairs_total";
 /// Mutation batches that fell back to (or forced) a full re-solve.
 pub const REPAIR_FALLBACKS_TOTAL: &str = "arbodom_repair_fallbacks_total";
-/// Nanoseconds of each stage of a session mutate, in the order it runs
-/// them: the maintainer's apply (with the fallback solve, when one runs),
-/// α, the packing follow, verify, and account.
+/// Nanoseconds of each stage of a session mutate: the maintainer's
+/// apply, α, the packing update, verify, and account. They run in that
+/// order, except that a re-solve, when one runs, comes after the packing
+/// update and still counts in `apply`. `apply` is observed for every
+/// batch that reaches the maintainer, one that conflicts or whose
+/// re-solve fails included; the other four once per successful mutate.
 pub const SESSION_STAGE_NANOS: [&str; 5] = [
     "arbodom_session_apply_nanos",
     "arbodom_session_alpha_nanos",

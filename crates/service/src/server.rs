@@ -1206,3 +1206,44 @@ fn ingest_frame(state: &ServerState, conn: &mut Conn, version: u8, payload: Vec<
         body,
     });
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::protocol::{DeltaSpec, SessionPolicy};
+    use arbodom_core::weighted;
+    use arbodom_graph::generators;
+    use arbodom_scenarios::Algorithm;
+
+    /// `update_session` records a session's bytes after an operation that
+    /// changed the session and then failed, not only after a success.
+    #[test]
+    fn a_failed_session_operation_still_records_the_session_bytes() {
+        let exec = ExecContext {
+            cache: Arc::new(Mutex::new(GraphCache::new(1 << 20))),
+            sessions: Arc::new(SessionTable::new()),
+            sim_threads: 1,
+            scale: Scale::Quick,
+            obs: ServiceObs::new(&Registry::new()),
+            sim_obs: None,
+        };
+        let g = generators::path(50);
+        let sol = weighted::solve(&g, &weighted::Config::new(1, 0.2).unwrap()).unwrap();
+        let session = Session::new(g, &sol, Algorithm::Weighted { eps: 0.2 }, 1, 7);
+        let id = exec.sessions.insert(session);
+        let opened = exec.sessions.usage().1;
+        // An insert-only batch grows m, and the session keeps it.
+        let grow = DeltaSpec {
+            inserts: vec![(0, 49)],
+            deletes: vec![],
+        };
+        let result = update_session(&exec, id, |s| {
+            s.mutate(&grow, SessionPolicy::Repair, 1, &exec.obs.session)?;
+            Err("the operation fails after changing the session".into())
+        });
+        assert!(result.is_err());
+        let held = exec.sessions.get(id).unwrap().lock().unwrap().cost_bytes();
+        assert_ne!(held, opened, "the operation changed the session");
+        assert_eq!(exec.sessions.usage().1, held);
+    }
+}

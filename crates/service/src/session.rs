@@ -47,12 +47,14 @@
 //! on the session's first mutate or resolve and after a batch broke it.
 //! The set's size and weight are the maintainer's counters.
 //!
-//! Failures: a conflicting batch leaves the graph unchanged, and a failed
-//! fallback solve leaves the batch applied. Either way the session
-//! rebuilds what it maintains from the graph: the packing at once, the
-//! certificate on its next use.
+//! Failures: a mutate runs [`Maintainer::repair`], then folds the batch
+//! into the certificate and the packing, and only then re-solves, if the
+//! drift bound or the policy asks for it. Every value the session keeps
+//! of its graph is current before anything that can fail. A conflicting
+//! batch therefore changes nothing, and a failed re-solve leaves the
+//! batch applied with every value already current; no failure drops or
+//! rebuilds one.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -62,58 +64,15 @@ use std::time::{Duration, Instant};
 use arbodom_congest::{RunOptions, Telemetry};
 use arbodom_core::repair::{self, BatchOutcome, Maintainer, RepairConfig};
 use arbodom_core::{verify, DsResult};
+use arbodom_graph::digest::edge_digest;
 use arbodom_graph::orientation::{self, DegeneracyCertificate};
-use arbodom_graph::{Graph, GraphDelta, NodeId};
+use arbodom_graph::{Graph, GraphDelta};
 use arbodom_obs::{Counter, Stopwatch};
 use arbodom_scenarios::quality::{self, maximal_packing, MaintainedPacking};
 use arbodom_scenarios::Algorithm;
 
 use crate::obs::SessionObs;
 use crate::protocol::{DeltaSpec, JobResult, RepairStats, SessionPolicy};
-
-/// The measured α of the maintainer's graph during one session
-/// operation: the session's degeneracy certificate, and the applied
-/// batch it has yet to fold, if any.
-struct Alpha<'a> {
-    certificate: Option<DegeneracyCertificate>,
-    batch: Option<&'a GraphDelta>,
-    peels: &'a Counter,
-}
-
-impl Alpha<'_> {
-    /// The certificate of `g`, the maintainer's current graph. The batch
-    /// folds in on first use; a whole-graph peel builds a certificate
-    /// when there is none or the batch broke it.
-    fn of(&mut self, g: &Graph) -> &DegeneracyCertificate {
-        let kept = match (self.certificate.take(), self.batch.take()) {
-            (Some(certificate), Some(batch)) => certificate.apply(g, batch),
-            (kept, _) => kept,
-        };
-        self.certificate.insert(kept.unwrap_or_else(|| {
-            self.peels.inc();
-            DegeneracyCertificate::of(g)
-        }))
-    }
-}
-
-/// The full re-solve every session path hands its maintainer:
-/// `algorithm` on the current graph at its measured α, which the re-solve
-/// and the reply read from one certificate. The run's telemetry lands in
-/// `telemetry`, for the reply.
-fn solver<'a, 'b>(
-    algorithm: Algorithm,
-    seed: u64,
-    sim_threads: usize,
-    alpha: &'a RefCell<Alpha<'b>>,
-    telemetry: &'a RefCell<Option<Telemetry>>,
-) -> impl Fn(&Graph) -> arbodom_core::Result<DsResult> + use<'a, 'b> {
-    move |g| {
-        let alpha = alpha.borrow_mut().of(g).value().max(1);
-        let (sol, run) = algorithm.execute(g, alpha, seed, &RunOptions::default(), sim_threads)?;
-        *telemetry.borrow_mut() = Some(run);
-        Ok(sol)
-    }
-}
 
 /// One open session: the maintainer plus how its solves run.
 #[derive(Debug)]
@@ -123,7 +82,7 @@ pub struct Session {
     /// batch; `None` on a weighted graph.
     packing: Option<MaintainedPacking>,
     /// The degeneracy certificate of the maintainer's graph; `None` until
-    /// the first mutate or resolve, and after a failed batch.
+    /// the first mutate or resolve builds one.
     certificate: Option<DegeneracyCertificate>,
     algorithm: Algorithm,
     alpha: usize,
@@ -156,9 +115,7 @@ impl Session {
         self.maintainer.graph().clone()
     }
 
-    /// The current graph's
-    /// [`edge_digest`](arbodom_graph::digest::edge_digest), as the
-    /// maintainer keeps it.
+    /// The current graph's [`edge_digest`], as the maintainer keeps it.
     pub fn digest(&self) -> u64 {
         self.maintainer.digest()
     }
@@ -211,7 +168,8 @@ impl Session {
     ///
     /// A job-level message when the delta is malformed or conflicts with
     /// the current edge set (the session is unchanged), or when the
-    /// fallback re-solve fails.
+    /// re-solve fails (the batch stays applied, and every maintained
+    /// value follows it).
     pub fn mutate(
         &mut self,
         delta: &DeltaSpec,
@@ -223,63 +181,41 @@ impl Session {
             .map_err(|e| format!("invalid delta: {e}"))?;
         let touched = delta.touched();
         let mut watch = Stopwatch::start();
-        let alpha = RefCell::new(Alpha {
-            certificate: self.certificate.take(),
-            batch: Some(&delta),
-            peels: &obs.alpha_peels,
-        });
-        let telemetry = RefCell::new(None);
-        let solve = solver(self.algorithm, self.seed, sim_threads, &alpha, &telemetry);
-        let applied = self
-            .maintainer
-            .apply(&delta, &solve)
-            .map_err(|e| format!("mutate failed: {e}"))
-            .and_then(|mut outcome| {
-                if policy == SessionPolicy::Resolve && outcome.repaired {
-                    // The drift bound did not trip, but the client asked
-                    // for a certified batch: run the fallback anyway.
-                    self.maintainer
-                        .resolve_with(&solve)
-                        .map_err(|e| format!("re-solve failed: {e}"))?;
-                    outcome.repaired = false;
-                    outcome.added.clear();
-                    outcome.removed.clear();
-                    outcome.weight = self.maintainer.weight();
-                    outcome.drift_estimate = self.maintainer.drift_estimate();
-                }
-                Ok(outcome)
-            });
-        drop(solve);
-        obs.apply.observe(watch.lap_nanos());
-        let outcome = match applied {
-            Ok(outcome) => outcome,
-            Err(e) => {
-                // The certificate goes with `alpha`; the next mutate or
-                // resolve builds one from the graph.
-                self.follow_packing(None);
-                return Err(e);
-            }
+        let repaired = self.maintainer.repair(&delta);
+        let apply = watch.lap_nanos();
+        let outcome = repaired.map_err(|e| {
+            obs.apply.observe(apply);
+            format!("mutate failed: {e}")
+        })?;
+        let g = self.maintainer.graph();
+        self.certificate = self.certificate.take().and_then(|c| c.apply(g, &delta));
+        let (alpha, max_degree) = self.measure(&obs.alpha_peels);
+        let alpha_nanos = watch.lap_nanos();
+        if let Some(packing) = &mut self.packing {
+            packing.update(self.maintainer.graph(), &touched);
+        }
+        let packing_nanos = watch.lap_nanos();
+        let due = self.maintainer.due();
+        let solved = (due || policy == SessionPolicy::Resolve)
+            .then(|| self.solve(alpha, sim_threads))
+            .transpose();
+        obs.apply.observe(apply + watch.lap_nanos());
+        // A drift fallback fails as the mutate, a forced one as the re-solve.
+        let what = if due { "mutate" } else { "re-solve" };
+        let telemetry = solved.map_err(|e| format!("{what} failed: {e}"))?;
+        obs.alpha.observe(alpha_nanos);
+        obs.packing.observe(packing_nanos);
+        let kept = telemetry.is_none().then_some(&outcome);
+        let (g, in_ds) = (self.maintainer.graph(), self.maintainer.in_ds());
+        let undominated = match kept {
+            Some(o) => repair::undominated_after_batch(g, in_ds, &touched, &o.added, &o.removed),
+            None => verify::undominated_nodes(g, in_ds).len(),
         };
-        let mut alpha = alpha.into_inner();
-        alpha.of(self.maintainer.graph());
-        self.certificate = alpha.certificate;
-        obs.alpha.observe(watch.lap_nanos());
-        self.follow_packing(Some(&touched));
-        obs.packing.observe(watch.lap_nanos());
-        let undominated = self.undominated(outcome.repaired.then_some((&touched, &outcome)));
         obs.verify.observe(watch.lap_nanos());
-        let repair = RepairStats {
-            repaired: outcome.repaired,
-            added: outcome.added.len() as u64,
-            removed: outcome.removed.len() as u64,
-            undominated_before: outcome.undominated_before as u64,
-            drift_estimate: outcome.drift_estimate,
-            batches_since_solve: self.maintainer.batches_since_solve() as u64,
-            chain: self.maintainer.chain(),
-        };
-        let reply = self.reply(telemetry.take(), undominated);
+        let tel = telemetry.unwrap_or_default();
+        let reply = self.reply(alpha, max_degree, tel, undominated);
         obs.account.observe(watch.lap_nanos());
-        Ok((reply, repair))
+        Ok((reply, self.stats(kept, outcome.undominated_before)))
     }
 
     /// Forces a certified full re-solve on the current graph. It peels
@@ -293,125 +229,120 @@ impl Session {
         sim_threads: usize,
         obs: &SessionObs,
     ) -> Result<(JobResult, RepairStats), String> {
-        let alpha = RefCell::new(Alpha {
-            certificate: self.certificate.take(),
-            batch: None,
-            peels: &obs.alpha_peels,
+        let (alpha, max_degree) = self.measure(&obs.alpha_peels);
+        let telemetry = self
+            .solve(alpha, sim_threads)
+            .map_err(|e| format!("re-solve failed: {e}"))?;
+        let undominated =
+            verify::undominated_nodes(self.maintainer.graph(), self.maintainer.in_ds()).len();
+        let reply = self.reply(alpha, max_degree, telemetry, undominated);
+        Ok((reply, self.stats(None, 0)))
+    }
+
+    /// α and Δ of the maintainer's graph, read off its degeneracy
+    /// certificate, which one whole-graph peel builds when the session
+    /// holds none. The session's accounting runs with this α from now on.
+    fn measure(&mut self, peels: &Counter) -> (usize, usize) {
+        let certificate = self.certificate.get_or_insert_with(|| {
+            peels.inc();
+            DegeneracyCertificate::of(self.maintainer.graph())
         });
-        let telemetry = RefCell::new(None);
-        let solved = self.maintainer.resolve_with(solver(
-            self.algorithm,
-            self.seed,
-            sim_threads,
-            &alpha,
-            &telemetry,
-        ));
-        // The graph is unchanged, so the certificate holds either way.
-        self.certificate = alpha.into_inner().certificate;
-        solved.map_err(|e| format!("re-solve failed: {e}"))?;
-        let undominated = self.undominated(None);
-        let repair = RepairStats {
-            repaired: false,
-            added: 0,
-            removed: 0,
-            undominated_before: 0,
+        self.alpha = certificate.value().max(1);
+        (self.alpha, certificate.max_degree())
+    }
+
+    /// The one re-solve of every session path: replaces the maintained
+    /// set with the session's algorithm run on the current graph at
+    /// `alpha`, and returns the run's telemetry.
+    fn solve(&mut self, alpha: usize, sim_threads: usize) -> arbodom_core::Result<Telemetry> {
+        let (algorithm, seed) = (self.algorithm, self.seed);
+        let mut telemetry = Telemetry::default();
+        self.maintainer.resolve_with(|g| {
+            let (sol, run) =
+                algorithm.execute(g, alpha, seed, &RunOptions::default(), sim_threads)?;
+            telemetry = run;
+            Ok(sol)
+        })?;
+        Ok(telemetry)
+    }
+
+    /// The repair half of a reply. `kept` is the batch's outcome when its
+    /// repair stands, and `None` after a re-solve.
+    fn stats(&self, kept: Option<&BatchOutcome>, undominated_before: usize) -> RepairStats {
+        RepairStats {
+            repaired: kept.is_some(),
+            added: kept.map_or(0, |o| o.added.len()) as u64,
+            removed: kept.map_or(0, |o| o.removed.len()) as u64,
+            undominated_before: undominated_before as u64,
             drift_estimate: self.maintainer.drift_estimate(),
             batches_since_solve: self.maintainer.batches_since_solve() as u64,
             chain: self.maintainer.chain(),
-        };
-        Ok((self.reply(telemetry.into_inner(), undominated), repair))
-    }
-
-    /// Brings the maintained packing to the maintainer's graph. After an
-    /// applied batch that touched `touched`, only the batch's region is
-    /// re-decided; debug builds check the result against the whole graph.
-    /// After a failed one (`None`) it is recomputed: a conflicting batch
-    /// left the graph as it was, but a failed fallback solve left the
-    /// batch applied.
-    fn follow_packing(&mut self, touched: Option<&[NodeId]>) {
-        let g = self.maintainer.graph();
-        let Some(packing) = &mut self.packing else {
-            return;
-        };
-        match touched {
-            Some(touched) => packing.update(g, touched),
-            None => {
-                *packing = MaintainedPacking::new(g).expect("edge batches keep a graph unit-weight")
-            }
         }
-        debug_assert_eq!(
-            packing.lower_bound().to_bits(),
-            maximal_packing(g).lower_bound().to_bits(),
-            "the maintained packing bound disagrees with the whole graph"
-        );
     }
 
-    /// Undominated nodes of the maintained set. After a kept repair of a
-    /// batch that touched `touched`, only the batch's region can have
-    /// changed ([`repair::undominated_after_batch`]); debug builds check
-    /// that count against the whole graph. After a re-solve, count over
-    /// the whole graph.
-    fn undominated(&self, batch: Option<(&[NodeId], &BatchOutcome)>) -> usize {
+    /// Checks every value the session maintains against the whole graph,
+    /// in debug builds: the degeneracy certificate, the packing bound, the
+    /// set's size, the digest, and the `undominated` count of the reply.
+    fn debug_check(&self, undominated: usize) {
         let (g, in_ds) = (self.maintainer.graph(), self.maintainer.in_ds());
-        let Some((touched, outcome)) = batch else {
-            return verify::undominated_nodes(g, in_ds).len();
-        };
-        let local =
-            repair::undominated_after_batch(g, in_ds, touched, &outcome.added, &outcome.removed);
-        debug_assert_eq!(
-            local,
-            verify::undominated_nodes(g, in_ds).len(),
-            "the batch-local undominated count disagrees with the whole graph"
-        );
-        local
-    }
-
-    /// Records the current graph's α and quality-accounts the maintained
-    /// set on it against [`Session::reference`]. α and Δ are the
-    /// certificate's, which the batch's re-solve, if one ran, read too;
-    /// the set's size, weight and digest are the maintainer's. Debug
-    /// builds check each against the whole graph. The maintained set
-    /// carries no dual certificate. Rounds and message counters reflect
-    /// only what this batch actually simulated (all zero for a kept local
-    /// repair).
-    fn reply(&mut self, telemetry: Option<Telemetry>, undominated: usize) -> JobResult {
-        let g = self.maintainer.graph();
-        let certificate = self
-            .certificate
-            .as_ref()
-            .expect("mutate and resolve leave the certificate of the graph");
         debug_assert!(
-            certificate.certifies(g) && certificate.value() == orientation::degeneracy(g),
+            self.certificate
+                .as_ref()
+                .is_some_and(|c| c.certifies(g) && c.value() == orientation::degeneracy(g)),
             "the maintained degeneracy certificate disagrees with the whole graph"
         );
-        let (alpha, max_degree) = (certificate.value().max(1), certificate.max_degree());
-        self.alpha = alpha;
-        let tel = telemetry.unwrap_or_default();
-        let weight = self.maintainer.weight();
-        let size = self.maintainer.size();
+        if let Some(packing) = &self.packing {
+            debug_assert_eq!(
+                packing.lower_bound().to_bits(),
+                maximal_packing(g).lower_bound().to_bits(),
+                "the maintained packing bound disagrees with the whole graph"
+            );
+        }
         debug_assert_eq!(
-            size,
-            self.maintainer.in_ds().iter().filter(|&&b| b).count(),
+            self.maintainer.size(),
+            in_ds.iter().filter(|&&b| b).count(),
             "the maintained set size disagrees with the flags"
         );
+        debug_assert_eq!(
+            self.maintainer.digest(),
+            edge_digest(g),
+            "the maintained digest disagrees with the whole graph"
+        );
+        debug_assert_eq!(
+            undominated,
+            verify::undominated_nodes(g, in_ds).len(),
+            "the undominated count disagrees with the whole graph"
+        );
+    }
+
+    /// Quality-accounts the maintained set on the current graph, at α and
+    /// Δ as [`Session::measure`] read them, against
+    /// [`Session::reference`]; the set's size, weight and digest are the
+    /// maintainer's. The maintained set carries no dual certificate.
+    /// Rounds and message counters reflect only what this batch actually
+    /// simulated (all zero for a kept local repair).
+    fn reply(
+        &self,
+        alpha: usize,
+        max_degree: usize,
+        tel: Telemetry,
+        undominated: usize,
+    ) -> JobResult {
+        self.debug_check(undominated);
+        let g = self.maintainer.graph();
+        let weight = self.maintainer.weight();
         let valid = undominated == 0;
         let guarantee = self.algorithm.guarantee(alpha, max_degree);
         let account = self
             .reference()
             .account(weight, None, guarantee, valid, false);
-        let digest = self.maintainer.digest();
-        debug_assert_eq!(
-            digest,
-            arbodom_graph::digest::edge_digest(g),
-            "the maintained digest disagrees with the whole graph"
-        );
         JobResult {
             n: g.n() as u64,
             m: g.m() as u64,
             max_degree: max_degree as u64,
             alpha: alpha as u64,
-            graph_digest: digest,
-            ds_size: size as u64,
+            graph_digest: self.maintainer.digest(),
+            ds_size: self.maintainer.size() as u64,
             ds_weight: weight,
             valid,
             undominated: undominated as u64,
@@ -665,9 +596,9 @@ mod tests {
     use super::*;
     use crate::obs::SessionObs;
     use arbodom_core::weighted;
-    use arbodom_graph::digest::edge_digest;
     use arbodom_graph::generators;
     use arbodom_graph::weights::WeightModel;
+    use arbodom_graph::NodeId;
     use arbodom_scenarios::churn::churn_delta;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -715,7 +646,7 @@ mod tests {
         assert_eq!(reply.undominated as usize, undominated, "{context}");
         assert_eq!(
             reply.alpha as usize,
-            orientation::degeneracy_order(g).1.max(1),
+            orientation::degeneracy(g).max(1),
             "{context}"
         );
         assert_eq!(s.alpha(), reply.alpha as usize, "{context}");
@@ -912,7 +843,10 @@ mod tests {
     /// After a batch that fails, whether it conflicted (the graph is
     /// unchanged) or its re-solve failed (the batch stays applied), every
     /// value the session maintains describes the graph it holds, and the
-    /// next batch's reply matches the whole graph.
+    /// next batch's reply matches the whole graph. Neither failure drops
+    /// the certificate: the conflict leaves it as it was, without a peel,
+    /// and the failed re-solve leaves it folded to the applied batch. Only
+    /// the `apply` stage time counts a failed mutate.
     #[test]
     fn a_failed_batch_leaves_every_maintained_value_current() {
         let obs = SessionObs::default();
@@ -931,9 +865,12 @@ mod tests {
                 packing.lower_bound().to_bits(),
                 maximal_packing(g).lower_bound().to_bits()
             );
-            if let Some(certificate) = &s.certificate {
-                assert!(certificate.certifies(g), "a stale certificate");
-            }
+            let certificate = s.certificate.as_ref().expect("the certificate is kept");
+            assert!(certificate.certifies(g), "a stale certificate");
+            assert_eq!(certificate.value().max(1), s.alpha());
+        };
+        let stages = |obs: &SessionObs| {
+            [&obs.alpha, &obs.packing, &obs.verify, &obs.account].map(|h| h.count())
         };
         for seed in 0..4 {
             let spec = batch(&s, 600 + seed);
@@ -945,9 +882,12 @@ mod tests {
             deletes: vec![],
         };
         let before = s.maintainer.graph().clone();
+        let (peels, applies, counts) = (obs.alpha_peels.get(), obs.apply.count(), stages(&obs));
         assert!(s.mutate(&conflict, SessionPolicy::Repair, 1, &obs).is_err());
         assert_eq!(s.maintainer.graph(), &before);
         current(&s);
+        assert_eq!(obs.alpha_peels.get(), peels, "a conflict needs no peel");
+        assert_eq!((obs.apply.count(), stages(&obs)), (applies + 1, counts));
         // A weighted solve at ε = 2 fails its configuration check, so a
         // forced re-solve fails after the batch applied.
         let algorithm = s.algorithm;
@@ -956,6 +896,7 @@ mod tests {
         assert!(s.mutate(&spec, SessionPolicy::Resolve, 1, &obs).is_err());
         assert_ne!(s.maintainer.graph(), &before, "the batch stays applied");
         current(&s);
+        assert_eq!((obs.apply.count(), stages(&obs)), (applies + 2, counts));
         s.algorithm = algorithm;
         for seed in 0..4 {
             let spec = batch(&s, 800 + seed);

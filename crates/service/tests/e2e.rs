@@ -444,6 +444,9 @@ fn sessions_are_shared_across_connections() {
     server.shutdown();
 }
 
+/// A failed mutate leaves the session's byte count where it was: the
+/// conflict changes nothing the session holds, not even the degeneracy
+/// certificate that the kept mutate built.
 #[test]
 fn a_failed_mutate_refreshes_the_session_byte_count() {
     let server = Server::bind("127.0.0.1:0", config(2)).unwrap();
@@ -451,13 +454,14 @@ fn a_failed_mutate_refreshes_the_session_byte_count() {
     let (id, _) = client.open(&path_spec(200)).unwrap();
     // A kept mutate builds the session's degeneracy certificate, which
     // its byte count includes.
+    let opened = client.stats().unwrap().session_bytes;
     let kept = DeltaSpec {
         inserts: vec![(0, 199)],
         deletes: vec![(10, 11)],
     };
     client.mutate(id, &kept, SessionPolicy::Repair).unwrap();
     let before = client.stats().unwrap().session_bytes;
-    // A conflicting batch fails, and the session drops the certificate.
+    assert!(before > opened, "{opened} → {before}");
     let conflict = DeltaSpec {
         inserts: vec![(5, 6)],
         deletes: vec![],
@@ -467,9 +471,9 @@ fn a_failed_mutate_refreshes_the_session_byte_count() {
         .unwrap_err();
     assert!(matches!(err, ServiceError::Remote(_)), "{err}");
     let after = client.stats().unwrap().session_bytes;
-    assert!(
-        after < before,
-        "the byte count must follow the failed batch: {before} → {after}"
+    assert_eq!(
+        after, before,
+        "a conflict changes nothing the session holds"
     );
     server.shutdown();
 }

@@ -1,8 +1,8 @@
 //! Property-based invariants spanning crates: for arbitrary generated
 //! graphs, weights, and parameters, the primal-dual machinery must keep
 //! its Lemma 4.1 invariants, every solver must dominate, and certificates
-//! must stay dual-feasible. The flat degeneracy peel must agree with the
-//! ordered one on every family and along churn streams, and the
+//! must stay dual-feasible. The flat degeneracy peel must agree with a
+//! bucket-queue peel on every family and along churn streams, and the
 //! maintained packing, digest and degeneracy certificate with their
 //! whole-graph functions along churn streams.
 
@@ -10,7 +10,9 @@ use arbodom::baselines::lp::{maximal_packing, MaintainedPacking};
 use arbodom::core::partial::{partial_dominating_set, PartialConfig};
 use arbodom::core::{general, randomized, verify, weighted, PackingCertificate};
 use arbodom::graph::digest::{edge_digest, EdgeDigest};
-use arbodom::graph::orientation::{degeneracy, degeneracy_order, DegeneracyCertificate};
+use arbodom::graph::orientation::{
+    degeneracy, degeneracy_order, degeneracy_orientation, DegeneracyCertificate,
+};
 use arbodom::graph::{generators, weights::WeightModel, Graph, GraphDelta, NodeId};
 use arbodom::scenarios::churn::churn_delta;
 use proptest::prelude::*;
@@ -126,6 +128,53 @@ proptest! {
     }
 }
 
+/// The degeneracy by a bucket-queue peel that repeatedly removes a
+/// minimum-degree node, as a reference independent of the flat peel:
+/// the elimination order and the largest degree at removal.
+fn bucket_peel(g: &Graph) -> (Vec<NodeId>, usize) {
+    let n = g.n();
+    if n == 0 {
+        return (Vec::new(), 0);
+    }
+    let mut deg: Vec<usize> = (0..n).map(|v| g.degree(NodeId::from_index(v))).collect();
+    let maxd = g.max_degree();
+    let mut buckets: Vec<Vec<u32>> = vec![Vec::new(); maxd + 1];
+    for v in 0..n {
+        buckets[deg[v]].push(v as u32);
+    }
+    let mut removed = vec![false; n];
+    let mut order = Vec::with_capacity(n);
+    let mut degeneracy = 0usize;
+    let mut cur = 0usize;
+    for _ in 0..n {
+        // Find the lowest nonempty bucket holding a live node.
+        let v = loop {
+            while cur > 0 && !buckets[cur - 1].is_empty() {
+                cur -= 1; // degrees can drop below the cursor
+            }
+            while buckets[cur].is_empty() {
+                cur += 1;
+            }
+            let cand = buckets[cur].pop().expect("bucket nonempty") as usize;
+            if !removed[cand] && deg[cand] == cur {
+                break cand;
+            }
+            // Stale entry; skip it.
+        };
+        removed[v] = true;
+        degeneracy = degeneracy.max(cur);
+        order.push(NodeId::from_index(v));
+        for &u in g.neighbors(NodeId::from_index(v)) {
+            let u = u.index();
+            if !removed[u] {
+                deg[u] -= 1;
+                buckets[deg[u]].push(u as u32);
+            }
+        }
+    }
+    (order, degeneracy)
+}
+
 /// Strategy: a graph for the degeneracy cross-check. Gnp graphs, stars,
 /// complete graphs, forest unions with α = 1..5, a forest union padded
 /// with isolated nodes, and the graphs on zero and one node.
@@ -186,7 +235,20 @@ proptest! {
 
     #[test]
     fn flat_degeneracy_equals_the_ordered_peel(g in arb_peel_graph()) {
-        prop_assert_eq!(degeneracy(&g), degeneracy_order(&g).1);
+        let d = bucket_peel(&g).1;
+        prop_assert_eq!(degeneracy(&g), d);
+        // The flat peel's own order is a degeneracy order: a permutation
+        // along which every node has at most d later neighbors.
+        let (order, flat) = degeneracy_order(&g);
+        prop_assert_eq!(flat, d);
+        let mut seen = vec![false; g.n()];
+        for v in &order {
+            prop_assert!(!std::mem::replace(&mut seen[v.index()], true));
+        }
+        prop_assert!(seen.iter().all(|&s| s));
+        let orientation = degeneracy_orientation(&g);
+        prop_assert!(orientation.is_orientation_of(&g));
+        prop_assert!(orientation.max_out_degree() <= d);
     }
 
     #[test]
@@ -196,12 +258,12 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut g = generators::forest_union(120, alpha, &mut rng);
         for batch in 0..16u64 {
-            prop_assert_eq!(degeneracy(&g), degeneracy_order(&g).1, "batch {}", batch);
+            prop_assert_eq!(degeneracy(&g), bucket_peel(&g).1, "batch {}", batch);
             g = churn_delta(&g, seed.wrapping_mul(31).wrapping_add(batch), k)
                 .apply(&g)
                 .expect("churn deltas apply to the graph they were drawn from");
         }
-        prop_assert_eq!(degeneracy(&g), degeneracy_order(&g).1);
+        prop_assert_eq!(degeneracy(&g), bucket_peel(&g).1);
     }
 
     #[test]
