@@ -11,8 +11,6 @@
 
 use arbodom_graph::{Graph, NodeId};
 
-use crate::trivial;
-
 const INF: u64 = u64::MAX / 4;
 
 /// An exact solution on a forest.
@@ -174,11 +172,6 @@ pub fn solve(g: &Graph) -> Option<TreeSolution> {
         weight,
         size,
     })
-}
-
-/// The trivial upper bound `w(V)`, for sanity checks.
-pub fn all_nodes_weight(g: &Graph) -> u64 {
-    trivial::all_nodes(g).weight
 }
 
 #[cfg(test)]

@@ -103,10 +103,6 @@
 //!   [`obs`] for the metric names). It is off by default and *provably
 //!   free when off* — no clocks, no allocations, outputs and telemetry
 //!   bit-identical either way, pinned by the differential proptests.
-//!   Long tracked runs can additionally bound
-//!   [`Telemetry::per_round`] memory with
-//!   [`RunOptions::per_round_cap`] (deterministic keep-every-k
-//!   downsampling).
 //!
 //! # Million-node mode
 //!

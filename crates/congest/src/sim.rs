@@ -71,14 +71,6 @@ pub struct RunOptions {
     /// Tiny explicit shards on huge graphs cost `O((n / shard_size)²)`
     /// bucket memory — the auto choice keeps the shard count small.
     pub shard_size: Option<usize>,
-    /// Retention cap on [`Telemetry::per_round`] when
-    /// [`RunOptions::track_rounds`] is on. `None` keeps every round
-    /// (memory proportional to rounds); `Some(cap)` keeps at most `cap`
-    /// entries by deterministic keep-every-k downsampling — the stride
-    /// ends up in [`Telemetry::per_round_stride`]. Identical at every
-    /// worker count and shard size, so differential comparisons still
-    /// hold with a cap.
-    pub per_round_cap: Option<usize>,
     /// Observability side channel: when set, the round loop records
     /// phase timings (deliver/compute per shard, and on a pool the
     /// dispatch, barrier-wait and per-worker busy time) and a
@@ -97,7 +89,6 @@ impl Default for RunOptions {
             track_rounds: false,
             loss: None,
             shard_size: None,
-            per_round_cap: None,
             obs: None,
         }
     }
@@ -679,7 +670,7 @@ fn run_rounds<P: NodeProgram>(
             return Err(e);
         }
         let stats = round_stats.into_inner().expect("round stats poisoned");
-        telemetry.absorb(round, &stats, opts.track_rounds, opts.per_round_cap);
+        telemetry.absorb(round, &stats, opts.track_rounds);
         if let (Some(obs), Some(watch)) = (&opts.obs, round_watch.as_ref()) {
             let wall = watch.elapsed_nanos();
             obs.round_wall.observe(wall);

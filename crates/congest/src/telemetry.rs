@@ -12,7 +12,7 @@ pub struct RoundStats {
 }
 
 /// Aggregate statistics for a completed run.
-#[derive(Clone, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Telemetry {
     /// Number of synchronous rounds executed (the paper's complexity
     /// measure).
@@ -31,29 +31,7 @@ pub struct Telemetry {
     /// Messages dropped by the fault-injection model (0 without one).
     pub dropped_messages: usize,
     /// Per-round breakdown (empty unless per-round tracking was enabled).
-    /// Entry `i` describes round `i * per_round_stride`.
     pub per_round: Vec<RoundStats>,
-    /// Round distance between consecutive [`Telemetry::per_round`]
-    /// entries. 1 unless a [`crate::RunOptions::per_round_cap`] forced
-    /// keep-every-k downsampling, in which case it is the power of two
-    /// `k` that kept the breakdown under the cap.
-    pub per_round_stride: usize,
-}
-
-impl Default for Telemetry {
-    fn default() -> Self {
-        Telemetry {
-            rounds: 0,
-            total_messages: 0,
-            total_bits: 0,
-            max_message_bits: 0,
-            bandwidth_budget_bits: 0,
-            budget_violations: 0,
-            dropped_messages: 0,
-            per_round: Vec::new(),
-            per_round_stride: 1,
-        }
-    }
 }
 
 impl Telemetry {
@@ -77,21 +55,7 @@ impl Telemetry {
     /// when a later round records traffic, matching per-message
     /// accounting (`Telemetry::record`, the reference it is tested
     /// against).
-    ///
-    /// With a retention cap, the breakdown is **downsampled, never
-    /// unbounded**: whenever the incoming round would land past the cap,
-    /// the stride doubles — every second retained entry is dropped
-    /// (keep-every-k, deterministic) — until the round's slot fits.
-    /// Rounds not divisible by the current stride update only the
-    /// totals. `per_round.len()` therefore never exceeds
-    /// `max(cap, 1)`, whatever the run length.
-    pub(crate) fn absorb(
-        &mut self,
-        round: usize,
-        stats: &SendStats,
-        track_rounds: bool,
-        round_cap: Option<usize>,
-    ) {
+    pub(crate) fn absorb(&mut self, round: usize, stats: &SendStats, track_rounds: bool) {
         if stats.messages == 0 {
             return;
         }
@@ -101,36 +65,14 @@ impl Telemetry {
         self.budget_violations += stats.violations;
         self.dropped_messages += stats.dropped;
         if track_rounds {
-            if let Some(cap) = round_cap {
-                let cap = cap.max(1);
-                while round % self.per_round_stride == 0 && round / self.per_round_stride >= cap {
-                    self.halve_per_round();
-                }
+            if self.per_round.len() <= round {
+                self.per_round.resize(round + 1, RoundStats::default());
             }
-            if round % self.per_round_stride != 0 {
-                return;
-            }
-            let idx = round / self.per_round_stride;
-            if self.per_round.len() <= idx {
-                self.per_round.resize(idx + 1, RoundStats::default());
-            }
-            let rs = &mut self.per_round[idx];
+            let rs = &mut self.per_round[round];
             rs.messages += stats.messages;
             rs.bits += stats.bits;
             rs.max_message_bits = rs.max_message_bits.max(stats.max_bits);
         }
-    }
-
-    /// One downsampling step: keep the entries at even indices (the
-    /// rounds divisible by the doubled stride) and double the stride.
-    fn halve_per_round(&mut self) {
-        let mut keep = 0;
-        for i in (0..self.per_round.len()).step_by(2) {
-            self.per_round[keep] = self.per_round[i];
-            keep += 1;
-        }
-        self.per_round.truncate(keep);
-        self.per_round_stride *= 2;
     }
 
     /// Per-message accounting, kept as the reference implementation that
@@ -208,8 +150,8 @@ mod tests {
         let mut s1 = SendStats::default();
         s1.note(4, 16);
         s1.dropped += 1;
-        by_stats.absorb(0, &s0, true, None);
-        by_stats.absorb(1, &s1, true, None);
+        by_stats.absorb(0, &s0, true);
+        by_stats.absorb(1, &s1, true);
         by_record.record(0, 8, true);
         by_record.record(0, 24, true);
         by_record.record(1, 4, true);
@@ -239,60 +181,9 @@ mod tests {
     #[test]
     fn empty_round_absorb_is_noop() {
         let mut t = Telemetry::default();
-        t.absorb(5, &SendStats::default(), true, Some(2));
+        t.absorb(5, &SendStats::default(), true);
         assert_eq!(t, Telemetry::default());
         assert!(t.per_round.is_empty());
-    }
-
-    /// The retention-cap pin: a long tracked run keeps at most `cap`
-    /// per-round entries, the stride is a power of two, and every
-    /// retained entry equals the uncapped run's entry for the same
-    /// round — keep-every-k, not lossy aggregation.
-    #[test]
-    fn round_cap_downsamples_deterministically() {
-        let rounds = 1000usize;
-        let cap = 16usize;
-        let mut full = Telemetry::default();
-        let mut capped = Telemetry::default();
-        for round in 0..rounds {
-            let mut s = SendStats::default();
-            s.note(8 * (1 + round % 7), 64);
-            full.absorb(round, &s, true, None);
-            capped.absorb(round, &s, true, Some(cap));
-        }
-        // Totals are never downsampled.
-        assert_eq!(full.total_messages, capped.total_messages);
-        assert_eq!(full.total_bits, capped.total_bits);
-        // The breakdown is capped and stride-aligned.
-        assert_eq!(full.per_round.len(), rounds);
-        assert!(capped.per_round.len() <= cap, "cap violated");
-        assert!(!capped.per_round.is_empty());
-        assert!(capped.per_round_stride.is_power_of_two());
-        assert!(capped.per_round_stride > 1, "1000 rounds must downsample");
-        for (i, rs) in capped.per_round.iter().enumerate() {
-            assert_eq!(
-                rs,
-                &full.per_round[i * capped.per_round_stride],
-                "entry {i} must be the full run's round {}",
-                i * capped.per_round_stride
-            );
-        }
-    }
-
-    /// A sparse late round (long silent gap) must never transiently
-    /// materialize the gap: the stride doubles *before* the slot is
-    /// allocated.
-    #[test]
-    fn round_cap_bounds_memory_across_gaps() {
-        let mut t = Telemetry::default();
-        let mut s = SendStats::default();
-        s.note(8, 64);
-        for round in 0..8 {
-            t.absorb(round, &s, true, Some(8));
-        }
-        t.absorb(100_000, &s, true, Some(8));
-        assert!(t.per_round.len() <= 8);
-        assert!(t.per_round.capacity() <= 16, "gap must not be materialized");
     }
 
     #[test]

@@ -15,31 +15,25 @@
 //!
 //! Sampling decisions are the *same coin flips* the centralized solver
 //! makes — `det_rand::bernoulli(seed, [TAG, phase, iter, node], p)` — so
-//! the two implementations produce identical dominating sets, which the
-//! tests assert. Per-neighbor mirrors are the program's
-//! [`NodeProgram::PortState`] ([`RandomizedPort`]), so the program itself
-//! allocates nothing.
+//! the two implementations produce identical dominating sets and packing
+//! values, which the tests assert. The setup rounds, the Lemma 4.1
+//! iteration (the code Theorem 1.1 runs), the digest, the raise, the
+//! announce and the completion are the primal-dual core's
+//! (`primal_dual`); this program adds the Lemma 4.6 sampling. Its
+//! per-neighbor mirrors are the core's [`NodeProgram::PortState`], so the
+//! program itself allocates nothing.
 
 use arbodom_congest::{
-    det_rand, run_parallel, Globals, Inbox, NodeCtx, NodeProgram, Outbox, RunOptions, Telemetry,
+    det_rand, Globals, Inbox, NodeCtx, NodeProgram, Outbox, RunOptions, Telemetry,
 };
 use arbodom_graph::{Graph, NodeId};
 
 use super::msg::ProtocolMsg;
+use super::primal_dual::{run_primal_dual, Node, NodeOutput, Port};
 use crate::extend::{sampling_probability, ExtendConfig, EXTEND_RAND_TAG};
 use crate::partial::PartialConfig;
 use crate::randomized::Config;
-use crate::{DsResult, PackingCertificate, Result};
-
-/// Per-node output of the randomized program.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NodeOutput {
-    /// Membership in `S ∪ S′`.
-    pub in_ds: bool,
-    /// The packing value at the end of Lemma 4.1 (the certificate entry;
-    /// the γ-multiplied working values are internal to Lemma 4.6).
-    pub x_certificate: f64,
-}
+use crate::{DsResult, Result};
 
 /// Which theorem's parameterization the program runs.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -56,39 +50,22 @@ enum Mode {
 pub struct RandomizedProgram {
     mode: Mode,
     epsilon: f64,
-    lambda: f64,
     gamma: f64,
     seed: u64,
-    // ---- own state ----
-    weight: u64,
-    tau: u64,
-    x: f64,
+    node: Node,
+    /// The packing value at the end of Lemma 4.1 (the certificate entry;
+    /// the γ-multiplied working values are internal to Lemma 4.6).
     x_certificate: f64,
-    in_s: bool,
-    in_s_prime: bool,
-    dominated: bool,
-    announced: bool,
     // ---- schedule (filled at round 2) ----
     r1: usize,
     t_phases: usize,
     r_iters: usize,
 }
 
-/// What a Theorem 1.2 / 1.3 node mirrors about the neighbor behind one
-/// port: its weight, its packing value `x` and whether it is dominated.
-/// The program's [`NodeProgram::PortState`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RandomizedPort {
-    weight: u64,
-    x: f64,
-    dominated: bool,
-}
-
 impl RandomizedProgram {
     /// Creates the Theorem 1.2 program for a node of the given degree.
-    /// Construction allocates nothing: the per-neighbor mirrors
-    /// ([`RandomizedPort`]) are run state the simulator sizes, so
-    /// `_degree` is unused.
+    /// Construction allocates nothing: the per-neighbor mirrors are run
+    /// state the simulator sizes, so `_degree` is unused.
     pub fn new(cfg: Config, _degree: usize) -> Self {
         Self::with_mode(Mode::Theorem12(cfg))
     }
@@ -102,59 +79,50 @@ impl RandomizedProgram {
     fn with_mode(mode: Mode) -> Self {
         RandomizedProgram {
             mode,
-            // λ and γ are finalized at round 2 (Theorem 1.3 needs Δ).
+            // ε and γ are finalized at round 2 (Theorem 1.3 needs Δ).
             epsilon: 0.0,
-            lambda: 0.0,
             gamma: 0.0,
             seed: 0,
-            weight: 0,
-            tau: 0,
-            x: 0.0,
+            node: Node::default(),
             x_certificate: 0.0,
-            in_s: false,
-            in_s_prime: false,
-            dominated: false,
-            announced: false,
             r1: 0,
             t_phases: 0,
             r_iters: 0,
         }
     }
 
-    fn apply_dominated_events(inbox: Inbox<'_, ProtocolMsg>, ports: &mut [RandomizedPort]) {
-        for (port, &msg) in inbox {
-            match msg {
-                ProtocolMsg::Dominated | ProtocolMsg::Joined => {
-                    ports[port].dominated = true;
-                }
-                _ => {}
+    /// Round 2: the parameters and the schedule, from the public Δ.
+    fn schedule(&mut self, max_degree: usize) {
+        let lambda = match self.mode {
+            Mode::Theorem12(cfg) => {
+                self.epsilon = cfg.epsilon();
+                self.gamma = cfg.gamma();
+                self.seed = cfg.seed;
+                let pcfg =
+                    PartialConfig::new(self.epsilon, cfg.lambda()).expect("validated at run entry");
+                self.r1 = pcfg.iterations(max_degree);
+                cfg.lambda()
             }
-        }
-    }
-
-    fn raise_undominated(&mut self, factor: f64, ports: &mut [RandomizedPort]) {
-        if !self.dominated {
-            self.x *= factor;
-        }
-        for port in ports {
-            if !port.dominated {
-                port.x *= factor;
+            Mode::Theorem13(cfg) => {
+                self.gamma = cfg.gamma(max_degree);
+                self.seed = cfg.seed;
+                // Theorem 1.3 takes S = ∅: no Lemma 4.1 iterations.
+                1.0 / (max_degree + 1) as f64
             }
-        }
+        };
+        let ecfg =
+            ExtendConfig::new(lambda, self.gamma, self.seed).expect("validated at run entry");
+        self.t_phases = ecfg.phases();
+        self.r_iters = ecfg.iterations_per_phase(max_degree);
     }
 
-    /// `X_u` over all closed neighbors (Lemma 4.1 semantics).
-    fn x_sum_all(&self, ports: &[RandomizedPort]) -> f64 {
-        let mut sum = self.x;
-        for port in ports {
-            sum += port.x;
-        }
-        sum
-    }
-
-    /// `X_u` over *undominated* closed neighbors (Lemma 4.6 semantics).
-    fn x_sum_undominated(&self, ports: &[RandomizedPort]) -> f64 {
-        let mut sum = if self.dominated { 0.0 } else { self.x };
+    /// `X_v` over the *undominated* closed neighbors (Lemma 4.6).
+    fn x_sum_undominated(&self, ports: &[Port]) -> f64 {
+        let mut sum = if self.node.dominated {
+            0.0
+        } else {
+            self.node.x
+        };
         for port in ports {
             if !port.dominated {
                 sum += port.x;
@@ -162,213 +130,103 @@ impl RandomizedProgram {
         }
         sum
     }
-
-    fn cheapest_dominator(&self, ctx: &NodeCtx<'_>, ports: &[RandomizedPort]) -> Option<usize> {
-        let mut best: (u64, NodeId) = (self.weight, ctx.id);
-        let mut best_port = None;
-        for (p, (&u, port)) in ctx.neighbors.iter().zip(ports).enumerate() {
-            let cand = (port.weight, u);
-            if cand < best {
-                best = cand;
-                best_port = Some(p);
-            }
-        }
-        best_port
-    }
-
-    fn part_b(
-        &mut self,
-        inbox: Inbox<'_, ProtocolMsg>,
-        ports: &mut [RandomizedPort],
-        out: &mut Outbox<ProtocolMsg>,
-    ) {
-        let mut heard_join = false;
-        for (port, &msg) in inbox {
-            if msg == ProtocolMsg::Joined {
-                ports[port].dominated = true;
-                heard_join = true;
-            }
-        }
-        if heard_join {
-            self.dominated = true;
-        }
-        if self.dominated && !self.announced {
-            self.announced = true;
-            out.broadcast(ProtocolMsg::Dominated);
-        }
-    }
 }
 
 impl NodeProgram for RandomizedProgram {
     type Message = ProtocolMsg;
-    type PortState = RandomizedPort;
+    type PortState = Port;
     type Output = NodeOutput;
 
     fn round(
         &mut self,
         ctx: &NodeCtx<'_>,
         inbox: Inbox<'_, ProtocolMsg>,
-        ports: &mut [RandomizedPort],
+        ports: &mut [Port],
         out: &mut Outbox<ProtocolMsg>,
     ) -> bool {
         let rd = ctx.round;
-        match rd {
-            0 => {
-                self.weight = ctx.weight;
-                out.broadcast(ProtocolMsg::Weight(self.weight));
-                false
+        if rd < 2 {
+            self.node.setup(ctx, inbox, ports, out);
+            return false;
+        }
+        let dp1 = (ctx.globals.max_degree + 1) as f64;
+        if rd == 2 {
+            self.node.init_packing(inbox, ports, dp1);
+            self.schedule(ctx.globals.max_degree);
+        }
+        let step = rd - 2;
+        let base = 2 * self.r1;
+        if step <= base {
+            // ---- Lemma 4.1 phase: Theorem 1.1's iteration ----
+            self.node
+                .lemma41(step, self.r1, 1.0 + self.epsilon, inbox, ports, out);
+            if step < base {
+                return false;
             }
-            1 => {
-                for (port, &msg) in inbox {
-                    if let ProtocolMsg::Weight(w) = msg {
-                        ports[port].weight = w;
-                    }
-                }
-                self.tau = ports
-                    .iter()
-                    .map(|port| port.weight)
-                    .chain(std::iter::once(self.weight))
-                    .min()
-                    .expect("nonempty");
-                out.broadcast(ProtocolMsg::Tau(self.tau));
-                false
-            }
-            _ => {
-                if rd == 2 {
-                    let dp1 = (ctx.globals.max_degree + 1) as f64;
-                    self.x = self.tau as f64 / dp1;
-                    for (port, &msg) in inbox {
-                        if let ProtocolMsg::Tau(t) = msg {
-                            ports[port].x = t as f64 / dp1;
-                        }
-                    }
-                    match self.mode {
-                        Mode::Theorem12(cfg) => {
-                            self.epsilon = cfg.epsilon();
-                            self.lambda = cfg.lambda();
-                            self.gamma = cfg.gamma();
-                            self.seed = cfg.seed;
-                            let pcfg = PartialConfig::new(self.epsilon, self.lambda)
-                                .expect("validated at run entry");
-                            self.r1 = pcfg.iterations(ctx.globals.max_degree);
-                        }
-                        Mode::Theorem13(cfg) => {
-                            self.epsilon = 0.0;
-                            self.lambda = 1.0 / (ctx.globals.max_degree + 1) as f64;
-                            self.gamma = cfg.gamma(ctx.globals.max_degree);
-                            self.seed = cfg.seed;
-                            self.r1 = 0; // Theorem 1.3 takes S = ∅
-                        }
-                    }
-                    let ecfg = ExtendConfig::new(self.lambda, self.gamma, self.seed)
-                        .expect("validated at run entry");
-                    self.t_phases = ecfg.phases();
-                    self.r_iters = ecfg.iterations_per_phase(ctx.globals.max_degree);
-                }
-                let base = 2 + 2 * self.r1;
-                let fallback_round = base + 2 * self.t_phases * self.r_iters;
-                if rd < base {
-                    // ---- Lemma 4.1 phase ----
-                    let i = (rd - 2) / 2;
-                    if (rd - 2) % 2 == 0 {
-                        if i > 0 {
-                            Self::apply_dominated_events(inbox, ports);
-                            self.raise_undominated(1.0 + self.epsilon, ports);
-                        }
-                        if !self.in_s {
-                            let threshold = self.weight as f64 / (1.0 + self.epsilon);
-                            if self.x_sum_all(ports) >= threshold {
-                                self.in_s = true;
-                                self.dominated = true;
-                                self.announced = true;
-                                out.broadcast(ProtocolMsg::Joined);
-                            }
-                        }
-                    } else {
-                        self.part_b(inbox, ports, out);
-                    }
-                    false
-                } else if rd < fallback_round {
-                    // ---- Lemma 4.6 phase ----
-                    let j = (rd - base) / 2;
-                    let phase = j / self.r_iters + 1;
-                    let iter = j % self.r_iters + 1;
-                    if (rd - base) % 2 == 0 {
-                        Self::apply_dominated_events(inbox, ports);
-                        if j == 0 {
-                            // Finish the last Lemma 4.1 iteration and
-                            // snapshot the certificate values.
-                            if self.r1 > 0 {
-                                self.raise_undominated(1.0 + self.epsilon, ports);
-                            }
-                            self.x_certificate = self.x;
-                        } else if iter == 1 {
-                            // Phase boundary: the γ-raise of the previous
-                            // phase's end.
-                            self.raise_undominated(self.gamma, ports);
-                        }
-                        if !self.in_s && !self.in_s_prime {
-                            let gamma_threshold = self.weight as f64 / self.gamma;
-                            if self.x_sum_undominated(ports) >= gamma_threshold {
-                                let dp1 = (ctx.globals.max_degree + 1) as f64;
-                                let p = sampling_probability(self.gamma, dp1, iter, self.r_iters);
-                                if det_rand::bernoulli(
-                                    self.seed,
-                                    &[
-                                        EXTEND_RAND_TAG,
-                                        phase as u64,
-                                        iter as u64,
-                                        u64::from(ctx.id.get()),
-                                    ],
-                                    p,
-                                ) {
-                                    self.in_s_prime = true;
-                                    self.dominated = true;
-                                    self.announced = true;
-                                    out.broadcast(ProtocolMsg::Joined);
-                                }
-                            }
-                        }
-                    } else {
-                        self.part_b(inbox, ports, out);
-                    }
-                    false
-                } else if rd == fallback_round {
-                    Self::apply_dominated_events(inbox, ports);
-                    if self.r1 == 0 && self.t_phases * self.r_iters == 0 {
-                        self.x_certificate = self.x;
-                    }
-                    if !self.dominated {
-                        match self.cheapest_dominator(ctx, ports) {
-                            None => self.in_s_prime = true,
-                            Some(port) => out.send(port, ProtocolMsg::Elect),
-                        }
-                    }
-                    false
-                } else {
-                    if inbox.iter().any(|(_, &m)| m == ProtocolMsg::Elect) {
-                        self.in_s_prime = true;
-                    }
-                    true
-                }
+            // Step 2r₁ finished the last Lemma 4.1 iteration: snapshot the
+            // certificate values. Lemma 4.6 starts in the same round.
+            self.x_certificate = self.node.x;
+        }
+        let k = step - base;
+        let fallback = 2 * self.t_phases * self.r_iters;
+        if k > fallback {
+            // Elected nodes join; all halt.
+            self.node.accept_election(inbox);
+            return true;
+        }
+        if k == fallback {
+            // Fallback elections (provably unreachable; kept for f64
+            // safety).
+            self.node.digest(inbox, ports);
+            self.node.elect(ctx, ports, out);
+            return false;
+        }
+        // ---- Lemma 4.6 phase ⌊j/r₂⌋+1, iteration (j mod r₂)+1 ----
+        if k % 2 == 1 {
+            self.node.announce(inbox, ports, out);
+            return false;
+        }
+        let j = k / 2;
+        let phase = j / self.r_iters + 1;
+        let iter = j % self.r_iters + 1;
+        if j > 0 {
+            self.node.digest(inbox, ports);
+            if iter == 1 {
+                // Phase boundary: the γ-raise of the previous phase's end.
+                self.node.raise(ports, self.gamma);
             }
         }
+        if !self.node.in_s
+            && !self.node.in_s_prime
+            && self.x_sum_undominated(ports) >= self.node.weight as f64 / self.gamma
+        {
+            let p = sampling_probability(self.gamma, dp1, iter, self.r_iters);
+            let key = [
+                EXTEND_RAND_TAG,
+                phase as u64,
+                iter as u64,
+                u64::from(ctx.id.get()),
+            ];
+            if det_rand::bernoulli(self.seed, &key, p) {
+                self.node.in_s_prime = true;
+                self.node.join(out);
+            }
+        }
+        false
     }
 
     fn output(&self) -> NodeOutput {
-        NodeOutput {
-            in_ds: self.in_s || self.in_s_prime,
-            x_certificate: self.x_certificate,
-        }
+        self.node.output(self.x_certificate)
     }
 }
 
 /// Runs Theorem 1.2 as a real message-passing computation.
 ///
-/// The rounds run on `threads` worker threads through [`run_parallel`];
-/// `0` and `1` both run them inline on the calling thread. Randomness is
-/// drawn through [`det_rand`], so outputs and telemetry are bit-identical
-/// at any thread count.
+/// The rounds run on `threads` worker threads through
+/// [`run_parallel`](arbodom_congest::run_parallel); `0` and `1` both run
+/// them inline on the calling thread. Randomness is drawn through
+/// [`det_rand`], so outputs and telemetry are bit-identical at any thread
+/// count.
 ///
 /// # Errors
 ///
@@ -381,26 +239,21 @@ pub fn run_randomized(
 ) -> Result<(DsResult, Telemetry)> {
     let pcfg = PartialConfig::new(cfg.epsilon(), cfg.lambda())?;
     let ecfg = ExtendConfig::new(cfg.lambda(), cfg.gamma(), cfg.seed)?;
-    let globals = Globals::new(g, cfg.seed).with_arboricity(cfg.alpha);
-    let make = |v: NodeId, g: &Graph| RandomizedProgram::new(*cfg, g.degree(v));
-    let run_out = run_parallel(g, &globals, make, opts, threads)?;
-    let in_ds: Vec<bool> = run_out.outputs.iter().map(|o| o.in_ds).collect();
-    let x: Vec<f64> = run_out.outputs.iter().map(|o| o.x_certificate).collect();
     let iterations =
         pcfg.iterations(g.max_degree()) + ecfg.phases() * ecfg.iterations_per_phase(g.max_degree());
-    Ok((
-        DsResult::from_flags(g, in_ds, iterations, Some(PackingCertificate::new(x))),
-        run_out.telemetry,
-    ))
+    let globals = Globals::new(g, cfg.seed).with_arboricity(cfg.alpha);
+    let make = |v: NodeId, g: &Graph| RandomizedProgram::new(*cfg, g.degree(v));
+    run_primal_dual(g, &globals, make, opts, threads, iterations)
 }
 
 /// Runs Theorem 1.3 as a real message-passing computation: Lemma 4.6
 /// alone over the initial packing `τ_v/(Δ+1)`, with `γ = Δ^{1/k}` —
 /// `O(k²)` rounds of single-byte traffic after setup.
 ///
-/// The rounds run on `threads` worker threads through [`run_parallel`];
-/// `0` and `1` both run them inline on the calling thread. Outputs and
-/// telemetry are bit-identical at any thread count.
+/// The rounds run on `threads` worker threads through
+/// [`run_parallel`](arbodom_congest::run_parallel); `0` and `1` both run
+/// them inline on the calling thread. Outputs and telemetry are
+/// bit-identical at any thread count.
 ///
 /// # Errors
 ///
@@ -416,16 +269,10 @@ pub fn run_general(
         cfg.gamma(g.max_degree()),
         cfg.seed,
     )?;
+    let iterations = ecfg.phases() * ecfg.iterations_per_phase(g.max_degree());
     let globals = Globals::new(g, cfg.seed);
     let make = |v: NodeId, g: &Graph| RandomizedProgram::new_general(*cfg, g.degree(v));
-    let run_out = run_parallel(g, &globals, make, opts, threads)?;
-    let in_ds: Vec<bool> = run_out.outputs.iter().map(|o| o.in_ds).collect();
-    let x: Vec<f64> = run_out.outputs.iter().map(|o| o.x_certificate).collect();
-    let iterations = ecfg.phases() * ecfg.iterations_per_phase(g.max_degree());
-    Ok((
-        DsResult::from_flags(g, in_ds, iterations, Some(PackingCertificate::new(x))),
-        run_out.telemetry,
-    ))
+    run_primal_dual(g, &globals, make, opts, threads, iterations)
 }
 
 #[cfg(test)]

@@ -17,310 +17,173 @@
 //!
 //! The centralized [`crate::unknown_delta::solve`] uses the same
 //! simultaneous-snapshot semantics, and the equivalence tests require
-//! bit-identical dominating sets and packing values. Per-neighbor mirrors
-//! are the program's [`NodeProgram::PortState`] ([`UnknownDeltaPort`]),
-//! so the program itself allocates nothing.
+//! bit-identical dominating sets, packing values and iteration counts.
+//! The setup rounds, the digest, the raise, the join test, the announce
+//! and the elections are the primal-dual core's (`primal_dual`); this
+//! program keeps only the three-sub-round schedule and the stabilization
+//! test. Its per-neighbor mirrors are the core's [`NodeProgram::PortState`],
+//! so the program itself allocates nothing: a mirror holds the neighbor's
+//! `τ` in its `x` until the neighbor's normalizer arrives in round 4.
+//!
+//! Termination by local stabilization needs every event delivered: one
+//! lost `Joined` or `Dominated` leaves its receiver waiting until the
+//! round limit. So [`run_unknown_delta`] refuses a lossy
+//! [`RunOptions::loss`] model up front.
 
-use arbodom_congest::{
-    run_parallel, Globals, Inbox, NodeCtx, NodeProgram, Outbox, RunOptions, Telemetry,
-};
+use arbodom_congest::{Globals, Inbox, NodeCtx, NodeProgram, Outbox, RunOptions, Telemetry};
 use arbodom_graph::{Graph, NodeId};
 
 use super::msg::ProtocolMsg;
+use super::primal_dual::{run_primal_dual, Node, NodeOutput, Port};
 use crate::unknown_delta::Config;
-use crate::{DsResult, PackingCertificate, Result};
-
-/// Per-node output of the unknown-Δ program.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NodeOutput {
-    /// Membership in `S ∪ S′`.
-    pub in_ds: bool,
-    /// Final packing value (certificate entry).
-    pub x: f64,
-    /// The iteration (0-based) at which this node stabilized.
-    pub stabilized_at: usize,
-}
+use crate::{CoreError, DsResult, Result};
 
 /// The Remark 4.4 node program.
 #[derive(Debug)]
 pub struct UnknownDeltaProgram {
     cfg: Config,
-    // ---- own state ----
-    weight: u64,
-    tau: u64,
-    x: f64,
-    in_s: bool,
-    in_s_prime: bool,
-    dominated: bool,
-    /// Some broadcast already told neighbors this node is dominated.
-    announced_dominated: bool,
-    /// A `Joined` broadcast (membership, which also dominates the
-    /// neighborhood) was already sent.
-    announced_joined: bool,
-    stabilized_at: usize,
-}
-
-/// What a Remark 4.4 node mirrors about the neighbor behind one port: its
-/// weight, its `τ`, its packing value `x` and whether it is dominated.
-/// The program's [`NodeProgram::PortState`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UnknownDeltaPort {
-    weight: u64,
-    tau: u64,
-    x: f64,
-    dominated: bool,
+    node: Node,
 }
 
 impl UnknownDeltaProgram {
     /// Creates the program for a node of the given degree. Construction
-    /// allocates nothing: the per-neighbor mirrors ([`UnknownDeltaPort`])
-    /// are run state the simulator sizes, so `_degree` is unused.
+    /// allocates nothing: the per-neighbor mirrors are run state the
+    /// simulator sizes, so `_degree` is unused.
     pub fn new(cfg: Config, _degree: usize) -> Self {
         UnknownDeltaProgram {
             cfg,
-            weight: 0,
-            tau: 0,
-            x: 0.0,
-            in_s: false,
-            in_s_prime: false,
-            dominated: false,
-            announced_dominated: false,
-            announced_joined: false,
-            stabilized_at: 0,
+            node: Node::default(),
         }
     }
 
-    fn lambda(&self) -> f64 {
-        self.cfg.lambda()
-    }
-
-    fn x_sum(&self, ports: &[UnknownDeltaPort]) -> f64 {
-        let mut sum = self.x;
-        for port in ports {
-            sum += port.x;
-        }
-        sum
-    }
-
-    fn cheapest_dominator(&self, ctx: &NodeCtx<'_>, ports: &[UnknownDeltaPort]) -> Option<usize> {
-        let mut best: (u64, NodeId) = (self.weight, ctx.id);
-        let mut best_port = None;
-        for (p, (&u, port)) in ctx.neighbors.iter().zip(ports).enumerate() {
-            let cand = (port.weight, u);
-            if cand < best {
-                best = cand;
-                best_port = Some(p);
-            }
-        }
-        best_port
-    }
-
-    /// Digest `Joined`/`Dominated` events into the mirrors and own state.
-    fn digest(&mut self, inbox: Inbox<'_, ProtocolMsg>, ports: &mut [UnknownDeltaPort]) -> bool {
-        let mut heard_join = false;
-        for (port, &msg) in inbox {
-            match msg {
-                ProtocolMsg::Joined => {
-                    ports[port].dominated = true;
-                    heard_join = true;
-                }
-                ProtocolMsg::Dominated => {
-                    ports[port].dominated = true;
-                }
-                _ => {}
-            }
-        }
-        if heard_join {
-            self.dominated = true;
-        }
-        heard_join
-    }
-
-    fn announce_if_fresh(&mut self, out: &mut Outbox<ProtocolMsg>) {
-        if self.dominated && !self.announced_dominated {
-            self.announced_dominated = true;
-            out.broadcast(ProtocolMsg::Dominated);
-        }
-    }
-
-    /// First `Joined` broadcast: marks both announcement flags.
-    fn broadcast_joined(&mut self, out: &mut Outbox<ProtocolMsg>) {
-        debug_assert!(!self.announced_joined);
-        self.announced_joined = true;
-        self.announced_dominated = true;
-        self.dominated = true;
-        out.broadcast(ProtocolMsg::Joined);
-    }
-
-    fn stabilized(&self, ports: &[UnknownDeltaPort]) -> bool {
-        self.dominated && ports.iter().all(|port| port.dominated)
+    /// Whether the node and its whole neighborhood are dominated.
+    fn stabilized(&self, ports: &[Port]) -> bool {
+        self.node.dominated && ports.iter().all(|port| port.dominated)
     }
 }
 
 impl NodeProgram for UnknownDeltaProgram {
     type Message = ProtocolMsg;
-    type PortState = UnknownDeltaPort;
+    type PortState = Port;
     type Output = NodeOutput;
 
     fn round(
         &mut self,
         ctx: &NodeCtx<'_>,
         inbox: Inbox<'_, ProtocolMsg>,
-        ports: &mut [UnknownDeltaPort],
+        ports: &mut [Port],
         out: &mut Outbox<ProtocolMsg>,
     ) -> bool {
         let rd = ctx.round;
         match rd {
-            0 => {
-                self.weight = ctx.weight;
-                out.broadcast(ProtocolMsg::Weight(self.weight));
-                false
-            }
-            1 => {
-                for (port, &msg) in inbox {
-                    if let ProtocolMsg::Weight(w) = msg {
-                        ports[port].weight = w;
-                    }
-                }
-                self.tau = ports
-                    .iter()
-                    .map(|port| port.weight)
-                    .chain(std::iter::once(self.weight))
-                    .min()
-                    .expect("nonempty");
-                out.broadcast(ProtocolMsg::Tau(self.tau));
+            0 | 1 => {
+                self.node.setup(ctx, inbox, ports, out);
                 false
             }
             2 => {
-                // Second setup round: exchange closed-neighborhood sizes so
-                // every node can form the local normalizer
-                // max_{u∈N⁺(v)} |N⁺(u)| — Remark 4.4's replacement for Δ+1.
-                for (port, &msg) in inbox {
-                    if let ProtocolMsg::Tau(t) = msg {
-                        ports[port].tau = t;
-                    }
-                }
+                // Every `x` holds its `τ` until the normalizers are known.
+                // Exchange closed-neighborhood sizes so every node can form
+                // the local normalizer max_{u∈N⁺(v)} |N⁺(u)| — Remark 4.4's
+                // replacement for Δ+1.
+                self.node.init_packing(inbox, ports, 1.0);
                 out.broadcast(ProtocolMsg::Degree(ctx.degree() as u64 + 1));
                 false
             }
+            3 => {
+                let my_closed = ctx.degree() as u64 + 1;
+                let max_closed = inbox
+                    .iter()
+                    .filter_map(|(_, &m)| match m {
+                        ProtocolMsg::Degree(d) => Some(d),
+                        _ => None,
+                    })
+                    .chain(std::iter::once(my_closed))
+                    .max()
+                    .expect("self always counted");
+                self.node.x /= max_closed as f64;
+                // Mirrors need neighbors' normalizers too; they are a
+                // function of *their* neighborhoods, which we cannot see.
+                // Send our normalizer so mirrors can initialize.
+                out.broadcast(ProtocolMsg::Weight(max_closed));
+                false
+            }
             _ => {
-                if rd == 3 {
-                    let my_closed = ctx.degree() as u64 + 1;
-                    let max_closed = inbox
-                        .iter()
-                        .filter_map(|(_, &m)| match m {
-                            ProtocolMsg::Degree(d) => Some(d),
-                            _ => None,
-                        })
-                        .chain(std::iter::once(my_closed))
-                        .max()
-                        .expect("self always counted");
-                    self.x = self.tau as f64 / max_closed as f64;
-                    // Mirrors need neighbors' normalizers too; they are a
-                    // function of *their* neighborhoods, which we cannot
-                    // see. Send our normalizer so mirrors can initialize.
-                    out.broadcast(ProtocolMsg::Weight(max_closed));
-                    return false;
-                }
                 if rd == 4 {
                     for (port, &msg) in inbox {
                         if let ProtocolMsg::Weight(m) = msg {
-                            let port = &mut ports[port];
-                            port.x = port.tau as f64 / m as f64;
+                            ports[port].x /= m as f64;
                         }
                     }
                     // Fall through into sub-round A of iteration 0 below.
                 }
-                let phase = (rd - 4) % 3;
-                let iteration = (rd - 4) / 3;
                 let one_plus_eps = 1.0 + self.cfg.epsilon;
-                match phase {
+                match (rd - 4) % 3 {
                     0 => {
                         // ---- sub-round A ----
-                        if iteration > 0 {
-                            self.digest(inbox, ports);
-                            // Raise every still-undominated packing value:
-                            // the finish of iteration −1.
-                            if !self.dominated {
-                                self.x *= one_plus_eps;
-                            }
-                            for port in ports.iter_mut() {
-                                if !port.dominated {
-                                    port.x *= one_plus_eps;
-                                }
-                            }
+                        if rd > 4 {
+                            // Finish the previous iteration.
+                            self.node.digest(inbox, ports);
+                            self.node.raise(ports, one_plus_eps);
                             if self.stabilized(ports) {
-                                self.stabilized_at = iteration;
                                 return true;
                             }
                         }
-                        // Election (start-of-iteration snapshot).
-                        if !self.dominated && self.x > self.lambda() * self.tau as f64 {
-                            match self.cheapest_dominator(ctx, ports) {
-                                None => {
-                                    self.in_s_prime = true;
-                                    self.broadcast_joined(out);
-                                }
-                                Some(port) => out.send(port, ProtocolMsg::Elect),
-                            }
+                        // Election (start-of-iteration snapshot); a node
+                        // that elects itself announces its membership.
+                        if self.node.x > self.cfg.lambda() * self.node.tau as f64
+                            && self.node.elect(ctx, ports, out)
+                        {
+                            self.node.join(out);
                         }
                         // Join (start-of-iteration snapshot; only useful
                         // joins — see the centralized solver's comment).
-                        let any_undominated =
-                            !self.dominated || ports.iter().any(|port| !port.dominated);
-                        if !self.in_s
-                            && any_undominated
-                            && !self.announced_joined
-                            && self.x_sum(ports) >= self.weight as f64 / one_plus_eps
+                        if !self.node.in_s_prime
+                            && !self.stabilized(ports)
+                            && self.node.crosses_threshold(ports, one_plus_eps)
                         {
-                            self.in_s = true;
-                            self.broadcast_joined(out);
+                            self.node.in_s = true;
+                            self.node.join(out);
                         }
-                        false
                     }
                     1 => {
                         // ---- sub-round B ----
-                        self.digest(inbox, ports);
-                        if inbox.iter().any(|(_, &m)| m == ProtocolMsg::Elect) {
-                            self.in_s_prime = true;
-                            if !self.announced_joined {
-                                // Announce membership — even if a plain
-                                // `Dominated` was sent before, the elector
-                                // needs to learn it is now dominated.
-                                self.broadcast_joined(out);
-                            }
+                        self.node.digest(inbox, ports);
+                        let member = self.node.in_s || self.node.in_s_prime;
+                        if self.node.accept_election(inbox) && !member {
+                            // Announce membership — even if a plain
+                            // `Dominated` was sent before, the elector
+                            // needs to learn it is now dominated.
+                            self.node.join(out);
                         }
-                        false
                     }
                     _ => {
                         // ---- sub-round C ----
-                        self.digest(inbox, ports);
-                        self.announce_if_fresh(out);
-                        false
+                        self.node.announce(inbox, ports, out);
                     }
                 }
+                false
             }
         }
     }
 
     fn output(&self) -> NodeOutput {
-        NodeOutput {
-            in_ds: self.in_s || self.in_s_prime,
-            x: self.x,
-            stabilized_at: self.stabilized_at,
-        }
+        self.node.output(self.node.x)
     }
 }
 
 /// Runs Remark 4.4 as a real message-passing computation.
 ///
-/// The rounds run on `threads` worker threads through [`run_parallel`];
-/// `0` and `1` both run them inline on the calling thread. Outputs and
-/// telemetry are bit-identical at any thread count.
+/// The rounds run on `threads` worker threads through
+/// [`run_parallel`](arbodom_congest::run_parallel); `0` and `1` both run
+/// them inline on the calling thread. Outputs and telemetry are
+/// bit-identical at any thread count.
 ///
 /// # Errors
 ///
-/// Propagates configuration validation and simulation errors.
+/// Returns [`CoreError::InvalidParameter`] for a [`RunOptions::loss`]
+/// model that drops messages: the program halts by local stabilization,
+/// which a lost event would postpone until `max_rounds`. Propagates
+/// simulation errors.
 pub fn run_unknown_delta(
     g: &Graph,
     cfg: &Config,
@@ -328,28 +191,26 @@ pub fn run_unknown_delta(
     opts: &RunOptions,
     threads: usize,
 ) -> Result<(DsResult, Telemetry)> {
+    if opts.loss.is_some_and(|loss| loss.drop_probability > 0.0) {
+        return Err(CoreError::param(
+            "loss",
+            "Remark 4.4 halts by local stabilization, which a dropped message prevents",
+        ));
+    }
     let globals = Globals::new(g, seed).with_arboricity(cfg.alpha);
     let make = |v: NodeId, g: &Graph| UnknownDeltaProgram::new(*cfg, g.degree(v));
-    let run_out = run_parallel(g, &globals, make, opts, threads)?;
-    let in_ds: Vec<bool> = run_out.outputs.iter().map(|o| o.in_ds).collect();
-    let x: Vec<f64> = run_out.outputs.iter().map(|o| o.x).collect();
-    let iterations = run_out
-        .outputs
-        .iter()
-        .map(|o| o.stabilized_at)
-        .max()
-        .unwrap_or(0);
-    Ok((
-        DsResult::from_flags(g, in_ds, iterations, Some(PackingCertificate::new(x))),
-        run_out.telemetry,
-    ))
+    let (mut sol, telemetry) = run_primal_dual(g, &globals, make, opts, threads, 0)?;
+    // Nodes halt only in sub-round A (round 4 + 3i) of an iteration i ≥ 1,
+    // so the last one to stabilize did so at iteration (rounds − 5) / 3.
+    sol.iterations = telemetry.rounds.saturating_sub(5) / 3;
+    Ok((sol, telemetry))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{unknown_delta, verify};
-    use arbodom_congest::{run, MeterMode};
+    use arbodom_congest::{run, LossModel, MeterMode};
     use arbodom_graph::{generators, weights::WeightModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -428,5 +289,35 @@ mod tests {
             t_small.rounds,
             t_large.rounds
         );
+    }
+
+    #[test]
+    fn a_lossy_model_is_refused_and_a_zero_drop_rate_is_lossless() {
+        let mut rng = StdRng::seed_from_u64(185);
+        let g = generators::forest_union(120, 2, &mut rng);
+        let cfg = Config::new(2, 0.25).unwrap();
+        let with_loss = |drop_probability| RunOptions {
+            loss: Some(LossModel {
+                drop_probability,
+                seed: 3,
+            }),
+            ..strict()
+        };
+        for p in [1e-9, 0.2, 1.0] {
+            let err = run_unknown_delta(&g, &cfg, 0, &with_loss(p), 1).unwrap_err();
+            assert!(
+                matches!(err, CoreError::InvalidParameter { name: "loss", .. }),
+                "p={p}: {err}"
+            );
+        }
+        let (lossless, t_lossless) = run_unknown_delta(&g, &cfg, 0, &strict(), 1).unwrap();
+        let (zero, t_zero) = run_unknown_delta(&g, &cfg, 0, &with_loss(0.0), 1).unwrap();
+        assert_eq!(lossless.in_ds, zero.in_ds);
+        assert_eq!(
+            lossless.certificate.unwrap().values(),
+            zero.certificate.unwrap().values()
+        );
+        assert_eq!(lossless.iterations, zero.iterations);
+        assert_eq!(t_lossless, t_zero);
     }
 }

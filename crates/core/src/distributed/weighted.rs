@@ -17,261 +17,92 @@
 //! `(1+ε)` in exactly the rounds the owner multiplies), so after setup all
 //! traffic is single-byte events — which is how the paper's
 //! `O(log(Δ/α)/ε)`-round claim translates to `O(log n)`-bit CONGEST
-//! compliance with room to spare. The mirrors are the program's
-//! [`NodeProgram::PortState`] ([`WeightedPort`]), so they live in the
-//! simulator's run-owned port array and the program itself allocates
-//! nothing.
+//! compliance with room to spare. The setup, the iteration and the
+//! completion are the primal-dual core's ([`super::primal_dual`]); this
+//! program is only their schedule. The mirrors are its
+//! [`NodeProgram::PortState`], so they live in the simulator's run-owned
+//! port array and the program itself allocates nothing.
 
-use arbodom_congest::{
-    run_parallel, Globals, Inbox, NodeCtx, NodeProgram, Outbox, RunOptions, Telemetry,
-};
+use arbodom_congest::{Globals, Inbox, NodeCtx, NodeProgram, Outbox, RunOptions, Telemetry};
 use arbodom_graph::{Graph, NodeId};
 
 use super::msg::ProtocolMsg;
+use super::primal_dual::{run_primal_dual, Node, NodeOutput, Port};
 use crate::partial::PartialConfig;
 use crate::weighted::Config;
-use crate::{DsResult, PackingCertificate, Result};
-
-/// Per-node output of the weighted program.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct NodeOutput {
-    /// Membership in `S ∪ S′`.
-    pub in_ds: bool,
-    /// Final packing value `x_v` (the dual certificate entry).
-    pub x: f64,
-}
+use crate::{DsResult, Result};
 
 /// The Theorem 1.1 node program.
 #[derive(Debug)]
 pub struct WeightedProgram {
     cfg: Config,
-    // ---- own state ----
-    weight: u64,
-    tau: u64,
-    x: f64,
-    in_s: bool,
-    in_s_prime: bool,
-    dominated: bool,
-    announced: bool,
-    // ---- schedule ----
+    node: Node,
+    /// Lemma 4.1's iteration count, computed at round 2.
     r: usize,
-}
-
-/// What a Theorem 1.1 node mirrors about the neighbor behind one port:
-/// its weight, its packing value `x` and whether it is dominated. The
-/// program's [`NodeProgram::PortState`].
-#[derive(Clone, Copy, Debug, Default)]
-pub struct WeightedPort {
-    weight: u64,
-    x: f64,
-    dominated: bool,
 }
 
 impl WeightedProgram {
     /// Creates the program for a node of the given degree. Construction
-    /// allocates nothing: the per-neighbor mirrors ([`WeightedPort`]) are
-    /// run state the simulator sizes, so `_degree` is unused.
+    /// allocates nothing: the per-neighbor mirrors are run state the
+    /// simulator sizes, so `_degree` is unused.
     pub fn new(cfg: Config, _degree: usize) -> Self {
         WeightedProgram {
             cfg,
-            weight: 0,
-            tau: 0,
-            x: 0.0,
-            in_s: false,
-            in_s_prime: false,
-            dominated: false,
-            announced: false,
+            node: Node::default(),
             r: 0,
-        }
-    }
-
-    /// `X_u` in the same summation order as the centralized solver
-    /// (self first, then ports ascending).
-    fn x_sum(&self, ports: &[WeightedPort]) -> f64 {
-        let mut sum = self.x;
-        for port in ports {
-            sum += port.x;
-        }
-        sum
-    }
-
-    /// The `(weight, id)`-minimal member of the closed neighborhood; `None`
-    /// means "self".
-    fn cheapest_dominator(&self, ctx: &NodeCtx<'_>, ports: &[WeightedPort]) -> Option<usize> {
-        let mut best: (u64, NodeId) = (self.weight, ctx.id);
-        let mut best_port = None;
-        for (p, (&u, port)) in ctx.neighbors.iter().zip(ports).enumerate() {
-            let cand = (port.weight, u);
-            if cand < best {
-                best = cand;
-                best_port = Some(p);
-            }
-        }
-        best_port
-    }
-
-    fn apply_dominated_events(inbox: Inbox<'_, ProtocolMsg>, ports: &mut [WeightedPort]) {
-        for (port, &msg) in inbox {
-            match msg {
-                ProtocolMsg::Dominated | ProtocolMsg::Joined => {
-                    ports[port].dominated = true;
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// End-of-iteration bookkeeping: raise every still-undominated packing
-    /// value (own and mirrored) by `(1+ε)` — the same multiplication the
-    /// owner performs, so mirrors stay bit-exact.
-    fn raise_undominated(&mut self, ports: &mut [WeightedPort]) {
-        let f = 1.0 + self.cfg.epsilon;
-        if !self.dominated {
-            self.x *= f;
-        }
-        for port in ports {
-            if !port.dominated {
-                port.x *= f;
-            }
-        }
-    }
-
-    /// Part A of an iteration: threshold test and join.
-    fn part_a(&mut self, ports: &[WeightedPort], out: &mut Outbox<ProtocolMsg>) {
-        if !self.in_s {
-            let threshold = self.weight as f64 / (1.0 + self.cfg.epsilon);
-            if self.x_sum(ports) >= threshold {
-                self.in_s = true;
-                self.dominated = true;
-                self.announced = true; // Joined broadcast implies domination
-                out.broadcast(ProtocolMsg::Joined);
-            }
-        }
-    }
-
-    /// Part B of an iteration: digest joins, announce fresh domination.
-    fn part_b(
-        &mut self,
-        inbox: Inbox<'_, ProtocolMsg>,
-        ports: &mut [WeightedPort],
-        out: &mut Outbox<ProtocolMsg>,
-    ) {
-        let mut heard_join = false;
-        for (port, &msg) in inbox {
-            if msg == ProtocolMsg::Joined {
-                ports[port].dominated = true;
-                heard_join = true;
-            }
-        }
-        if heard_join && !self.dominated {
-            self.dominated = true;
-        }
-        if self.dominated && !self.announced {
-            self.announced = true;
-            out.broadcast(ProtocolMsg::Dominated);
         }
     }
 }
 
 impl NodeProgram for WeightedProgram {
     type Message = ProtocolMsg;
-    type PortState = WeightedPort;
+    type PortState = Port;
     type Output = NodeOutput;
 
     fn round(
         &mut self,
         ctx: &NodeCtx<'_>,
         inbox: Inbox<'_, ProtocolMsg>,
-        ports: &mut [WeightedPort],
+        ports: &mut [Port],
         out: &mut Outbox<ProtocolMsg>,
     ) -> bool {
         let rd = ctx.round;
-        match rd {
-            0 => {
-                self.weight = ctx.weight;
-                out.broadcast(ProtocolMsg::Weight(self.weight));
-                false
-            }
-            1 => {
-                for (port, &msg) in inbox {
-                    if let ProtocolMsg::Weight(w) = msg {
-                        ports[port].weight = w;
-                    }
-                }
-                self.tau = ports
-                    .iter()
-                    .map(|port| port.weight)
-                    .chain(std::iter::once(self.weight))
-                    .min()
-                    .expect("nonempty");
-                out.broadcast(ProtocolMsg::Tau(self.tau));
-                false
-            }
-            _ => {
-                if rd == 2 {
-                    // Initialize packing values and the schedule.
-                    let dp1 = (ctx.globals.max_degree + 1) as f64;
-                    self.x = self.tau as f64 / dp1;
-                    for (port, &msg) in inbox {
-                        if let ProtocolMsg::Tau(t) = msg {
-                            ports[port].x = t as f64 / dp1;
-                        }
-                    }
-                    let pcfg = PartialConfig::new(self.cfg.epsilon, self.cfg.lambda())
-                        .expect("validated at run_weighted entry");
-                    self.r = pcfg.iterations(ctx.globals.max_degree);
-                }
-                let completion_round = 2 + 2 * self.r;
-                if rd < completion_round {
-                    let i = (rd - 2) / 2;
-                    if (rd - 2) % 2 == 0 {
-                        // Part A of iteration i: first digest last
-                        // iteration's Dominated events and apply the raise.
-                        if i > 0 {
-                            Self::apply_dominated_events(inbox, ports);
-                            self.raise_undominated(ports);
-                        }
-                        self.part_a(ports, out);
-                    } else {
-                        self.part_b(inbox, ports, out);
-                    }
-                    false
-                } else if rd == completion_round {
-                    // Final bookkeeping of iteration r−1, then elections.
-                    if self.r > 0 {
-                        Self::apply_dominated_events(inbox, ports);
-                        self.raise_undominated(ports);
-                    }
-                    if !self.dominated {
-                        match self.cheapest_dominator(ctx, ports) {
-                            None => self.in_s_prime = true,
-                            Some(port) => out.send(port, ProtocolMsg::Elect),
-                        }
-                    }
-                    false
-                } else {
-                    // completion_round + 1: receive elections, halt.
-                    if inbox.iter().any(|(_, &m)| m == ProtocolMsg::Elect) {
-                        self.in_s_prime = true;
-                    }
-                    true
-                }
-            }
+        if rd < 2 {
+            self.node.setup(ctx, inbox, ports, out);
+            return false;
         }
+        if rd == 2 {
+            let dp1 = (ctx.globals.max_degree + 1) as f64;
+            self.node.init_packing(inbox, ports, dp1);
+            let pcfg = PartialConfig::new(self.cfg.epsilon, self.cfg.lambda())
+                .expect("validated at run_weighted entry");
+            self.r = pcfg.iterations(ctx.globals.max_degree);
+        }
+        let step = rd - 2;
+        if step > 2 * self.r {
+            // The round after the completion: elected nodes join S′.
+            self.node.accept_election(inbox);
+            return true;
+        }
+        let one_plus_eps = 1.0 + self.cfg.epsilon;
+        self.node
+            .lemma41(step, self.r, one_plus_eps, inbox, ports, out);
+        if step == 2 * self.r {
+            self.node.elect(ctx, ports, out);
+        }
+        false
     }
 
     fn output(&self) -> NodeOutput {
-        NodeOutput {
-            in_ds: self.in_s || self.in_s_prime,
-            x: self.x,
-        }
+        self.node.output(self.node.x)
     }
 }
 
 /// Runs Theorem 1.1 as a real message-passing computation and assembles the
 /// global result plus the exact CONGEST telemetry.
 ///
-/// The rounds run on `threads` worker threads through [`run_parallel`];
+/// The rounds run on `threads` worker threads through
+/// [`run_parallel`](arbodom_congest::run_parallel);
 /// `0` and `1` both run them inline on the calling thread. Outputs and
 /// telemetry are bit-identical at any thread count.
 ///
@@ -308,17 +139,10 @@ pub fn run_weighted(
     threads: usize,
 ) -> Result<(DsResult, Telemetry)> {
     // Validate before constructing node programs.
-    PartialConfig::new(cfg.epsilon, cfg.lambda())?;
+    let r = PartialConfig::new(cfg.epsilon, cfg.lambda())?.iterations(g.max_degree());
     let globals = Globals::new(g, seed).with_arboricity(cfg.alpha);
     let make = |v: NodeId, g: &Graph| WeightedProgram::new(*cfg, g.degree(v));
-    let run_out = run_parallel(g, &globals, make, opts, threads)?;
-    let in_ds: Vec<bool> = run_out.outputs.iter().map(|o| o.in_ds).collect();
-    let x: Vec<f64> = run_out.outputs.iter().map(|o| o.x).collect();
-    let iterations = PartialConfig::new(cfg.epsilon, cfg.lambda())?.iterations(g.max_degree()) + 1;
-    Ok((
-        DsResult::from_flags(g, in_ds, iterations, Some(PackingCertificate::new(x))),
-        run_out.telemetry,
-    ))
+    run_primal_dual(g, &globals, make, opts, threads, r + 1)
 }
 
 #[cfg(test)]
@@ -404,5 +228,13 @@ mod tests {
         let (sol, _) = run_weighted(&g, &cfg, 0, &strict(), 1).unwrap();
         assert!(verify::is_dominating_set(&g, &sol.in_ds));
         assert!(sol.in_ds[2] && sol.in_ds[3]);
+    }
+
+    /// Serve-batch and solve-large run this program on every job: neither
+    /// the program nor its per-port mirror may grow.
+    #[test]
+    fn program_and_port_stay_small() {
+        assert!(std::mem::size_of::<WeightedProgram>() <= 56);
+        assert!(std::mem::size_of::<Port>() <= 24);
     }
 }

@@ -31,16 +31,6 @@ pub fn forest_union(n: usize, alpha: usize, rng: &mut impl Rng) -> Graph {
     forest_union_partial(n, alpha, 1.0, rng)
 }
 
-/// Fallible form of [`forest_union`]: validates parameters instead of
-/// panicking.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] if `n == 0` or `alpha == 0`.
-pub fn try_forest_union(n: usize, alpha: usize, rng: &mut impl Rng) -> Result<Graph> {
-    try_forest_union_partial(n, alpha, 1.0, rng)
-}
-
 /// Like [`forest_union`] but each tree edge is kept independently with
 /// probability `keep`, yielding sparser unions of forests (arboricity still
 /// at most `alpha`).

@@ -43,8 +43,8 @@ pub use basic::{
     caterpillar, complete, complete_bipartite, cycle, grid2d, kary_tree, path, spider, star,
 };
 pub use bounded::{
-    forest_union, forest_union_partial, planted_ds, preferential_attachment, try_forest_union,
-    try_forest_union_into, try_forest_union_partial, try_planted_ds, try_preferential_attachment,
+    forest_union, forest_union_partial, planted_ds, preferential_attachment, try_forest_union_into,
+    try_forest_union_partial, try_planted_ds, try_preferential_attachment,
     try_preferential_attachment_into, PlantedInstance,
 };
 pub use random::{

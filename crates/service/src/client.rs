@@ -9,7 +9,7 @@
 //! [`Client::builder`]:
 //!
 //! ```no_run
-//! use arbodom_service::{Client, RetryPolicy};
+//! use arbodom_service::Client;
 //! use std::time::Duration;
 //!
 //! let mut client = Client::builder()
@@ -33,22 +33,23 @@ use crate::protocol::{
 };
 use crate::ServiceError;
 
-/// How a [`Client`] retries requests shed by admission control.
+/// How a [`Client`] retries requests shed by admission control, as its
+/// [`ClientBuilder`] set it.
 ///
 /// The delay before attempt `k` (1-based) is
 /// `clamp(max(base_backoff · 2^(k-1), retry_after_ms), ..=max_backoff)`,
 /// then jittered uniformly into its upper half so synchronized clients
 /// don't re-flood the server in lockstep.
 #[derive(Clone, Copy, Debug)]
-pub struct RetryPolicy {
+struct RetryPolicy {
     /// Retries after the first attempt (0 = surface every shed).
-    pub max_retries: u32,
+    max_retries: u32,
     /// First-retry backoff (doubles per attempt).
-    pub base_backoff: Duration,
+    base_backoff: Duration,
     /// Backoff ceiling.
-    pub max_backoff: Duration,
+    max_backoff: Duration,
     /// Seed of the deterministic jitter stream.
-    pub jitter_seed: u64,
+    jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -95,12 +96,6 @@ impl ClientBuilder {
         self
     }
 
-    /// Full retry policy at once.
-    pub fn retry_policy(mut self, retry: RetryPolicy) -> Self {
-        self.retry = retry;
-        self
-    }
-
     /// Resolves `addr` and establishes the first connection.
     ///
     /// # Errors
@@ -132,9 +127,9 @@ impl ClientBuilder {
 ///
 /// The handle survives server-side closes: a failed or closed
 /// connection is re-established on the next request. Shed requests
-/// (typed [`Response::Overloaded`]) are retried per the configured
-/// [`RetryPolicy`]; when the budget runs out the shed surfaces as
-/// [`ServiceError::Overloaded`].
+/// (typed [`Response::Overloaded`]) are retried with the backoff the
+/// [`ClientBuilder`] configured; when the budget runs out the shed
+/// surfaces as [`ServiceError::Overloaded`].
 pub struct Client {
     addr: SocketAddr,
     retry: RetryPolicy,
@@ -230,12 +225,17 @@ impl Client {
         Duration::from_millis(ms / 2 + self.rng % (ms / 2 + 1))
     }
 
-    /// One request/response exchange with overload retries.
-    fn round_trip(&mut self, request: &Request) -> Result<Response, ServiceError> {
+    /// Runs `once` again after each shed, sleeping the backoff in
+    /// between, until it returns anything else or the retry budget runs
+    /// out. The server sheds a request before executing any of it, so
+    /// every retry is safe.
+    fn with_retries<T>(
+        &mut self,
+        mut once: impl FnMut(&mut Self) -> Result<T, ServiceError>,
+    ) -> Result<T, ServiceError> {
         let mut attempt = 0u32;
         loop {
-            let outcome = self.send(request).and_then(|()| self.recv());
-            match outcome.map(|(_, reply)| reply) {
+            match once(self) {
                 Err(ServiceError::Overloaded { retry_after_ms, .. })
                     if attempt < self.retry.max_retries =>
                 {
@@ -245,6 +245,14 @@ impl Client {
                 other => return other,
             }
         }
+    }
+
+    /// One request/response exchange with overload retries.
+    fn round_trip(&mut self, request: &Request) -> Result<Response, ServiceError> {
+        self.with_retries(|client| {
+            client.send(request)?;
+            client.recv().map(|(_, reply)| reply)
+        })
     }
 
     /// Liveness probe.
@@ -388,46 +396,16 @@ impl Client {
     /// version byte, always v3, is excluded).
     ///
     /// A shed batch (typed `Overloaded` instead of the first `Job`
-    /// frame) is retried under the client's [`RetryPolicy`]; nothing is
-    /// executed server-side before the shed, so the retry is safe.
+    /// frame) is retried like every other request; nothing is executed
+    /// server-side before the shed, so the retry is safe.
     ///
     /// # Errors
     ///
     /// Fails on transport errors, a server-reported connection error, or
     /// [`ServiceError::Overloaded`] once the retry budget is exhausted.
     pub fn submit_raw(&mut self, jobs: &[JobSpec]) -> Result<Vec<Vec<u8>>, ServiceError> {
-        let request = Request::Batch(jobs.to_vec());
-        let mut attempt = 0u32;
-        loop {
-            match self.submit_raw_once(&request) {
-                Err(ServiceError::Overloaded { retry_after_ms, .. })
-                    if attempt < self.retry.max_retries =>
-                {
-                    attempt += 1;
-                    std::thread::sleep(self.backoff_delay(attempt, retry_after_ms));
-                }
-                other => return other,
-            }
-        }
-    }
-
-    fn submit_raw_once(&mut self, request: &Request) -> Result<Vec<Vec<u8>>, ServiceError> {
-        self.send(request)?;
-        let mut frames = Vec::new();
-        loop {
-            // The server sheds a batch *before* dispatching any of it, so
-            // an `Overloaded` error here means no partial results.
-            let (payload, reply) = self.recv()?;
-            let done = match reply {
-                Response::BatchDone { .. } => true,
-                Response::Job { .. } => false,
-                other => return Err(unexpected("Job/BatchDone", &other)),
-            };
-            frames.push(payload);
-            if done {
-                return Ok(frames);
-            }
-        }
+        let frames = self.batch(jobs)?;
+        Ok(frames.into_iter().map(|(payload, _)| payload).collect())
     }
 
     /// Submits a batch and returns one outcome per job, in submission
@@ -441,10 +419,9 @@ impl Client {
         &mut self,
         jobs: &[JobSpec],
     ) -> Result<Vec<Result<JobResult, String>>, ServiceError> {
-        let frames = self.submit_raw(jobs)?;
         let mut outcomes = Vec::with_capacity(jobs.len());
-        for payload in &frames {
-            match decode_payload::<Response>(payload)? {
+        for (_, reply) in self.batch(jobs)? {
+            match reply {
                 Response::Job { index, outcome } => {
                     if index as usize != outcomes.len() {
                         return Err(ServiceError::Protocol(format!(
@@ -472,6 +449,30 @@ impl Client {
             )));
         }
         Ok(outcomes)
+    }
+
+    /// Submits a batch and reads its reply frames, each as its payload
+    /// and the message `recv` decoded from it, with overload retries.
+    fn batch(&mut self, jobs: &[JobSpec]) -> Result<Vec<(Vec<u8>, Response)>, ServiceError> {
+        let request = Request::Batch(jobs.to_vec());
+        self.with_retries(|client| {
+            client.send(&request)?;
+            let mut frames = Vec::new();
+            loop {
+                // The server sheds a batch *before* dispatching any of it,
+                // so an `Overloaded` error here means no partial results.
+                let frame = client.recv()?;
+                let done = match frame.1 {
+                    Response::BatchDone { .. } => true,
+                    Response::Job { .. } => false,
+                    ref other => return Err(unexpected("Job/BatchDone", other)),
+                };
+                frames.push(frame);
+                if done {
+                    return Ok(frames);
+                }
+            }
+        })
     }
 }
 

@@ -145,7 +145,7 @@ mod scheduler;
 mod server;
 pub mod session;
 
-pub use client::{Client, ClientBuilder, RetryPolicy};
+pub use client::{Client, ClientBuilder};
 pub use error::ServiceError;
 pub use jobs::{execute_job, open_session, ExecContext};
 pub use obs::ServiceObs;

@@ -3,12 +3,15 @@
 //! byte-identical response streams across resubmission, concurrent
 //! clients, and 1/2/4 server worker threads; cache hits on repeats;
 //! clean quality accounting; the session protocol (open → mutate →
-//! resolve → release); and the version rule: a frame that does not carry
-//! v3 gets a typed refusal, and the connection closes.
+//! resolve → release); the refusal of a lossy Remark 4.4 job; and the
+//! version rule: a frame that does not carry v3 gets a typed refusal, and
+//! the connection closes.
 
 use std::net::TcpStream;
 use std::time::Duration;
 
+use arbodom_congest::obs::SIM_ROUNDS_TOTAL;
+use arbodom_obs::prom;
 use arbodom_scenarios::{Algorithm, Family, Scale};
 use arbodom_service::protocol::{decode_payload, read_frame, write_message};
 use arbodom_service::{
@@ -239,6 +242,44 @@ fn scenario_cells_respect_the_server_scale() {
     let err = reply[0].as_ref().unwrap_err();
     assert!(err.contains("weight_idx"), "{err}");
     quick.shutdown();
+}
+
+/// Remark 4.4 halts by local stabilization, which one dropped message
+/// prevents. A job that asks for it on a lossy cell gets a typed job error
+/// at once, before a single simulated round, and the same connection
+/// serves the next job.
+#[test]
+fn a_lossy_remark_4_4_job_is_refused_without_running_a_round() {
+    let cfg = ServerConfig {
+        sim_obs: true,
+        ..config(1)
+    };
+    let server = Server::bind("127.0.0.1:0", cfg).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let rem44_on = |loss_idx| JobSpec {
+        algorithm: Some(Algorithm::UnknownDelta { eps: 0.25 }),
+        ..JobSpec::new(GraphSource::ScenarioCell {
+            name: "faults-forest-loss".into(),
+            size_idx: 0,
+            weight_idx: 0,
+            loss_idx,
+            seed_idx: 0,
+        })
+    };
+    let rounds = |client: &mut Client| {
+        let exp = prom::parse(&client.metrics().unwrap()).unwrap();
+        exp.value(SIM_ROUNDS_TOTAL).unwrap_or(0.0)
+    };
+    // Loss index 4 drops each message with probability 0.2.
+    let reply = client.submit(&[rem44_on(4)]).unwrap();
+    let err = reply[0].as_ref().unwrap_err();
+    assert!(err.contains("invalid parameter `loss`"), "{err}");
+    assert_eq!(rounds(&mut client), 0.0, "the refusal ran a round");
+    let reply = client.submit(&[rem44_on(0)]).unwrap();
+    let result = reply[0].as_ref().expect("the lossless cell is served");
+    assert!(result.valid);
+    assert!(rounds(&mut client) > 0.0);
+    server.shutdown();
 }
 
 fn path_spec(n: u32) -> JobSpec {

@@ -3,9 +3,14 @@
 //! produce **identical** outputs — sets, packing values, and coin flips —
 //! on every topology, weight model, and seed. Also pins the exact round
 //! schedule and CONGEST bandwidth compliance.
+//!
+//! The four primal-dual programs (Theorem 1.1, Remark 4.4, Theorems 1.2
+//! and 1.3) each run the same sweep: every topology below under every
+//! weight model, compared with their centralized solver on the set, the
+//! packing values bit for bit, and the iteration count.
 
-use arbodom::congest::{MeterMode, RunOptions};
-use arbodom::core::{distributed, randomized, trees, weighted};
+use arbodom::congest::{MeterMode, RunOptions, Telemetry};
+use arbodom::core::{distributed, general, randomized, trees, unknown_delta, weighted, DsResult};
 use arbodom::graph::{generators, weights::WeightModel, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -47,9 +52,11 @@ fn topologies(rng: &mut StdRng) -> Vec<(String, Graph)> {
     ]
 }
 
-#[test]
-fn weighted_program_equals_centralized_everywhere() {
+/// Every topology under every weight model, in one fixed order: the
+/// graphs are the same in each program's sweep.
+fn weighted_instances() -> Vec<(String, WeightModel, Graph)> {
     let mut rng = StdRng::seed_from_u64(801);
+    let mut out = Vec::new();
     for (name, g) in topologies(&mut rng) {
         for model in [
             WeightModel::Unit,
@@ -57,22 +64,95 @@ fn weighted_program_equals_centralized_everywhere() {
             WeightModel::Exponential { max_exp: 6 },
         ] {
             let g = model.assign(&g, &mut rng);
-            for alpha in [1usize, 3] {
-                let cfg = weighted::Config::new(alpha, 0.3).unwrap();
-                let central = weighted::solve(&g, &cfg).unwrap();
+            out.push((name.clone(), model, g));
+        }
+    }
+    out
+}
+
+/// The CONGEST run equals the centralized one on the set, the packing
+/// values (by `to_bits`) and the iteration count, within budget.
+fn assert_equal_runs(central: &DsResult, dist: &DsResult, telemetry: &Telemetry, label: &str) {
+    assert_eq!(central.in_ds, dist.in_ds, "{label}: sets differ");
+    let bits = |r: &DsResult| -> Vec<u64> {
+        let cert = r.certificate.as_ref().expect("primal-dual certificate");
+        cert.values().iter().map(|x| x.to_bits()).collect()
+    };
+    assert_eq!(bits(central), bits(dist), "{label}: packing values differ");
+    assert_eq!(
+        central.iterations, dist.iterations,
+        "{label}: iteration counts differ"
+    );
+    assert!(
+        telemetry.is_congest_compliant(),
+        "{label}: bandwidth violation"
+    );
+}
+
+#[test]
+fn weighted_program_equals_centralized_everywhere() {
+    for (name, model, g) in weighted_instances() {
+        for alpha in [1usize, 3] {
+            let cfg = weighted::Config::new(alpha, 0.3).unwrap();
+            let central = weighted::solve(&g, &cfg).unwrap();
+            let (dist, telemetry) = distributed::run_weighted(&g, &cfg, 5, &strict(), 1).unwrap();
+            assert_equal_runs(
+                &central,
+                &dist,
+                &telemetry,
+                &format!("{name} {model:?} α={alpha}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn unknown_delta_program_equals_centralized_everywhere() {
+    for (name, model, g) in weighted_instances() {
+        for alpha in [1usize, 3] {
+            let cfg = unknown_delta::Config::new(alpha, 0.3).unwrap();
+            let central = unknown_delta::solve(&g, &cfg).unwrap();
+            let (dist, telemetry) =
+                distributed::run_unknown_delta(&g, &cfg, 5, &strict(), 1).unwrap();
+            assert_equal_runs(
+                &central,
+                &dist,
+                &telemetry,
+                &format!("{name} {model:?} α={alpha}"),
+            );
+        }
+    }
+}
+
+#[test]
+fn randomized_program_equals_centralized_everywhere() {
+    for (name, model, g) in weighted_instances() {
+        for alpha in [1usize, 3] {
+            for seed in [0u64, 7] {
+                let cfg = randomized::Config::new(alpha, 2, seed).unwrap();
+                let central = randomized::solve(&g, &cfg).unwrap();
                 let (dist, telemetry) =
-                    distributed::run_weighted(&g, &cfg, 5, &strict(), 1).unwrap();
-                assert_eq!(central.in_ds, dist.in_ds, "{name} {model:?} α={alpha}");
-                assert_eq!(
-                    central.certificate.as_ref().unwrap().values(),
-                    dist.certificate.as_ref().unwrap().values(),
-                    "{name} {model:?} α={alpha}: packing values differ"
-                );
-                assert!(
-                    telemetry.is_congest_compliant(),
-                    "{name}: bandwidth violation"
-                );
+                    distributed::run_randomized(&g, &cfg, &strict(), 1).unwrap();
+                let label = format!("{name} {model:?} α={alpha} seed={seed}");
+                assert_equal_runs(&central, &dist, &telemetry, &label);
             }
+        }
+    }
+}
+
+#[test]
+fn general_program_equals_centralized_everywhere() {
+    for (name, model, g) in weighted_instances() {
+        for k in [1usize, 2] {
+            let cfg = general::Config::new(k, 3).unwrap();
+            let central = general::solve(&g, &cfg).unwrap();
+            let (dist, telemetry) = distributed::run_general(&g, &cfg, &strict(), 1).unwrap();
+            assert_equal_runs(
+                &central,
+                &dist,
+                &telemetry,
+                &format!("{name} {model:?} k={k}"),
+            );
         }
     }
 }

@@ -5,9 +5,11 @@
 //! identical outputs, at every thread count and meter mode. Different
 //! seeds or probabilities must actually change what is dropped.
 
-use arbodom::congest::{run, run_parallel, Globals, LossModel, MeterMode, RunOptions, RunResult};
-use arbodom::core::distributed::WeightedProgram;
-use arbodom::core::weighted;
+use arbodom::congest::{
+    run, run_parallel, Globals, LossModel, MeterMode, RunOptions, RunResult, Telemetry,
+};
+use arbodom::core::distributed::{self, WeightedProgram};
+use arbodom::core::{general, randomized, weighted, DsResult};
 use arbodom::graph::{generators, weights::WeightModel, Graph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,7 +38,7 @@ fn run_once(
     cfg: weighted::Config,
     opts: &RunOptions,
     threads: usize,
-) -> RunResult<arbodom::core::distributed::WeightedNodeOutput> {
+) -> RunResult<arbodom::core::distributed::NodeOutput> {
     let globals = Globals::new(g, 7).with_arboricity(cfg.alpha);
     let make = |v: arbodom::graph::NodeId, g: &Graph| WeightedProgram::new(cfg, g.degree(v));
     if threads <= 1 {
@@ -134,4 +136,75 @@ fn dropped_messages_are_metered_but_not_delivered() {
         );
     }
     assert!(lossy.telemetry.dropped_messages > 0);
+}
+
+/// FNV-1a over 64-bit words.
+fn fold(acc: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(acc, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// One word sequence for a lossy run: the set, the packing bits and the
+/// telemetry, per-round rows included.
+fn lossy_digest(sol: &DsResult, t: &Telemetry) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325;
+    for &member in &sol.in_ds {
+        h = fold(h, u64::from(member));
+    }
+    let cert = sol.certificate.as_ref().expect("primal-dual certificate");
+    for x in cert.values() {
+        h = fold(h, x.to_bits());
+    }
+    for word in [
+        t.rounds,
+        t.total_messages,
+        t.total_bits,
+        t.max_message_bits,
+        t.bandwidth_budget_bits,
+        t.budget_violations,
+        t.dropped_messages,
+        sol.iterations,
+    ] {
+        h = fold(h, word as u64);
+    }
+    for rs in &t.per_round {
+        for word in [rs.messages, rs.bits, rs.max_message_bits] {
+            h = fold(h, word as u64);
+        }
+    }
+    h
+}
+
+/// Theorems 1.1, 1.2 and 1.3 under loss have no centralized twin, so
+/// their lossy outputs are pinned as digests: each run's set, packing
+/// bits and telemetry, at two drop probabilities on one fixed graph.
+#[test]
+fn lossy_primal_dual_outputs_are_pinned() {
+    let (g, cfg) = instance(400);
+    let thm12 = randomized::Config::new(3, 2, 7).unwrap();
+    let thm13 = general::Config::new(2, 7).unwrap();
+    let mut digests = Vec::new();
+    for p in [0.01, 0.2] {
+        let opts = lossy_opts(11, p, MeterMode::Measure);
+        let runs = [
+            distributed::run_weighted(&g, &cfg, 7, &opts, 1).unwrap(),
+            distributed::run_randomized(&g, &thm12, &opts, 1).unwrap(),
+            distributed::run_general(&g, &thm13, &opts, 1).unwrap(),
+        ];
+        for (sol, telemetry) in &runs {
+            assert!(telemetry.dropped_messages > 0, "p={p}: nothing was dropped");
+            digests.push(lossy_digest(sol, telemetry));
+        }
+    }
+    // Theorems 1.1, 1.2 and 1.3 at p = 0.01, then at p = 0.2.
+    let pinned: [u64; 6] = [
+        0x1547_7277_520c_16a8,
+        0xa984_55ae_fb16_12cc,
+        0x72a9_69f6_595d_3a0e,
+        0xa0d4_466b_8e7d_39f1,
+        0x4fac_16e2_f751_217b,
+        0x24c1_07d7_ddb2_b611,
+    ];
+    assert_eq!(digests, pinned, "lossy outputs moved");
 }
