@@ -6,6 +6,9 @@
 //! degeneracy, giving out-degree ≤ 2α − 1) for use by baselines, the
 //! lower-bound verifier, and the test suite.
 
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
+
 use crate::{Graph, GraphDelta, NodeId};
 
 /// An acyclic orientation of a graph's edges, stored as out-adjacency lists.
@@ -108,7 +111,7 @@ impl Orientation {
 /// over the peeling, of the degree at removal time. Standard facts used
 /// throughout the workspace: `α ≤ d ≤ 2α − 1`.
 pub fn degeneracy_order(g: &Graph) -> (Vec<NodeId>, usize) {
-    let peel = flat_peel::<false>(g, 0);
+    let peel = flat_peel::<false>(g);
     let order = peel.order.into_iter().map(NodeId::new).collect();
     (order, peel.degeneracy as usize)
 }
@@ -123,7 +126,7 @@ pub fn degeneracy_order(g: &Graph) -> (Vec<NodeId>, usize) {
 /// lists and no stale entries. `O(n + m)`. The degeneracy is the largest
 /// core number.
 pub fn degeneracy(g: &Graph) -> usize {
-    flat_peel::<false>(g, 0).degeneracy as usize
+    flat_peel::<false>(g).degeneracy as usize
 }
 
 /// What one flat core peel leaves behind.
@@ -138,7 +141,7 @@ struct FlatPeel {
     /// degree, indexed by degree.
     degree_count: Vec<u32>,
     /// Filled only by a certifying peel: each node's place in the removal
-    /// order, spread `gap` apart.
+    /// order, counting from 1.
     label: Vec<u64>,
     /// Filled only by a certifying peel: each node's neighbors still
     /// present at its removal, its later neighbors in the order.
@@ -147,16 +150,16 @@ struct FlatPeel {
 
 /// The Batagelj–Zaversnik peel behind [`degeneracy_order`],
 /// [`degeneracy`] and [`DegeneracyCertificate::of`]; `vert` ends up as
-/// the removal order. With `CERTIFY`, it also labels the removal order,
-/// `gap` apart, and counts each node's later neighbors inside its own
-/// neighbor loop.
+/// the removal order. With `CERTIFY`, it also labels the removal order
+/// from 1 and counts each node's later neighbors inside its own neighbor
+/// loop.
 ///
 /// At a node's turn, every neighbor of higher current degree is still
 /// present and every neighbor of lower degree is gone: a removed node
 /// keeps its core number, at most the current level, and a present one
 /// never falls below the level. Only a neighbor of equal degree needs its
 /// slot compared with the node's.
-fn flat_peel<const CERTIFY: bool>(g: &Graph, gap: u64) -> FlatPeel {
+fn flat_peel<const CERTIFY: bool>(g: &Graph) -> FlatPeel {
     let (offsets, neighbors) = g.csr();
     let n = g.n();
     let mut deg: Vec<u32> = offsets.windows(2).map(|w| w[1] - w[0]).collect();
@@ -216,7 +219,7 @@ fn flat_peel<const CERTIFY: bool>(g: &Graph, gap: u64) -> FlatPeel {
         }
         if CERTIFY {
             later[v] = present;
-            label[v] = (i as u64 + 1) * gap;
+            label[v] = i as u64 + 1;
         }
     }
     FlatPeel {
@@ -254,10 +257,10 @@ fn flat_peel<const CERTIFY: bool>(g: &Graph, gap: u64) -> FlatPeel {
 /// node's turn its unremoved neighbors are exactly its later ones, and
 /// they number at most its core number, hence at most `d`. The peel
 /// counts them inside its own neighbor loop. The labels are the removal
-/// positions spread evenly over `u64`, leaving wide gaps. W is the top
-/// core, the nodes whose core number is `d`: the `d`-core of the graph,
-/// nonempty, and of minimum degree `d` by definition. The certificate
-/// holds 13 bytes a node: a label, a count and a flag.
+/// positions, 1 to n. W is the top core, the nodes whose core number is
+/// `d`: the `d`-core of the graph, nonempty, and of minimum degree `d` by
+/// definition. The certificate holds 13 bytes a node: a label, a count
+/// and a flag.
 ///
 /// # Folding a batch
 ///
@@ -266,33 +269,52 @@ fn flat_peel<const CERTIFY: bool>(g: &Graph, gap: u64) -> FlatPeel {
 /// which keeps the upper half, and a deletion inside W cascades: an
 /// endpoint left with fewer than `d` neighbors in W leaves it, which may
 /// push its neighbors in W below `d` in turn. An insertion adds one to
-/// its earlier end's later count and keeps the lower half. Then each
-/// node left with more than `d` later neighbors is repaired against the
-/// applied graph's adjacency, one later neighbor at a time, by the first
-/// of two local moves that applies:
+/// its earlier end's later count and keeps the lower half. The nodes left
+/// with more than `d` later neighbors, the overfull ones, are then
+/// repaired together by one reorder, the order-based insertion of Zhang
+/// et al. ("A Fast Order-Based Approach for Core Maintenance", ICDE 2017)
+/// at the fixed threshold `d`. It reads the applied graph's adjacency and
+/// runs in three steps:
 ///
-/// * **(a)** move the node just past its nearest later neighbor `y`, if
-///   `y` has a spare slot (fewer than `d` later neighbors). The node
-///   takes the midpoint label between `y` and its next later neighbor,
-///   so it passes `y` and no other neighbor: it loses one later
-///   neighbor and `y` gains one.
-/// * **(b)** otherwise, move one of its later neighbors `y`, nearest
-///   first, to just before it: `y` takes the midpoint label between the
-///   node and the last of `y`'s own neighbors before the node. `y` passes
-///   the node and its own neighbors between the node and its old place;
-///   each of them loses one later neighbor, and `y` gains them all, which
-///   it may only if that keeps it at most `d`.
+/// * **Scan.** Visit nodes in key order from the overfull ones, with a
+///   min-heap. A node becomes a *candidate* when its later count plus
+///   `ds`, its number of earlier neighbors that are candidates, exceeds
+///   `d`; an overfull node always does. A candidate pushes its later
+///   neighbors onto the heap. A visited node that is not a candidate keeps
+///   its place, and its later count grows by exactly `ds`: those
+///   candidates move past it. A node the scan never visits has no
+///   candidate before it among its neighbors, so it keeps its count too.
+/// * **Move.** Each candidate goes past every neighbor it has that is not
+///   a candidate: the candidates take the labels just above the largest
+///   label among those neighbors, one apart.
+/// * **Order the candidates.** Peel the subgraph the candidates induce at
+///   threshold `d`, removing next a candidate with at most `d` candidate
+///   neighbors left. The removal order is their new order among
+///   themselves, and the candidate neighbors left at a candidate's
+///   removal are its later neighbors.
 ///
-/// A move that finds no free label between its bounds does not apply.
+/// A move never needs room between two labels, since a candidate only
+/// goes above a floor. Its new label may tie with another node's, but not
+/// with a neighbor's: every neighbor outside the candidates sits at or
+/// below the floor.
 ///
 /// # Failure
 ///
-/// If a node stays overfull after both moves, or W empties, the fold
-/// fails and returns `None`; the caller rebuilds with one peel, which
-/// also relabels and so restores the gaps. A failure is not an error: an
-/// insertion that raises the degeneracy above `d` leaves no order to
-/// find, and a deletion that lowers it must empty W. When both halves
-/// survive, `d` is the degeneracy of the applied graph, exactly.
+/// The fold fails and returns `None` in three cases, and the caller
+/// rebuilds with one peel, which also relabels:
+///
+/// * the candidates' peel gets stuck: every candidate left has more than
+///   `d` candidate neighbors left, so together they are a
+///   `(d + 1)`-core, and an insertion raised the degeneracy;
+/// * W empties: a deletion that lowers the degeneracy must do this, and
+///   W, which no insertion regrows, can also empty while it stays `d`;
+/// * no label is free: the candidates' labels would pass `u64::MAX`. A
+///   reorder raises the largest label by at most its candidate count, so
+///   from a build's 1 to n this takes on the order of 2⁶⁴ moves.
+///
+/// A failure is not an error. The reorder is complete: while the
+/// degeneracy stays `d` and W keeps a member, the fold succeeds. When it
+/// does, `d` is the degeneracy of the applied graph, exactly.
 ///
 /// The maximum degree comes from a count of nodes per degree, which each
 /// fold updates at the batch's touched nodes.
@@ -335,14 +357,7 @@ pub struct DegeneracyCertificate {
 impl DegeneracyCertificate {
     /// The certificate of `g`, built with one flat core peel.
     pub fn of(g: &Graph) -> Self {
-        // Removal positions spread over u64 leave about 2^64 / n between
-        // neighbors: at n = 10^6 a gap takes 44 halvings to run out.
-        Self::with_gap(g, u64::MAX / (g.n() as u64 + 1))
-    }
-
-    /// [`DegeneracyCertificate::of`] with labels `gap` apart.
-    fn with_gap(g: &Graph, gap: u64) -> Self {
-        let peel = flat_peel::<true>(g, gap);
+        let peel = flat_peel::<true>(g);
         let d = peel.degeneracy;
         let in_witness: Vec<bool> = peel.core.iter().map(|&c| c == d).collect();
         DegeneracyCertificate {
@@ -356,13 +371,13 @@ impl DegeneracyCertificate {
         }
     }
 
-    /// A certificate of `g` whose order is `order`, with labels `gap`
-    /// apart; `order` must be a valid upper half.
+    /// A certificate of `g` whose order is `order`, labelled `first`,
+    /// `first + 1`, and so on; `order` must be a valid upper half.
     #[cfg(test)]
-    fn with_order(g: &Graph, order: &[u32], gap: u64) -> Self {
-        let mut certificate = Self::with_gap(g, gap);
-        for (place, &v) in (1u64..).zip(order) {
-            certificate.label[v as usize] = place * gap;
+    fn with_order(g: &Graph, order: &[u32], first: u64) -> Self {
+        let mut certificate = Self::of(g);
+        for (place, &v) in (0..).zip(order) {
+            certificate.label[v as usize] = first + place;
         }
         certificate.later.fill(0);
         for (u, v) in g.edges() {
@@ -398,8 +413,9 @@ impl DegeneracyCertificate {
     /// or `None` when it broke (see the type docs); then build a new one
     /// with [`DegeneracyCertificate::of`].
     ///
-    /// Costs `O(|δ| log |δ|)` plus the adjacency lists the moves and the
-    /// witness cascade read.
+    /// Costs `O(|δ| log |δ|)`, plus `O(a log a)` for the reorder, where `a`
+    /// is the total degree of its candidates, plus the adjacency lists the
+    /// witness cascade reads.
     pub fn apply(mut self, g: &Graph, delta: &GraphDelta) -> Option<Self> {
         self.follow_degrees(g, delta);
         let d = self.d;
@@ -412,13 +428,12 @@ impl DegeneracyCertificate {
                 cascade.extend([u, v]);
             }
         }
-        let mut overfull = Vec::new();
+        let mut overfull = BinaryHeap::new();
         for &(u, v) in delta.inserts() {
-            let (u, v) = (u.index(), v.index());
-            let e = self.earlier(u, v);
+            let e = self.earlier(u.index(), v.index());
             self.later[e] += 1;
             if self.later[e] > d {
-                overfull.push(e);
+                overfull.push(Reverse(self.key(e)));
             }
         }
         // A member that lost a neighbor in W leaves it if it has fewer
@@ -439,23 +454,75 @@ impl DegeneracyCertificate {
         if d > 0 && self.witness_size == 0 {
             return None;
         }
-        let mut later = Vec::new();
-        for x in overfull {
-            while self.later[x] > d {
-                later.clear();
-                later.extend(
-                    g.neighbors(NodeId::from_index(x))
-                        .iter()
-                        .map(|u| u.index())
-                        .filter(|&u| self.key(x) < self.key(u)),
-                );
-                later.sort_unstable_by_key(|&u| self.key(u));
-                if !(self.move_past(x, &later) || self.pull_before(g, x, &later)) {
-                    return None;
+        self.reorder(g, overfull)?;
+        Some(self)
+    }
+
+    /// The reorder of the type docs, from the overfull nodes in `scan`.
+    /// `None` when the candidates' peel gets stuck or no label is free.
+    fn reorder(&mut self, g: &Graph, mut scan: BinaryHeap<Reverse<(u64, usize)>>) -> Option<()> {
+        let d = self.d;
+        let adjacency = |v: usize| g.neighbors(NodeId::from_index(v)).iter().map(|u| u.index());
+        // Keys pop in ascending order, so a node's copies pop together. A
+        // node that is not overfull was pushed once by each of its earlier
+        // neighbors that is a candidate, so its copies are its ds; an
+        // overfull one is a candidate whatever its copies.
+        let mut candidates = Vec::new();
+        while let Some(Reverse(key)) = scan.pop() {
+            let mut copies = 1;
+            while scan.peek() == Some(&Reverse(key)) {
+                scan.pop();
+                copies += 1;
+            }
+            let x = key.1;
+            if self.later[x] + copies > d {
+                candidates.push(x);
+                for u in adjacency(x) {
+                    if self.key(u) > key {
+                        scan.push(Reverse(self.key(u)));
+                    }
+                }
+            } else {
+                self.later[x] += copies;
+            }
+        }
+        // Candidates sit in key order. Record each one's candidate
+        // neighbors, by index, and the floor its new label must pass.
+        let mut start = Vec::with_capacity(candidates.len() + 1);
+        let mut links = Vec::new();
+        let mut floor = 0;
+        for &c in &candidates {
+            start.push(links.len());
+            for u in adjacency(c) {
+                match candidates.binary_search_by_key(&self.key(u), |&w| self.key(w)) {
+                    Ok(j) => links.push(j),
+                    Err(_) => floor = floor.max(self.label[u]),
                 }
             }
         }
-        Some(self)
+        start.push(links.len());
+        // The peel at threshold d; `left` holds each candidate's candidate
+        // neighbors not yet removed, and PLACED once it is removed.
+        const PLACED: u32 = u32::MAX;
+        let mut left: Vec<u32> = start.windows(2).map(|w| (w[1] - w[0]) as u32).collect();
+        let mut ready: Vec<usize> = (0..candidates.len()).filter(|&i| left[i] <= d).collect();
+        let mut label = floor;
+        while let Some(i) = ready.pop() {
+            label = label.checked_add(1)?;
+            let c = candidates[i];
+            self.label[c] = label;
+            self.later[c] = left[i];
+            left[i] = PLACED;
+            for &j in &links[start[i]..start[i + 1]] {
+                if left[j] != PLACED {
+                    left[j] -= 1;
+                    if left[j] == d {
+                        ready.push(j);
+                    }
+                }
+            }
+        }
+        (label - floor == candidates.len() as u64).then_some(())
     }
 
     /// Whether this certificate proves its value on `g`, checked over the
@@ -533,66 +600,6 @@ impl DegeneracyCertificate {
             self.max_degree -= 1;
         }
     }
-
-    /// Move (a): `x` goes just past its nearest later neighbor, if that
-    /// neighbor has a spare slot. `later` is `x`'s later neighbors,
-    /// nearest first.
-    fn move_past(&mut self, x: usize, later: &[usize]) -> bool {
-        let y = later[0];
-        let bound = later.get(1).map_or(u64::MAX, |&z| self.label[z]);
-        match midpoint(self.label[y], bound) {
-            Some(label) if self.later[y] < self.d => {
-                self.label[x] = label;
-                self.later[x] -= 1;
-                self.later[y] += 1;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Move (b): one of `x`'s later neighbors, nearest first, goes just
-    /// before `x`, if its count plus the neighbors it passes stays at
-    /// most `d`.
-    fn pull_before(&mut self, g: &Graph, x: usize, later: &[usize]) -> bool {
-        let kx = self.key(x);
-        for &y in later {
-            let ky = self.key(y);
-            let adj = g.neighbors(NodeId::from_index(y));
-            // The label of y's last neighbor before x, and how many of
-            // its neighbors y passes on its way to just before x.
-            let (mut floor, mut passed) = (0, 0);
-            for w in adj {
-                let kw = self.key(w.index());
-                if kw < kx {
-                    floor = floor.max(kw.0);
-                } else if kw < ky {
-                    passed += 1;
-                }
-            }
-            if self.later[y] + passed > self.d {
-                continue;
-            }
-            let Some(label) = midpoint(floor, kx.0) else {
-                continue;
-            };
-            for w in adj {
-                let kw = self.key(w.index());
-                if kx <= kw && kw < ky {
-                    self.later[w.index()] -= 1;
-                }
-            }
-            self.label[y] = label;
-            self.later[y] += passed;
-            return true;
-        }
-        false
-    }
-}
-
-/// A label strictly between `lo` and `hi`, if there is one.
-fn midpoint(lo: u64, hi: u64) -> Option<u64> {
-    (hi > lo && hi - lo >= 2).then(|| lo + (hi - lo) / 2)
 }
 
 /// Orients `g` along a degeneracy ordering; the out-degree of every node is
@@ -768,54 +775,158 @@ mod tests {
     }
 
     /// The forest 0–1–4 and 2–3 in the order 0, 1, 2, 3, 4 (each node
-    /// has one later neighbor, except 3 and 4), then the edge {0, 2}.
+    /// has one later neighbor, except 3 and 4), then the edge {0, 2}: 0
+    /// gets a second later neighbor. Passing its nearest later neighbor
+    /// 1, which has no spare slot, or pulling 1 or 2 before it, would
+    /// leave a node with two, so no single move repairs it. The reorder
+    /// moves 0, 1 and 2 past 3 and 4.
     #[test]
-    fn an_overfull_node_that_neither_move_repairs_breaks_the_certificate() {
+    fn an_overfull_node_no_single_move_repairs_is_reordered() {
         let g = crate::Graph::from_edges(5, [(0, 1), (1, 4), (2, 3)]).unwrap();
-        let c = DegeneracyCertificate::with_order(&g, &[0, 1, 2, 3, 4], 1 << 20);
-        // 0 gets a second later neighbor. Its nearest, 1, has no spare
-        // slot, and pulling 1 or 2 before 0 would give either two.
+        let c = DegeneracyCertificate::with_order(&g, &[0, 1, 2, 3, 4], 1);
         let (next, folded) = fold(c, &g, &delta(&[(0, 2)], &[]));
-        assert!(folded.is_none());
-        assert_eq!(degeneracy(&next), 1, "the local moves are incomplete");
+        let c = folded.expect("the degeneracy stays 1");
+        assert!(c.certifies(&next));
+        assert_eq!(c.value(), 1);
+        assert!(c.key(4) < c.key(1) && c.key(3) < c.key(2));
     }
 
+    /// The forest 0–1 and 2–3 in the order 0, 1, 2, 3, then the edge
+    /// {0, 2}. The overfull 0 is a candidate. Of its later neighbors, 1
+    /// has a spare slot and stays, and 2 has none and becomes one; 2's
+    /// later neighbor 3 has a spare slot and stays. The candidates pass
+    /// 1 and 3, which each gain one later neighbor.
     #[test]
-    fn move_a_puts_the_node_just_past_its_nearest_later_neighbor() {
+    fn a_reorder_moves_its_candidates_past_their_other_neighbors() {
         let g = crate::Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
-        let c = DegeneracyCertificate::with_order(&g, &[0, 1, 2, 3], 1 << 20);
-        // 0's later neighbors become 1 and 2; 1 has a spare slot.
+        let c = DegeneracyCertificate::with_order(&g, &[0, 1, 2, 3], 1);
         let (_, folded) = fold(c, &g, &delta(&[(0, 2)], &[]));
-        let c = folded.expect("move (a) applies");
-        assert!(c.key(1) < c.key(0) && c.key(0) < c.key(2));
-        assert_eq!(c.later, [1, 1, 1, 0]);
+        let c = folded.expect("the degeneracy stays 1");
+        // 1 and 3 keep labels 2 and 4; 2 and then 0 take the two above.
+        assert_eq!(c.label, [6, 2, 5, 4]);
+        assert!(c.key(1) < c.key(0) && c.key(3) < c.key(2));
+        assert_eq!(c.later, [0, 1, 1, 1]);
     }
 
+    /// The forest 0–1–4 and 2–3 in the order 3, 0, 1, 2, 4, then the
+    /// edge {0, 2}. The candidates are 0 and 1: 2 and 4 each take the
+    /// one later neighbor they have room for. The candidates' peel
+    /// removes 1 before 0, reversing their old order, and puts both past
+    /// 2 and 4, the largest of their other neighbors.
     #[test]
-    fn move_b_pulls_a_later_neighbor_just_before_the_node() {
+    fn a_reorder_orders_its_candidates_by_their_peel() {
         let g = crate::Graph::from_edges(5, [(0, 1), (1, 4), (2, 3)]).unwrap();
-        let c = DegeneracyCertificate::with_order(&g, &[3, 0, 1, 2, 4], 1 << 20);
-        // 0's later neighbors become 1 and 2. 1 has no spare slot, so
-        // move (a) does not apply; 2 has none later and passes only 0.
+        let c = DegeneracyCertificate::with_order(&g, &[3, 0, 1, 2, 4], 1);
         let (_, folded) = fold(c, &g, &delta(&[(0, 2)], &[]));
-        let c = folded.expect("move (b) applies");
-        assert!(c.key(3) < c.key(2) && c.key(2) < c.key(0));
-        assert_eq!(c.later, [1, 1, 1, 1, 0]);
+        let c = folded.expect("the degeneracy stays 1");
+        assert_eq!(c.label, [7, 6, 4, 1, 5]);
+        assert!(c.key(4) < c.key(1) && c.key(1) < c.key(0) && c.key(2) < c.key(0));
+        assert_eq!(c.later, [0, 1, 1, 1, 1]);
     }
 
-    /// Move (a) needs a free label between its bounds. Labels two apart
-    /// leave one between any two nodes adjacent in the order, and the
-    /// move takes it; labels one apart leave none, and neither move
-    /// applies.
+    /// A reorder takes one label per candidate above its floor, and fails
+    /// if they would pass `u64::MAX`. In the forest 0–1, 2–3 plus the edge
+    /// {0, 2}, the candidates 0 and 2 go above 3, the last node: they fit
+    /// when 3 sits two below the top, and not when it sits one below.
     #[test]
     fn a_gap_that_runs_out_breaks_the_certificate() {
         let g = crate::Graph::from_edges(4, [(0, 1), (2, 3)]).unwrap();
         let d = delta(&[(0, 2)], &[]);
-        let c = DegeneracyCertificate::with_order(&g, &[0, 1, 2, 3], 2);
-        let c = fold(c, &g, &d).1.expect("one free label");
-        assert_eq!(c.label, [5, 4, 6, 8]);
-        let c = DegeneracyCertificate::with_order(&g, &[0, 1, 2, 3], 1);
+        let c = DegeneracyCertificate::with_order(&g, &[0, 1, 2, 3], u64::MAX - 5);
+        let c = fold(c, &g, &d).1.expect("two free labels");
+        assert_eq!(
+            c.label,
+            [u64::MAX, u64::MAX - 4, u64::MAX - 1, u64::MAX - 2]
+        );
+        let c = DegeneracyCertificate::with_order(&g, &[0, 1, 2, 3], u64::MAX - 4);
         assert!(fold(c, &g, &d).1.is_none());
+    }
+
+    /// A random batch on `g`: up to `k` of its edges deleted and up to
+    /// `k` absent pairs inserted.
+    fn random_batch(g: &Graph, k: usize, rng: &mut StdRng) -> GraphDelta {
+        use rand::seq::IndexedRandom;
+        use rand::Rng;
+        let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
+        let deletes: Vec<(u32, u32)> = (0..rng.random_range(0..=k))
+            .filter_map(|_| edges.choose(rng))
+            .map(|&(u, v)| (u.get(), v.get()))
+            .collect();
+        let n = g.n() as u32;
+        let inserts: Vec<(u32, u32)> = (0..rng.random_range(0..=k))
+            .map(|_| (rng.random_range(0..n), rng.random_range(0..n)))
+            .filter(|&(u, v)| u != v && !g.has_edge(NodeId::new(u), NodeId::new(v)))
+            .collect();
+        GraphDelta::new(inserts, deletes).unwrap()
+    }
+
+    /// Whether the witness `w` cascades to nothing on `g` at `d`: the
+    /// largest subset of `w` in which every member has `d` neighbors
+    /// inside it is empty.
+    fn witness_empties(w: &[bool], g: &Graph, d: u32) -> bool {
+        let mut w = w.to_vec();
+        loop {
+            let short: Vec<usize> = (0..g.n())
+                .filter(|&v| w[v])
+                .filter(|&v| {
+                    let adj = g.neighbors(NodeId::from_index(v));
+                    (adj.iter().filter(|u| w[u.index()]).count() as u32) < d
+                })
+                .collect();
+            if short.is_empty() {
+                return !w.contains(&true);
+            }
+            for v in short {
+                w[v] = false;
+            }
+        }
+    }
+
+    /// The reorder is complete. Over random churn streams on forest
+    /// unions with α from 1 to 5, G(n, p), stars and cliques, a fold
+    /// breaks only when the degeneracy changed or W emptied, and every
+    /// fold that holds certifies the degeneracy (checked in `fold`). No
+    /// fold runs out of labels: a build labels 1 to n, far below the top.
+    #[test]
+    fn a_fold_breaks_only_when_the_degeneracy_changes_or_the_witness_empties() {
+        let mut rng = StdRng::seed_from_u64(26);
+        let mut graphs = Vec::new();
+        for round in 0..6 {
+            for alpha in 1..=5 {
+                graphs.push(generators::forest_union(40 + 10 * round, alpha, &mut rng));
+            }
+            graphs.push(generators::gnp(30, 0.05 + 0.05 * round as f64, &mut rng));
+            graphs.push(generators::star(12 + round));
+            graphs.push(generators::complete(4 + round));
+        }
+        let (mut kept, mut raised, mut emptied) = (0, 0, 0);
+        for (i, mut g) in graphs.into_iter().enumerate() {
+            let mut c = DegeneracyCertificate::of(&g);
+            for batch in 0..60 {
+                let d = random_batch(&g, 1 + batch % 4, &mut rng);
+                let (value, witness) = (c.d, c.in_witness.clone());
+                let (next, folded) = fold(c, &g, &d);
+                c = match folded {
+                    Some(c) => {
+                        kept += 1;
+                        c
+                    }
+                    None => {
+                        let changed = degeneracy(&next) != value as usize;
+                        let empty = value > 0 && witness_empties(&witness, &next, value);
+                        assert!(changed || empty, "graph {i}, batch {batch}");
+                        raised += usize::from(degeneracy(&next) > value as usize);
+                        emptied += usize::from(empty);
+                        DegeneracyCertificate::of(&next)
+                    }
+                };
+                g = next;
+            }
+        }
+        assert!(
+            kept > 0 && raised > 0 && emptied > 0,
+            "{kept} {raised} {emptied}"
+        );
     }
 
     #[test]

@@ -80,7 +80,8 @@ pub const SESSION_STAGE_NANOS: [&str; 5] = [
 ];
 /// Whole-graph α peels sessions ran: each builds a degeneracy
 /// certificate, on a session's first mutate or resolve and after a batch
-/// broke the last one.
+/// broke the last one. Only a batch that changes the degeneracy or
+/// empties the certificate's witness set breaks it.
 pub const ALPHA_PEELS_TOTAL: &str = "arbodom_alpha_peels_total";
 
 /// Graphs resident in the cache (scrape-time mirror).

@@ -43,8 +43,10 @@
 //! batch costs; a weighted session recomputes it over the whole graph.
 //! The reply's `graph_digest` is the maintainer's digest, which each batch
 //! updates in `O(|δ|)`. α and Δ come from a [`DegeneracyCertificate`]
-//! that folds each batch; a whole-graph core peel runs only to build one,
-//! on the session's first mutate or resolve and after a batch broke it.
+//! that folds each batch, reordering the few nodes an insertion leaves
+//! with too many later neighbors. A whole-graph core peel runs only to
+//! build one: on the session's first mutate or resolve, and after a batch
+//! that changed the degeneracy or emptied the certificate's witness set.
 //! The set's size and weight are the maintainer's counters.
 //!
 //! Failures: a mutate runs [`Maintainer::repair`], then folds the batch
@@ -931,6 +933,42 @@ mod tests {
             peels,
             "an unchanged graph needs no peel"
         );
+    }
+
+    /// serve-churn's shape at a tenth of its size: a 5,000-node α = 2
+    /// unit-weight forest union streams 128 forward 4 + 4 batches and
+    /// their inverses, twice, under `Repair`. The reorder repairs every
+    /// overfull node, so only the first mutate peels, to build the
+    /// certificate.
+    #[test]
+    fn a_churn_cycle_peels_only_to_build_the_certificate() {
+        let obs = SessionObs::default();
+        let mut rng = StdRng::seed_from_u64(30);
+        let g = generators::forest_union(5_000, 2, &mut rng);
+        let mut s = session_on(g, 2, RepairConfig::default());
+        let mut mirror = s.maintainer.graph().clone();
+        let mut forward = Vec::new();
+        for batch in 0..128 {
+            let d = churn_delta(&mirror, 1 + batch, 4);
+            mirror = d.apply(&mirror).unwrap();
+            forward.push(d);
+        }
+        let cycle: Vec<DeltaSpec> = forward
+            .iter()
+            .map(|d| (d.inserts(), d.deletes()))
+            .chain(forward.iter().rev().map(|d| (d.deletes(), d.inserts())))
+            .map(|(inserts, deletes)| DeltaSpec {
+                inserts: pairs(inserts),
+                deletes: pairs(deletes),
+            })
+            .collect();
+        for _ in 0..2 {
+            for spec in &cycle {
+                s.mutate(spec, SessionPolicy::Repair, 1, &obs).unwrap();
+            }
+        }
+        assert_eq!(obs.alpha.count(), 512);
+        assert_eq!(obs.alpha_peels.get(), 1, "a peel after the first mutate");
     }
 
     fn limits(ttl: Duration, max_sessions: usize) -> SessionLimits {

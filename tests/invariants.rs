@@ -340,3 +340,49 @@ proptest! {
         }
     }
 }
+
+/// serve-churn's shape at full size, at α = 2 and α = 3: a 50k-node
+/// unit-weight forest union replays 128 forward 4 + 4 `churn_delta`
+/// batches and their inverses for 100 cycles. Every batch folds into the
+/// certificate, so nothing peels after the build, and at the end of each
+/// cycle the certificate proves the graph's degeneracy. Ignored by
+/// default (debug-mode minutes); CI runs it release-mode via
+/// `cargo test --release --test invariants -- --ignored`.
+#[test]
+#[ignore = "50k-node churn cycles: run with --release -- --ignored"]
+fn serve_churn_cycles_fold_without_a_peel() {
+    let pairs = |edges: &[(NodeId, NodeId)]| -> Vec<(u32, u32)> {
+        edges.iter().map(|&(u, v)| (u.get(), v.get())).collect()
+    };
+    for alpha in [2, 3] {
+        let base =
+            generators::forest_union(50_000, alpha, &mut StdRng::seed_from_u64(alpha as u64));
+        let mut g = base.clone();
+        let mut forward = Vec::new();
+        for batch in 0..128 {
+            let delta = churn_delta(&g, 1 + batch, 4);
+            g = delta.apply(&g).expect("a churn delta applies to its graph");
+            forward.push(delta);
+        }
+        let inverses = forward.iter().rev().map(|d| {
+            GraphDelta::new(pairs(d.deletes()), pairs(d.inserts())).expect("an inverse batch")
+        });
+        let cycle: Vec<GraphDelta> = forward.iter().cloned().chain(inverses).collect();
+        let mut g = base;
+        let mut certificate = DegeneracyCertificate::of(&g);
+        for round in 0..100 {
+            for (batch, delta) in cycle.iter().enumerate() {
+                g = delta.apply(&g).expect("the cycle replays");
+                certificate = certificate
+                    .apply(&g, delta)
+                    .unwrap_or_else(|| panic!("α = {alpha}, cycle {round}, batch {batch} peels"));
+            }
+            assert!(certificate.certifies(&g), "α = {alpha}, cycle {round}");
+            assert_eq!(
+                certificate.value(),
+                degeneracy(&g),
+                "α = {alpha}, cycle {round}"
+            );
+        }
+    }
+}
